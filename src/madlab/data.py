@@ -15,38 +15,32 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import AugmentationConfig, GeneratorConfig
 from .errors import ConfigError, SchemaError
 
 log = logging.getLogger(__name__)
 
-# Three-way training label; +-1 match the ground-truth convention below.
-LABEL_UNLABELED = 0
-LABEL_NORMAL = 1
-LABEL_ABNORMAL = -1
+# Three-way training label (the CSV ``label`` column); +-1 match the
+# ground-truth convention below.
+UNLABELED = 0
+KNOWN_NORMAL = 1
+KNOWN_ABNORMAL = -1
 
 GT_NORMAL = 1
 GT_ABNORMAL = -1
 
 _GT_NAMES = {GT_NORMAL: "normal", GT_ABNORMAL: "abnormal"}
 _GT_VALUES = {v: k for k, v in _GT_NAMES.items()}
-_LABEL_NAMES = {LABEL_UNLABELED: "unlabeled", LABEL_NORMAL: "normal",
-                LABEL_ABNORMAL: "abnormal"}
+_LABEL_NAMES = {UNLABELED: "unlabeled", KNOWN_NORMAL: "normal",
+                KNOWN_ABNORMAL: "abnormal"}
 _LABEL_VALUES = {v: k for k, v in _LABEL_NAMES.items()}
 
 SPLITS = ("train", "val", "test")
-
-
-@dataclass
-class Sample:
-    features: np.ndarray
-    label: int
-    ground_truth: int
-    mode_id: int
-    group_id: int
 
 
 @dataclass
@@ -83,7 +77,7 @@ class Dataset:
             raise SchemaError("labels must be in {0, +1, -1}")
         if not set(np.unique(self.ground_truth)) <= set(_GT_NAMES):
             raise SchemaError("ground_truth must be in {+1, -1}")
-        labeled = self.labels != LABEL_UNLABELED
+        labeled = self.labels != UNLABELED
         if np.any(self.labels[labeled] != self.ground_truth[labeled]):
             raise SchemaError("a labeled sample disagrees with its ground truth")
 
@@ -93,11 +87,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.features[i], int(self.labels[i]),
-                      int(self.ground_truth[i]), int(self.mode_ids[i]),
-                      int(self.group_ids[i]))
 
     def training_view(self) -> "TrainingView":
         """What the trainer is allowed to see: features and labels only."""
@@ -111,104 +100,6 @@ class TrainingView:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-
-@dataclass(frozen=True)
-class AugmentationConfig:
-    """The vector-space augmentation family for contrastive pairs.
-
-    Each view is (features * scale) + Gaussian noise with coordinates
-    independently zeroed at ``dropout_prob``; the two views of a pair use
-    independent draws.
-    """
-
-    noise_sigma: float = 1.0
-    scale_jitter: float = 0.1
-    dropout_prob: float = 0.2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise ConfigError(
-                f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
-        if self.scale_jitter < 0:
-            raise ConfigError(f"scale_jitter must be >= 0, got {self.scale_jitter}")
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Everything the synthetic generator needs.
-
-    Scale conventions: ``mode_sigma`` is the generator's sigma unit. Mode
-    centers are kept at pairwise distance >= 8 sigma and shells span
-    [shell_inner, shell_outer] sigma around a random mode center. Each
-    normal mode is a Gaussian supported on its own random
-    ``normal_rank``-dimensional subspace (plus ``ambient_noise`` sigma of
-    full-dimensional noise), with expected in-plane radial distance
-    ``cloud_radius`` sigma. Shell anomalies draw full-dimensional
-    directions, so they sit off the normal manifold even at radii where
-    plain distance to the mode center looks ordinary; that is what makes
-    them hard for raw geometry but learnable.
-    """
-
-    dim: int = 32
-    modes: int = 4
-    train_size: int = 2000
-    val_size: int = 1000
-    test_size: int = 1000
-    contamination: float = 0.05
-    labeled_ratio: float = 0.05
-    labeled_normal_fraction: float = 0.5
-    eval_abnormal_ratio: float = 0.5
-    mode_sigma: float = 1.0
-    cloud_radius: float = 5.0
-    normal_rank: int = 26
-    ambient_noise: float = 0.1
-    shell_inner: float = 4.0
-    shell_outer: float = 8.0
-    center_spacing: float = 9.0
-    midpoint_fraction: float = 0.3
-    group_size: int = 4
-    seed: int = 0
-
-    MIN_CENTER_SEPARATION = 8.0  # in sigma units, per the generator contract
-
-    def __post_init__(self):
-        if self.dim < 1 or self.modes < 1 or self.group_size < 1:
-            raise ConfigError("dim, modes and group_size must be >= 1")
-        for name in ("train_size", "val_size", "test_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("contamination", "labeled_ratio", "eval_abnormal_ratio"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1)")
-        if not 0.0 <= self.labeled_normal_fraction <= 1.0:
-            raise ConfigError("labeled_normal_fraction must be in [0, 1]")
-        if not 0.0 <= self.midpoint_fraction <= 1.0:
-            raise ConfigError("midpoint_fraction must be in [0, 1]")
-        if self.mode_sigma <= 0 or self.cloud_radius <= 0:
-            raise ConfigError("mode_sigma and cloud_radius must be > 0")
-        if self.normal_rank < 1:
-            raise ConfigError(f"normal_rank must be >= 1, got {self.normal_rank}")
-        if self.ambient_noise < 0:
-            raise ConfigError("ambient_noise must be >= 0")
-        if not 0 < self.shell_inner < self.shell_outer:
-            raise ConfigError("need 0 < shell_inner < shell_outer")
-        if self.center_spacing < self.MIN_CENTER_SEPARATION:
-            raise ConfigError(
-                f"center_spacing must be >= {self.MIN_CENTER_SEPARATION}")
-
-    @property
-    def rank(self) -> int:
-        """Effective subspace rank; clamped to the ambient dimension."""
-        return min(self.normal_rank, self.dim)
-
-    @property
-    def plane_sigma(self) -> float:
-        """Per-coordinate in-subspace std giving the target cloud radius."""
-        return self.mode_sigma * self.cloud_radius / math.sqrt(self.rank)
 
 
 def _draw_mode_centers(cfg: GeneratorConfig, rng) -> np.ndarray:
@@ -288,6 +179,25 @@ def _abnormal_groups(cfg, centers, n_samples, rng, next_group):
             np.concatenate(group_col), next_group + n_groups)
 
 
+def _draw_labels(ground_truth, ratio: float, normal_fraction: float,
+                 rng) -> np.ndarray:
+    """Label ``round(n * ratio)`` samples, ``normal_fraction`` of them
+    known-normal; the known-normal rows are drawn first."""
+    n_labeled = round(len(ground_truth) * ratio)
+    n_norm = round(n_labeled * normal_fraction)
+    n_ab = n_labeled - n_norm
+    norm_idx = np.flatnonzero(ground_truth == GT_NORMAL)
+    ab_idx = np.flatnonzero(ground_truth == GT_ABNORMAL)
+    if n_norm > norm_idx.size or n_ab > ab_idx.size:
+        raise ConfigError(
+            f"labeled counts {n_norm}/{n_ab} exceed the available "
+            f"{norm_idx.size}/{ab_idx.size} normal/abnormal train samples")
+    labels = np.zeros(len(ground_truth), dtype=np.int8)
+    labels[rng.choice(norm_idx, n_norm, replace=False)] = KNOWN_NORMAL
+    labels[rng.choice(ab_idx, n_ab, replace=False)] = KNOWN_ABNORMAL
+    return labels
+
+
 def generate_synthetic(cfg: GeneratorConfig):
     """Produce the (train, val, test) datasets for one seed.
 
@@ -330,23 +240,10 @@ def generate_synthetic(cfg: GeneratorConfig):
         group_ids, gt = group_ids[perm], gt[perm]
 
         labels = np.zeros(size, dtype=np.int8)
-        if split == "train" and cfg.labeled_ratio > 0:
-            n_labeled = round(size * cfg.labeled_ratio)
-            n_lab_norm = round(n_labeled * cfg.labeled_normal_fraction)
-            n_lab_ab = n_labeled - n_lab_norm
-            norm_idx = np.flatnonzero(gt == GT_NORMAL)
-            ab_idx = np.flatnonzero(gt == GT_ABNORMAL)
-            if n_lab_ab > ab_idx.size:
-                raise ConfigError(
-                    f"labeled abnormal count {n_lab_ab} exceeds the "
-                    f"{ab_idx.size} abnormal train samples")
-            if n_lab_norm > norm_idx.size:
-                raise ConfigError(
-                    f"labeled normal count {n_lab_norm} exceeds the "
-                    f"{norm_idx.size} normal train samples")
-            label_rng = np.random.default_rng([cfg.seed, 300])
-            labels[label_rng.choice(norm_idx, n_lab_norm, replace=False)] = LABEL_NORMAL
-            labels[label_rng.choice(ab_idx, n_lab_ab, replace=False)] = LABEL_ABNORMAL
+        if split == "train":
+            labels = _draw_labels(gt, cfg.labeled_ratio,
+                                  cfg.labeled_normal_fraction,
+                                  np.random.default_rng([cfg.seed, 300]))
 
         datasets.append(Dataset(features, labels, gt, mode_ids, group_ids, split))
 
@@ -362,35 +259,11 @@ def relabel(train_ds: Dataset, labeled_ratio: float,
     """
     if not 0.0 <= labeled_ratio < 1.0:
         raise ConfigError(f"labeled_ratio must be in [0, 1), got {labeled_ratio}")
-    n = len(train_ds)
-    n_labeled = round(n * labeled_ratio)
-    n_lab_norm = round(n_labeled * labeled_normal_fraction)
-    n_lab_ab = n_labeled - n_lab_norm
-    norm_idx = np.flatnonzero(train_ds.ground_truth == GT_NORMAL)
-    ab_idx = np.flatnonzero(train_ds.ground_truth == GT_ABNORMAL)
-    if n_lab_ab > ab_idx.size or n_lab_norm > norm_idx.size:
-        raise ConfigError(
-            f"labeled counts {n_lab_norm}/{n_lab_ab} exceed available "
-            f"{norm_idx.size}/{ab_idx.size} normal/abnormal samples")
-    labels = np.zeros(n, dtype=np.int8)
-    rng = np.random.default_rng([seed, 301])
-    labels[rng.choice(norm_idx, n_lab_norm, replace=False)] = LABEL_NORMAL
-    labels[rng.choice(ab_idx, n_lab_ab, replace=False)] = LABEL_ABNORMAL
+    labels = _draw_labels(train_ds.ground_truth, labeled_ratio,
+                          labeled_normal_fraction,
+                          np.random.default_rng([seed, 301]))
     return Dataset(train_ds.features, labels, train_ds.ground_truth,
                    train_ds.mode_ids, train_ds.group_ids, train_ds.split)
-
-
-def augment_pair(x, cfg: AugmentationConfig, rng):
-    """Two independently augmented views of one sample's feature vector."""
-    feats = x.features if isinstance(x, Sample) else np.asarray(x, dtype=np.float64)
-    views = []
-    for _ in range(2):
-        scale = 1.0 + rng.uniform(-cfg.scale_jitter, cfg.scale_jitter)
-        noise = rng.normal(0.0, cfg.noise_sigma, size=feats.shape)
-        view = feats * scale + noise
-        view[rng.random(feats.shape) < cfg.dropout_prob] = 0.0
-        views.append(view)
-    return views[0], views[1]
 
 
 def augment_pairs(features: np.ndarray, cfg: AugmentationConfig, rng):
@@ -404,42 +277,6 @@ def augment_pairs(features: np.ndarray, cfg: AugmentationConfig, rng):
         view[rng.random((n, d)) < cfg.dropout_prob] = 0.0
         out.append(view)
     return out[0], out[1]
-
-
-def make_split_indices(group_ids, ratios, seed) -> dict:
-    """Partition groups into splits by ratio; returns {group_id: split_idx}.
-
-    Counts follow the largest-remainder rule so they sum exactly to the
-    number of groups; assignment order is a seeded shuffle.
-    """
-    groups = list(group_ids)
-    if len(set(groups)) != len(groups):
-        raise ConfigError("group ids must be unique")
-    ratios = [float(r) for r in ratios]
-    if not ratios or any(r < 0 for r in ratios):
-        raise ConfigError("ratios must be non-negative and non-empty")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must sum to 1, got {sum(ratios)}")
-    if len(groups) < len(ratios):
-        raise ConfigError(
-            f"{len(groups)} groups cannot cover {len(ratios)} splits")
-
-    counts = [int(math.floor(r * len(groups))) for r in ratios]
-    remainders = [r * len(groups) - c for r, c in zip(ratios, counts)]
-    for i in sorted(range(len(ratios)), key=lambda i: -remainders[i]):
-        if sum(counts) == len(groups):
-            break
-        counts[i] += 1
-
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(groups))
-    assignment = {}
-    pos = 0
-    for split_idx, c in enumerate(counts):
-        for j in order[pos:pos + c]:
-            assignment[groups[j]] = split_idx
-        pos += c
-    return assignment
 
 
 # --- CSV serialization -------------------------------------------------
@@ -503,7 +340,6 @@ def load_csv(path, split: str) -> Dataset:
 
 def save_splits(datasets, out_dir):
     """Write train.csv / val.csv / test.csv into ``out_dir``."""
-    import os
     paths = []
     for ds in datasets:
         p = os.path.join(out_dir, f"{ds.split}.csv")
@@ -514,7 +350,6 @@ def save_splits(datasets, out_dir):
 
 def load_splits(data_dir):
     """Load the three split files from ``data_dir``."""
-    import os
     out = []
     for split in SPLITS:
         p = os.path.join(data_dir, f"{split}.csv")

@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import KNOWN_ABNORMAL, KNOWN_NORMAL, UNLABELED
 from .errors import DomainError, ShapeError, StateError
 
 log = logging.getLogger(__name__)
-
-UNLABELED = 0
-KNOWN_NORMAL = 1
-KNOWN_ABNORMAL = -1
 
 
 @dataclass
@@ -73,16 +70,6 @@ class MadBatch:
             raise DomainError(f"eta must be >= 0, got {self.eta}")
         if self.n_total + self.m_total <= 0:
             raise DomainError("n_total + m_total must be positive")
-
-
-def cosine_similarity(u, v) -> float:
-    """u.v / (|u||v|), clamped to [-1, 1] against rounding."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DomainError("cosine similarity undefined for zero-norm input")
-    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
 
 
 def info_nce_loss(batch: ContrastiveBatch):

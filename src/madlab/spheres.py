@@ -49,10 +49,6 @@ class CenterSet:
     def live_centers(self) -> np.ndarray:
         return self.centers[self.live]
 
-    def copy(self) -> "CenterSet":
-        return CenterSet(self.centers.copy(), self.live.copy(),
-                         self.counts.copy(), self.gamma, self.initial_count)
-
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean distances, clamped at 0 against rounding."""
@@ -173,14 +169,3 @@ def anomaly_scores(embeddings, centers: CenterSet) -> np.ndarray:
     d2 = _squared_distances(embeddings, live)
     return np.sqrt(d2.min(axis=1))
 
-
-def anomaly_score(embedding, centers: CenterSet) -> float:
-    """Score a single embedding vector."""
-    vec = np.asarray(embedding, dtype=np.float64).reshape(1, -1)
-    return float(anomaly_scores(vec, centers)[0])
-
-
-def trajectory_record(epoch: int, centers: CenterSet) -> dict:
-    """One JSON-lines record of the pruning trajectory."""
-    return {"epoch": int(epoch), "live": centers.n_live,
-            "counts": [int(c) for c in centers.counts]}

@@ -8,7 +8,6 @@ buffers carry the only state that is not recomputable.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -18,9 +17,11 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from . import __version__
-from .data import (Dataset, GeneratorConfig, AugmentationConfig, TrainingView,
-                   LABEL_UNLABELED, GT_ABNORMAL, augment_pairs,
-                   generate_synthetic)
+from .config import (  # noqa: F401 -- the config classes resolve here too
+    AugmentationConfig, ExperimentConfig, FinetuneConfig, GeneratorConfig,
+    ModelDims, PretrainConfig, experiment_from_dict, experiment_hash)
+from .data import (Dataset, TrainingView, UNLABELED, GT_ABNORMAL,
+                   augment_pairs, generate_synthetic)
 from .errors import ConfigError, MadlabError, NumericsError, StateError
 from .evaluation import auc, knn_score, replicate_ci
 from .losses import ContrastiveBatch, MadBatch, info_nce_loss, mad_loss
@@ -41,117 +42,6 @@ _T_SHUF_PRE = 13
 _T_AUG = 14
 _T_SHUF_FT = 15
 _T_KMEANS = 16
-
-
-@dataclass(frozen=True)
-class ModelDims:
-    input_dim: int = 32
-    body: tuple = (64, 32)
-    proj_dim: int = 16
-    mad_dim: int = 16
-
-    def __post_init__(self):
-        if self.input_dim < 1 or self.proj_dim < 1 or self.mad_dim < 1:
-            raise ConfigError("model dims must be >= 1")
-        if not self.body or any(w < 1 for w in self.body):
-            raise ConfigError("body widths must be >= 1 and non-empty")
-
-
-@dataclass(frozen=True)
-class PretrainConfig:
-    epochs: int = 100
-    batch: int = 24
-    lr: float = 1e-3
-    milestones: tuple = (70, 90)
-    decay_factor: float = 0.1
-    temperature: float = 0.2
-    optimizer: str = ADAM
-    weight_decay: float = 1e-6
-
-    def __post_init__(self):
-        if self.epochs < 0 or self.batch < 2:
-            raise ConfigError("pretrain needs epochs >= 0 and batch >= 2")
-        if self.lr <= 0 or self.temperature <= 0:
-            raise ConfigError("pretrain lr and temperature must be > 0")
-
-
-@dataclass(frozen=True)
-class FinetuneConfig:
-    epochs: int = 50
-    batch: int = 32
-    lr: float = 3e-3
-    milestones: tuple = ()
-    decay_factor: float = 0.1
-    eta: float = 1.0
-    gamma: float = 0.05
-    n_s: int = 100
-    weight_decay: float = 1e-6   # the objective's L2 term, applied decoupled
-    eps_d: float = 1e-6
-    optimizer: str = ADAM
-    update_centers: bool = False
-
-    def __post_init__(self):
-        if self.epochs < 0 or self.batch < 1 or self.n_s < 1:
-            raise ConfigError("finetune needs epochs >= 0, batch >= 1, n_s >= 1")
-        if self.lr <= 0:
-            raise ConfigError("finetune lr must be > 0")
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    data: GeneratorConfig = field(default_factory=GeneratorConfig)
-    augment: AugmentationConfig = field(default_factory=AugmentationConfig)
-    dims: ModelDims = field(default_factory=ModelDims)
-    pretrain: PretrainConfig = field(default_factory=PretrainConfig)
-    finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
-    knn_k: int = 100
-    seed: int = 0
-    replicates: int = 4
-
-    def __post_init__(self):
-        if self.replicates < 1 or self.knn_k < 1:
-            raise ConfigError("replicates and knn_k must be >= 1")
-        if self.dims.input_dim != self.data.dim:
-            raise ConfigError(
-                f"model input_dim {self.dims.input_dim} must equal data dim "
-                f"{self.data.dim}")
-
-
-def experiment_to_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    for k, sub in d.items():
-        if isinstance(sub, dict):
-            for key, val in sub.items():
-                if isinstance(val, tuple):
-                    sub[key] = list(val)
-    return d
-
-
-def experiment_from_dict(d: dict) -> ExperimentConfig:
-    def tup(sub, *keys):
-        for k in keys:
-            sub[k] = tuple(sub[k])
-
-    d = json.loads(json.dumps(d))  # deep copy, normalize types
-    tup(d["dims"], "body")
-    tup(d["pretrain"], "milestones")
-    tup(d["finetune"], "milestones")
-    return ExperimentConfig(
-        data=GeneratorConfig(**d["data"]),
-        augment=AugmentationConfig(**d["augment"]),
-        dims=ModelDims(**d["dims"]),
-        pretrain=PretrainConfig(**d["pretrain"]),
-        finetune=FinetuneConfig(**d["finetune"]),
-        knn_k=d["knn_k"], seed=d["seed"], replicates=d["replicates"])
-
-
-def experiment_hash(cfg: ExperimentConfig) -> str:
-    text = json.dumps(experiment_to_dict(cfg), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass
@@ -273,7 +163,7 @@ def _full_objective(cfg, view, model, centers) -> float:
     L2 penalty that the optimizer realizes as decoupled decay."""
     z = model.embed(view.features)
     fc = cfg.finetune
-    n_total = int(np.sum(view.labels == LABEL_UNLABELED))
+    n_total = int(np.sum(view.labels == UNLABELED))
     m_total = len(view) - n_total
     batch = MadBatch(z, view.labels, fc.eta, n_total, m_total)
     loss, _, _ = mad_loss(batch, centers, fc.eps_d)
@@ -318,7 +208,7 @@ def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
                    "train_loss": []}
 
     n = len(view)
-    n_total = int(np.sum(view.labels == LABEL_UNLABELED))
+    n_total = int(np.sum(view.labels == UNLABELED))
     m_total = n - n_total
     opt = opt if opt is not None else _make_optimizer(fc)
 
@@ -534,9 +424,8 @@ def run_experiment(cfg: ExperimentConfig, datasets=None, on_replicate=None):
 
 def save_checkpoint(path, state: TrainerState):
     """Versioned npz container; restore refuses on config-hash mismatch."""
-    cfg_dict = experiment_to_dict(state.config)
     meta = {"version": CHECKPOINT_VERSION,
-            "config": cfg_dict,
+            "config": asdict(state.config),
             "config_hash": experiment_hash(state.config),
             "phase": state.phase, "epoch": state.epoch,
             "pre_losses": state.pre_losses,

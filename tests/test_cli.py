@@ -205,6 +205,18 @@ def test_bad_log_level_env(tmp_path, monkeypatch):
     assert main(["generate", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key", ["pretrain.optimizer", "finetune.optimizer"])
+def test_train_optimizer_typo_exits_1(tmp_path, data_dir, capsys, key):
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data_dir), "--out", str(out)]
+                + SMALL_SETS + ["--set", f"{key}=adamw"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("run/checkpoint_r*.npz"))
+
+
 def test_usage_error_exits_1():
     assert main(["train"]) == EXIT_CONFIG  # missing required flags
 

@@ -1,10 +1,12 @@
+import hashlib
+from dataclasses import fields
+
 import pytest
 
-from madlab.config import (apply_overrides, config_hash, default_config,
-                           load_config, parse_config, serialize_config,
-                           to_experiment, _REGISTRY)
+from madlab.config import (ExperimentConfig, apply_overrides, default_config,
+                           experiment_hash, load_config, parse_config,
+                           serialize_config, to_experiment)
 from madlab.errors import ConfigError
-from madlab.trainer import ExperimentConfig, experiment_hash
 
 
 def test_parse_serialize_round_trip_defaults():
@@ -49,8 +51,19 @@ def test_comments_and_blanks_ignored():
 
 
 def test_every_key_documented():
-    for key, spec in _REGISTRY.items():
-        assert spec.doc.strip(), f"{key} lacks documentation"
+    cfg = default_config()
+    assert len(cfg) == 47
+    for line in serialize_config(cfg).splitlines():
+        key, doc = line.split("  # ", 1)
+        assert doc.strip(), f"{key} lacks documentation"
+
+
+def test_docs_live_on_the_dataclass_fields():
+    documented = [f.name for f in fields(ExperimentConfig().finetune)
+                  if f.metadata.get("doc")]
+    keys = [k.split(".", 1)[1] for k in default_config()
+            if k.startswith("finetune.")]
+    assert documented == keys
 
 
 def test_defaults_match_typed_config():
@@ -60,10 +73,23 @@ def test_defaults_match_typed_config():
 def test_hash_reflects_overrides():
     base = default_config()
     changed = apply_overrides(base, ["finetune.n_s=1"])
-    assert config_hash(base) != config_hash(changed)
-    assert config_hash(base) == config_hash(dict(base))
+    assert experiment_hash(to_experiment(base)) == experiment_hash(
+        to_experiment(dict(base)))
     assert experiment_hash(to_experiment(base)) != experiment_hash(
         to_experiment(changed))
+
+
+def test_default_config_text_pinned():
+    # config.cfg of a default run; a schema edit that changes it fails here
+    text = serialize_config(default_config())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5f4a6f5f50d7eae64488aea5e9c9db5a6818ff657c75b9c1ddf7ed80d553a43f")
+
+
+def test_default_experiment_hash_pinned():
+    # metrics.json config_hash and checkpoint loadability depend on it
+    assert experiment_hash(ExperimentConfig()) == (
+        "84b241664593a408ee9c2348989af930c7ba01a575955fa9ac107cbccf584999")
 
 
 def test_seed_propagates_to_components():

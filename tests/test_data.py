@@ -4,11 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from madlab.data import (GT_ABNORMAL, GT_NORMAL, LABEL_ABNORMAL, LABEL_NORMAL,
-                         LABEL_UNLABELED, AugmentationConfig,
-                         GeneratorConfig, Sample, augment_pair, augment_pairs,
-                         generate_synthetic, load_csv, load_splits,
-                         make_split_indices, relabel, save_csv, save_splits)
+from madlab.data import (GT_ABNORMAL, GT_NORMAL, KNOWN_ABNORMAL, KNOWN_NORMAL,
+                         UNLABELED, AugmentationConfig, GeneratorConfig,
+                         augment_pairs, generate_synthetic, load_csv,
+                         load_splits, relabel, save_csv, save_splits)
 from madlab.errors import ConfigError, SchemaError
 
 
@@ -25,8 +24,8 @@ def test_default_sizes_and_contamination():
 
 def test_default_labeled_split():
     train, _, _ = generate_synthetic(GeneratorConfig())
-    assert int(np.sum(train.labels == LABEL_NORMAL)) == 50
-    assert int(np.sum(train.labels == LABEL_ABNORMAL)) == 50
+    assert int(np.sum(train.labels == KNOWN_NORMAL)) == 50
+    assert int(np.sum(train.labels == KNOWN_ABNORMAL)) == 50
 
 
 def test_unimodal_generation():
@@ -39,7 +38,7 @@ def test_unimodal_generation():
 def test_labeled_ratio_sweep(ratio, expected):
     cfg = replace(SMALL, labeled_ratio=ratio, contamination=0.25)
     train, _, _ = generate_synthetic(cfg)
-    assert int(np.sum(train.labels != LABEL_UNLABELED)) == expected
+    assert int(np.sum(train.labels != UNLABELED)) == expected
 
 
 def test_labeled_abnormal_exceeding_available_rejected():
@@ -57,14 +56,14 @@ def test_group_leakage_absent():
 
 def test_label_agrees_with_ground_truth():
     train, _, _ = generate_synthetic(GeneratorConfig())
-    labeled = train.labels != LABEL_UNLABELED
+    labeled = train.labels != UNLABELED
     assert np.all(train.labels[labeled] == train.ground_truth[labeled])
 
 
 def test_val_test_fully_unlabeled():
     _, val, test = generate_synthetic(SMALL)
-    assert np.all(val.labels == LABEL_UNLABELED)
-    assert np.all(test.labels == LABEL_UNLABELED)
+    assert np.all(val.labels == UNLABELED)
+    assert np.all(test.labels == UNLABELED)
 
 
 def test_generation_deterministic():
@@ -114,51 +113,37 @@ def test_anomalies_sit_off_the_normal_subspaces():
 
 def test_augment_identity_transform():
     cfg = AugmentationConfig(noise_sigma=0.0, scale_jitter=0.0, dropout_prob=0.0)
-    x = np.array([1.0, -2.0, 3.0])
-    a, b = augment_pair(x, cfg, np.random.default_rng(0))
+    x = np.array([[1.0, -2.0, 3.0]])
+    a, b = augment_pairs(x, cfg, np.random.default_rng(0))
     assert np.array_equal(a, x) and np.array_equal(b, x)
-
-
-def test_augment_accepts_sample():
-    s = Sample(np.ones(4), LABEL_UNLABELED, GT_NORMAL, 0, 0)
-    cfg = AugmentationConfig(noise_sigma=0.0, scale_jitter=0.0, dropout_prob=0.0)
-    a, _ = augment_pair(s, cfg, np.random.default_rng(0))
-    assert np.array_equal(a, np.ones(4))
 
 
 def test_augment_heavy_dropout_limit():
     cfg = AugmentationConfig(noise_sigma=0.0, scale_jitter=0.0, dropout_prob=0.99)
-    rng = np.random.default_rng(1)
-    x = np.ones(50)
-    kept = []
-    for _ in range(200):
-        a, b = augment_pair(x, cfg, rng)
-        kept.append(np.abs(a).mean())
-        kept.append(np.abs(b).mean())
-    assert np.mean(kept) < 0.05
+    a, b = augment_pairs(np.ones((200, 50)), cfg, np.random.default_rng(1))
+    assert np.abs(np.concatenate([a, b])).mean() < 0.05
 
 
 def test_augment_reproducible():
     cfg = AugmentationConfig(noise_sigma=0.3, scale_jitter=0.2, dropout_prob=0.1)
-    x = np.arange(6, dtype=float)
-    a1, b1 = augment_pair(x, cfg, np.random.default_rng(9))
-    a2, b2 = augment_pair(x, cfg, np.random.default_rng(9))
+    x = np.arange(6, dtype=float).reshape(1, -1)
+    a1, b1 = augment_pairs(x, cfg, np.random.default_rng(9))
+    a2, b2 = augment_pairs(x, cfg, np.random.default_rng(9))
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
 
 def test_augment_views_use_independent_draws():
     cfg = AugmentationConfig(noise_sigma=0.5, scale_jitter=0.0, dropout_prob=0.0)
-    a, b = augment_pair(np.zeros(16), cfg, np.random.default_rng(2))
+    a, b = augment_pairs(np.zeros((1, 16)), cfg, np.random.default_rng(2))
     assert not np.array_equal(a, b)
 
 
 def test_augment_unbiased_mean():
     cfg = AugmentationConfig(noise_sigma=0.2, scale_jitter=0.1, dropout_prob=0.0)
     x = np.array([1.5, -0.5, 2.0, 0.0])
-    rng = np.random.default_rng(3)
     n = 4000
-    views = np.array([v for _ in range(n // 2)
-                      for v in augment_pair(x, cfg, rng)])
+    views = np.concatenate(augment_pairs(np.tile(x, (n // 2, 1)), cfg,
+                                         np.random.default_rng(3)))
     tol = 3.0 * cfg.noise_sigma / math.sqrt(n) + 0.01
     assert np.all(np.abs(views.mean(axis=0) - x) < tol)
 
@@ -179,40 +164,13 @@ def test_augmentation_config_validation():
         AugmentationConfig(dropout_prob=1.0)
 
 
-# --- splits ----------------------------------------------------------------------
-
-def test_make_split_indices_counts_and_disjoint():
-    groups = list(range(10))
-    assignment = make_split_indices(groups, (0.5, 0.25, 0.25), seed=0)
-    counts = [sum(1 for s in assignment.values() if s == i) for i in range(3)]
-    assert counts[0] == 5 and sorted(counts[1:]) in ([2, 3], [3, 2], [2, 2], [3, 3])
-    assert sum(counts) == 10
-    assert set(assignment) == set(groups)
-
-
-def test_make_split_indices_deterministic():
-    a = make_split_indices(range(20), (0.6, 0.4), seed=5)
-    b = make_split_indices(range(20), (0.6, 0.4), seed=5)
-    assert a == b
-
-
-def test_make_split_indices_too_few_groups():
-    with pytest.raises(ConfigError):
-        make_split_indices([1], (0.4, 0.3, 0.3), seed=0)
-
-
-def test_make_split_indices_bad_ratios():
-    with pytest.raises(ConfigError):
-        make_split_indices(range(5), (0.7, 0.7), seed=0)
-
-
 # --- relabel ---------------------------------------------------------------------
 
 def test_relabel_changes_ratio_deterministically():
     train, _, _ = generate_synthetic(replace(SMALL, contamination=0.25))
     re1 = relabel(train, 0.2, 0.5, seed=1)
     re2 = relabel(train, 0.2, 0.5, seed=1)
-    assert int(np.sum(re1.labels != LABEL_UNLABELED)) == 40
+    assert int(np.sum(re1.labels != UNLABELED)) == 40
     assert np.array_equal(re1.labels, re2.labels)
     assert np.array_equal(re1.features, train.features)
 
@@ -276,14 +234,6 @@ def test_csv_label_gt_disagreement_rejected(tmp_path):
 def test_load_splits_missing_file(tmp_path):
     with pytest.raises(SchemaError):
         load_splits(tmp_path)
-
-
-def test_dataset_sample_accessor():
-    train, _, _ = generate_synthetic(SMALL)
-    s = train.sample(3)
-    assert isinstance(s, Sample)
-    assert np.array_equal(s.features, train.features[3])
-    assert s.group_id == int(train.group_ids[3])
 
 
 def test_training_view_hides_ground_truth():

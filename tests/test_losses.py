@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from madlab.errors import DomainError, StateError
 from madlab.losses import (KNOWN_ABNORMAL, KNOWN_NORMAL, UNLABELED,
-                           ContrastiveBatch, MadBatch, cosine_similarity,
-                           info_nce_loss, mad_loss)
+                           ContrastiveBatch, MadBatch, info_nce_loss,
+                           mad_loss)
 from madlab.spheres import CenterSet
 
 from _oracles import central_diff, grads_close
@@ -17,32 +17,6 @@ def make_centers(points, gamma=0.05):
     points = np.asarray(points, dtype=np.float64)
     return CenterSet(points, np.ones(len(points), dtype=bool),
                      np.zeros(len(points), dtype=np.int64), gamma)
-
-
-# --- cosine similarity ---------------------------------------------------
-
-def test_cosine_self_similarity():
-    assert cosine_similarity([3.0, -4.0], [3.0, -4.0]) == 1.0
-
-
-def test_cosine_orthogonal():
-    assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-
-def test_cosine_hand_value():
-    # u.v / (|u||v|) = 1 / (sqrt(2) * 1)
-    assert math.isclose(cosine_similarity([1.0, 1.0], [1.0, 0.0]),
-                        1.0 / math.sqrt(2.0), rel_tol=1e-12)
-
-
-def test_cosine_zero_norm_rejected():
-    with pytest.raises(DomainError):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
-
-
-def test_cosine_clamped():
-    v = np.array([1e-8, 1.0])
-    assert -1.0 <= cosine_similarity(v, -v) <= 1.0
 
 
 # --- InfoNCE --------------------------------------------------------------

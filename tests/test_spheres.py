@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from madlab.errors import DomainError, ShapeError, StateError
-from madlab.spheres import (CenterSet, anomaly_score, anomaly_scores,
-                            assign_and_count, kmeans, nearest_live_center,
-                            prune, trajectory_record)
+from madlab.spheres import (CenterSet, anomaly_scores, assign_and_count,
+                            kmeans, nearest_live_center, prune)
 
 
 def make_centers(points, counts=None, gamma=0.05):
@@ -163,23 +162,24 @@ def test_monotone_live_shrinkage():
 
 def test_score_zero_at_live_center():
     cs = make_centers([[1.0, 2.0], [5.0, 5.0]])
-    assert anomaly_score([1.0, 2.0], cs) == 0.0
+    assert anomaly_scores(np.array([[1.0, 2.0]]), cs)[0] == 0.0
 
 
 def test_score_hand_euclidean():
     cs = make_centers([[0.0, 0.0], [10.0, 0.0]])
-    assert anomaly_score([3.0, 4.0], cs) == 5.0  # min(5, sqrt(65))
+    # min(5, sqrt(65))
+    assert anomaly_scores(np.array([[3.0, 4.0]]), cs)[0] == 5.0
 
 
 def test_score_single_live_center_plain_distance():
     cs = make_centers([[0.0, 0.0]])
-    assert np.isclose(anomaly_score([3.0, 4.0], cs), 5.0)
+    assert np.isclose(anomaly_scores(np.array([[3.0, 4.0]]), cs)[0], 5.0)
 
 
 def test_score_ignores_pruned_centers():
     cs = make_centers([[0.0, 0.0], [3.0, 4.0]])
     cs.live[1] = False
-    assert anomaly_score([3.0, 4.0], cs) == 5.0
+    assert anomaly_scores(np.array([[3.0, 4.0]]), cs)[0] == 5.0
 
 
 def test_score_zero_iff_on_live_center_and_lipschitz():
@@ -190,7 +190,8 @@ def test_score_zero_iff_on_live_center_and_lipschitz():
     assert np.all(s > 0.0)
     for _ in range(20):
         a, b = rng.normal(size=(2, 3))
-        sa, sb = anomaly_score(a, cs), anomaly_score(b, cs)
+        sa = anomaly_scores(np.array([a]), cs)[0]
+        sb = anomaly_scores(np.array([b]), cs)[0]
         assert abs(sa - sb) <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -210,9 +211,3 @@ def test_centerset_invariants():
         make_centers([[0.0]], gamma=1.5)
     with pytest.raises(ShapeError):
         CenterSet(np.zeros((2, 2)), np.ones(3, dtype=bool), np.zeros(2), 0.05)
-
-
-def test_trajectory_record_schema():
-    cs = make_centers([[0.0], [1.0]], counts=[3, 4])
-    rec = trajectory_record(7, cs)
-    assert rec == {"epoch": 7, "live": 2, "counts": [3, 4]}

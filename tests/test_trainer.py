@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from madlab.data import generate_synthetic
 from madlab.errors import ConfigError, NumericsError, StateError
 from madlab.trainer import (ExperimentConfig, build_pretext_model,
                             build_random_mad_model, evaluate, experiment_from_dict,
-                            experiment_hash, experiment_to_dict, finetune,
+                            experiment_hash, finetune,
                             load_checkpoint, pretrain, run_experiment,
                             run_replicate, save_checkpoint, transfer_weights)
 
@@ -161,8 +161,7 @@ def test_run_experiment_records_replicate_failures(small_cfg, small_data,
 
 
 def test_experiment_dict_round_trip(small_cfg):
-    d = experiment_to_dict(small_cfg)
-    back = experiment_from_dict(json.loads(json.dumps(d)))
+    back = experiment_from_dict(json.loads(json.dumps(asdict(small_cfg))))
     assert back == small_cfg
     assert experiment_hash(back) == experiment_hash(small_cfg)
 
