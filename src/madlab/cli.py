@@ -1,8 +1,9 @@
 """Command-line surface: generate / train / eval / compare.
 
-Exit codes: 0 success, 1 invalid configuration or usage, 2 data-file
-schema violation, 3 numeric abort during training, 4 checkpoint missing
-or not restorable, 5 too few replicates to compare. MADLAB_LOG selects
+Exit codes: 0 success, 1 invalid configuration or usage, 2 data-file or
+metrics-file schema violation, 3 numeric abort during training, 4
+checkpoint missing, corrupt or not restorable, 5 too few replicates to
+compare. MADLAB_LOG selects
 the log level (error|info|debug).
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -19,7 +21,8 @@ import numpy as np
 from . import __version__
 from .config import (apply_overrides, default_config, load_config,
                      serialize_config, to_experiment)
-from .data import GT_ABNORMAL, generate_synthetic, load_splits, relabel, save_splits
+from .data import (GT_ABNORMAL, _GT_NAMES, generate_synthetic, load_splits,
+                   relabel, save_splits)
 from .errors import (ConfigError, DomainError, MadlabError, NumericsError,
                      SchemaError, StateError)
 from .evaluation import auc, knn_score, replicate_ci, significance_code, welch_t_test
@@ -35,9 +38,6 @@ EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
 EXIT_CHECKPOINT = 4
 EXIT_REPLICATES = 5
-
-_GT_NAME = {1: "normal", -1: "abnormal"}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for schema
@@ -180,7 +180,7 @@ def cmd_eval(args) -> int:
         fh.write("id,score,score_knn,ground_truth\n")
         for i in range(len(target)):
             fh.write(f"{i},{float(scores[i])!r},{float(knn[i])!r},"
-                     f"{_GT_NAME[int(target.ground_truth[i])]}\n")
+                     f"{_GT_NAMES[int(target.ground_truth[i])]}\n")
 
     positives = target.ground_truth == GT_ABNORMAL
     metrics = {"split": args.split, "embedding": args.embedding,
@@ -194,10 +194,20 @@ def cmd_eval(args) -> int:
 
 
 def _replicate_values(path, split, metric):
-    with open(path) as fh:
-        doc = json.load(fh)
-    vals = [r[metric] for r in doc.get("records", ())
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # invalid JSON or text encoding
+        raise SchemaError(f"{path}: {exc}") from exc
+    records = doc.get("records", []) if isinstance(doc, dict) else None
+    if not (isinstance(records, list)
+            and all(isinstance(r, dict) for r in records)):
+        raise SchemaError(f"{path}: 'records' must be a list of objects")
+    vals = [r[metric] for r in records
             if r.get("split") == split and metric in r]
+    if any(isinstance(v, bool) or not isinstance(v, (int, float))
+           or not math.isfinite(v) for v in vals):
+        raise SchemaError(f"{path}: {metric!r} values must be finite numbers")
     return vals
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .spheres import squared_distances
 
 log = logging.getLogger(__name__)
 
@@ -70,12 +71,11 @@ def knn_score(queries, references, k: int = 100) -> np.ndarray:
                     k, references.shape[0])
         k = references.shape[0]
 
-    d2 = (np.sum(queries ** 2, axis=1)[:, None]
-          + np.sum(references ** 2, axis=1)[None, :]
-          - 2.0 * queries @ references.T)
-    d = np.sqrt(np.maximum(d2, 0.0))
+    d = squared_distances(queries, references)
+    np.sqrt(d, out=d)  # in place: the (n, k) matrix is the only large array
     if k < references.shape[0]:
-        d = np.partition(d, k - 1, axis=1)[:, :k]
+        d.partition(k - 1, axis=1)
+        d = d[:, :k]
     return d.mean(axis=1)
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import KNOWN_ABNORMAL, KNOWN_NORMAL, UNLABELED
-from .errors import DomainError, ShapeError, StateError
+from .errors import DomainError, ShapeError
+from .spheres import nearest_live_center
 
 log = logging.getLogger(__name__)
 
@@ -125,23 +126,9 @@ def mad_loss(batch: MadBatch, centers, eps_d: float = 1e-6):
     assignments).
     """
     z = batch.embeddings
-    live_idx = np.flatnonzero(centers.live)
-    if live_idx.size == 0:
-        raise StateError("all centers pruned; no live center to assign to")
-    c_live = centers.centers[live_idx]
-    if z.shape[1] != c_live.shape[1]:
-        raise ShapeError(
-            f"embedding dim {z.shape[1]} vs center dim {c_live.shape[1]}"
-        )
-
-    diff = z[:, None, :] - c_live[None, :, :]
-    d2_all = np.einsum("brd,brd->br", diff, diff)
-    local = np.argmin(d2_all, axis=1)  # argmin takes the first (lowest) index
-    assignments = live_idx[local]
-
-    rows = np.arange(z.shape[0])
-    delta = diff[rows, local]
-    d2 = d2_all[rows, local]
+    assignments = nearest_live_center(z, centers)
+    delta = z - centers.centers[assignments]
+    d2 = np.einsum("rd,rd->r", delta, delta)
 
     scale = 1.0 / (batch.n_total + batch.m_total)
 

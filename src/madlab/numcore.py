@@ -118,9 +118,6 @@ class Mlp:
         """Flat parameter list [W0, b0, W1, b1, ...]; arrays are live views."""
         return self._params
 
-    def copy(self) -> "Mlp":
-        return Mlp(self.layers, params=[p.copy() for p in self._params])
-
     @property
     def in_dim(self) -> int:
         return self.layers[0].in_dim

@@ -46,22 +46,28 @@ class CenterSet:
     def n_live(self) -> int:
         return int(self.live.sum())
 
-    def live_centers(self) -> np.ndarray:
-        return self.centers[self.live]
 
+def squared_distances(points, refs) -> np.ndarray:
+    """(n, k) squared Euclidean distances, clamped at 0 against rounding.
 
-def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances, clamped at 0 against rounding."""
-    d2 = (np.sum(points ** 2, axis=1)[:, None]
-          + np.sum(centers ** 2, axis=1)[None, :]
-          - 2.0 * points @ centers.T)
-    return np.maximum(d2, 0.0)
+    Both sets are first moved by the refs' mean, so that a large common
+    offset does not cancel the expansion |p|^2 + |r|^2 - 2 p.r.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape[1] != refs.shape[1]:
+        raise ShapeError(f"point dim {points.shape[1]} vs ref dim {refs.shape[1]}")
+    mean = refs.mean(axis=0)
+    p, r = points - mean, refs - mean
+    d2 = p @ (-2.0 * r).T
+    d2 += np.einsum("nd,nd->n", p, p)[:, None]
+    d2 += np.einsum("kd,kd->k", r, r)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeans_pp_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(points.shape[0])]
-    d2 = _squared_distances(points, centers[:1]).ravel()
+    d2 = squared_distances(points, centers[:1]).ravel()
     for j in range(1, k):
         total = d2.sum()
         if total == 0.0:
@@ -70,7 +76,7 @@ def _kmeans_pp_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
         else:
             idx = rng.choice(points.shape[0], p=d2 / total)
         centers[j] = points[idx]
-        d2 = np.minimum(d2, _squared_distances(points, centers[j:j + 1]).ravel())
+        d2 = np.minimum(d2, squared_distances(points, centers[j:j + 1]).ravel())
     return centers
 
 
@@ -94,7 +100,7 @@ def kmeans(points, k: int, seed, max_iters: int = 100,
 
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_seed(points, k, rng)
-    assign = np.argmin(_squared_distances(points, centers), axis=1)
+    assign = np.argmin(squared_distances(points, centers), axis=1)
 
     for _ in range(max_iters):
         for j in range(k):
@@ -102,12 +108,11 @@ def kmeans(points, k: int, seed, max_iters: int = 100,
             if mask.any():
                 centers[j] = points[mask].mean(axis=0)
             else:
-                own = np.sqrt(_squared_distances(points, centers)[
-                    np.arange(points.shape[0]), assign])
-                far = int(np.argmax(own))
+                own = points - centers[assign]
+                far = int(np.argmax(np.einsum("nd,nd->n", own, own)))
                 centers[j] = points[far]
                 assign[far] = j
-        new_assign = np.argmin(_squared_distances(points, centers), axis=1)
+        new_assign = np.argmin(squared_distances(points, centers), axis=1)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -122,10 +127,7 @@ def nearest_live_center(embeddings, centers: CenterSet) -> np.ndarray:
     live_idx = np.flatnonzero(centers.live)
     if live_idx.size == 0:
         raise StateError("no live centers to assign to")
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    d2 = _squared_distances(embeddings, centers.centers[live_idx])
+    d2 = squared_distances(embeddings, centers.centers[live_idx])
     return live_idx[np.argmin(d2, axis=1)]
 
 
@@ -162,10 +164,7 @@ def prune(centers: CenterSet) -> CenterSet:
 
 def anomaly_scores(embeddings, centers: CenterSet) -> np.ndarray:
     """Euclidean distance from each row to its nearest live center."""
-    live = centers.live_centers()
-    if live.shape[0] == 0:
-        raise StateError("no live centers; cannot score")
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    d2 = _squared_distances(embeddings, live)
-    return np.sqrt(d2.min(axis=1))
+    delta = embeddings - centers.centers[nearest_live_center(embeddings, centers)]
+    return np.sqrt(np.einsum("rd,rd->r", delta, delta))
 

@@ -60,12 +60,6 @@ class EncoderModel:
     def body_params(self) -> list:
         return self.net.parameters()[:2 * self.body_layers]
 
-    def head_params(self) -> list:
-        return self.net.parameters()[2 * self.body_layers:]
-
-    def copy(self) -> "EncoderModel":
-        return EncoderModel(self.net.copy(), self.body_layers)
-
 
 def _layer_specs(dims: ModelDims, head_dim: int):
     widths = [dims.input_dim, *dims.body]
@@ -96,11 +90,6 @@ def transfer_weights(pretext: EncoderModel, cfg: ExperimentConfig) -> EncoderMod
     params = [p.copy() for p in pretext.body_params()]
     params.extend(init_params(specs[n_body:], head_rng))
     return EncoderModel(Mlp(specs, params=params), n_body)
-
-
-def build_random_mad_model(cfg: ExperimentConfig) -> EncoderModel:
-    """Detection encoder without pretraining: random body, seeded head."""
-    return transfer_weights(build_pretext_model(cfg), cfg)
 
 
 def _make_optimizer(phase_cfg) -> OptimizerState:
@@ -461,6 +450,15 @@ def save_checkpoint(path, state: TrainerState):
 def load_checkpoint(path) -> TrainerState:
     if not os.path.exists(path):
         raise StateError(f"checkpoint not found: {path}")
+    try:
+        return _read_checkpoint(path)
+    except StateError:
+        raise
+    except Exception as exc:  # bad zip/CRC, missing keys, invalid arrays
+        raise StateError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_checkpoint(path) -> TrainerState:
     with np.load(path, allow_pickle=False) as z:
         meta = json.loads(bytes(z["meta_json"]).decode())
         if meta.get("version") != CHECKPOINT_VERSION:

@@ -75,3 +75,9 @@ def random_mlp(rng, max_layers=3, max_dim=16, kink_margin=1e-4):
         if min(np.abs(z).min() for z in tape.preacts) > kink_margin:
             return model, batch
     raise AssertionError("could not draw a kink-free audit batch")
+
+
+def direct_sq_distances(points, refs):
+    """(n, k) squared distances from explicit per-pair differences."""
+    diff = np.asarray(points)[:, None, :] - np.asarray(refs)[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)

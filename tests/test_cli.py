@@ -177,6 +177,16 @@ def test_eval_missing_checkpoint_exits_4(tmp_path, data_dir):
     assert code == EXIT_CHECKPOINT
 
 
+def test_eval_corrupt_checkpoint_exits_4(tmp_path, trained_dir, data_dir,
+                                        capsys):
+    path = trained_dir / "checkpoint_r0.npz"
+    path.write_bytes(path.read_bytes()[:1000])
+    code = main(["eval", "--checkpoint", str(path), "--data", str(data_dir)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CHECKPOINT
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_compare_file_with_itself(tmp_path, trained_dir, capsys):
     m = str(trained_dir / "metrics.json")
     assert main(["compare", m, m]) == EXIT_OK
@@ -198,6 +208,24 @@ def test_compare_too_few_replicates_exits_5(tmp_path, trained_dir):
     p.write_text(json.dumps(single))
     code = main(["compare", str(p), str(trained_dir / "metrics.json")])
     assert code == EXIT_REPLICATES
+
+
+@pytest.mark.parametrize("text", [
+    '{"records": [',
+    '[{"split": "test", "auc": 0.9}]',
+    '{"records": [{"split": "test", "auc": "x"},'
+    ' {"split": "test", "auc": "y"}]}',
+    '{"records": [{"split": "test", "auc": NaN},'
+    ' {"split": "test", "auc": NaN}]}',
+], ids=["invalid_json", "top_level_list", "non_numeric_value", "nan_value"])
+def test_compare_malformed_metrics_exits_2(tmp_path, trained_dir, capsys,
+                                           text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = main(["compare", str(bad), str(trained_dir / "metrics.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_SCHEMA
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_bad_log_level_env(tmp_path, monkeypatch):

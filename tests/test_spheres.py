@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from madlab.errors import DomainError, ShapeError, StateError
+from madlab.evaluation import knn_score
+from madlab.losses import UNLABELED, MadBatch, mad_loss
 from madlab.spheres import (CenterSet, anomaly_scores, assign_and_count,
                             kmeans, nearest_live_center, prune)
+
+from _oracles import direct_sq_distances
 
 
 def make_centers(points, counts=None, gamma=0.05):
@@ -200,6 +204,33 @@ def test_scores_error_when_no_live():
     cs.live[:] = False
     with pytest.raises(StateError):
         anomaly_scores(np.array([[1.0]]), cs)
+
+
+# --- one distance kernel at extreme scales ------------------------------------
+
+@pytest.mark.parametrize("offset, spread",
+                         [(0.0, 1.0), (1e3, 1.0), (1e5, 1e-3), (1e8, 1.0)])
+def test_distances_match_direct_oracle_at_extreme_scale(offset, spread):
+    # a large common offset cancels the expansion form's digits unless the
+    # kernel re-centers first; the oracle subtracts pair by pair
+    rng = np.random.default_rng(17)
+    refs = offset + spread * rng.normal(size=(100, 16))
+    z = offset + spread * rng.normal(size=(400, 16))
+    cs = make_centers(refs)
+    cs.live[::3] = False
+    live_idx = np.flatnonzero(cs.live)
+    d2 = direct_sq_distances(z, refs[live_idx])
+    nearest = live_idx[np.argmin(d2, axis=1)]
+
+    assert np.array_equal(nearest_live_center(z, cs), nearest)
+    batch = MadBatch(z, np.full(len(z), UNLABELED), 1.0, len(z), 0)
+    assert np.array_equal(mad_loss(batch, cs)[2], nearest)
+    assert np.allclose(anomaly_scores(z, cs), np.sqrt(d2.min(axis=1)),
+                       rtol=1e-12, atol=0.0)
+    k = 7
+    knn = np.sort(np.sqrt(direct_sq_distances(z, refs)), axis=1)[:, :k]
+    assert np.allclose(knn_score(z, refs, k), knn.mean(axis=1),
+                       rtol=1e-9, atol=0.0)
 
 
 # --- structure ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import asdict, replace
 
@@ -8,9 +9,8 @@ import madlab.trainer as trainer_mod
 from madlab.config import apply_overrides, default_config, to_experiment
 from madlab.data import generate_synthetic
 from madlab.errors import ConfigError, NumericsError, StateError
-from madlab.trainer import (ExperimentConfig, build_pretext_model,
-                            build_random_mad_model, evaluate, experiment_from_dict,
-                            experiment_hash, finetune,
+from madlab.trainer import (ExperimentConfig, build_pretext_model, evaluate,
+                            experiment_from_dict, experiment_hash, finetune,
                             load_checkpoint, pretrain, run_experiment,
                             run_replicate, save_checkpoint, transfer_weights)
 
@@ -33,6 +33,11 @@ def small_cfg() -> ExperimentConfig:
 @pytest.fixture(scope="module")
 def small_data(small_cfg):
     return generate_synthetic(replace(small_cfg.data, seed=small_cfg.seed))
+
+
+def random_mad_model(cfg):
+    """Detection encoder without pretraining: random body, seeded head."""
+    return transfer_weights(build_pretext_model(cfg), cfg)
 
 
 def params_equal(a, b):
@@ -70,8 +75,8 @@ def test_transfer_copies_body_and_freshens_head(small_cfg, small_data):
     mad = transfer_weights(pre, small_cfg)
     for a, b in zip(pre.body_params(), mad.body_params()):
         assert np.array_equal(a, b)
-    pre_head_w = pre.head_params()[0]
-    mad_head_w = mad.head_params()[0]
+    pre_head_w = pre.net.parameters()[2 * pre.body_layers:][0]
+    mad_head_w = mad.net.parameters()[2 * mad.body_layers:][0]
     assert pre_head_w.shape == mad_head_w.shape
     assert not np.array_equal(pre_head_w, mad_head_w)
 
@@ -90,7 +95,7 @@ def test_finetune_runs_without_supervision(small_cfg, small_data):
     ds = generate_synthetic(replace(cfg.data, seed=cfg.seed))
     view = ds[0].training_view()
     assert np.all(view.labels == 0)
-    model = build_random_mad_model(cfg)
+    model = random_mad_model(cfg)
     model, centers, _, hist = finetune(cfg, view, ds[1], model)
     assert centers.n_live >= 1
     assert len(hist["val_auc"]) == cfg.finetune.epochs + 1
@@ -99,7 +104,7 @@ def test_finetune_runs_without_supervision(small_cfg, small_data):
 def test_unimodal_pruning_is_noop(small_cfg, small_data):
     cfg = replace(small_cfg, finetune=replace(small_cfg.finetune, n_s=1))
     view = small_data[0].training_view()
-    model = build_random_mad_model(cfg)
+    model = random_mad_model(cfg)
     _, centers, _, hist = finetune(cfg, view, small_data[1], model)
     assert centers.n_live == 1
     assert hist["live"] == [1] * (cfg.finetune.epochs + 1)
@@ -107,7 +112,7 @@ def test_unimodal_pruning_is_noop(small_cfg, small_data):
 
 def test_epoch_histories_align(small_cfg, small_data):
     view = small_data[0].training_view()
-    model = build_random_mad_model(small_cfg)
+    model = random_mad_model(small_cfg)
     _, centers, _, hist = finetune(small_cfg, view, small_data[1], model)
     epochs = small_cfg.finetune.epochs
     assert len(hist["val_auc"]) == epochs + 1      # index 0 = baseline
@@ -203,6 +208,25 @@ def test_checkpoint_missing_file(tmp_path):
         load_checkpoint(tmp_path / "nope.npz")
 
 
+@pytest.mark.parametrize("damage", ["truncate_0", "truncate_10",
+                                    "truncate_half", "flip_byte"])
+def test_corrupt_checkpoint_raises_state_error(small_cfg, small_data,
+                                               tmp_path, damage):
+    mid, _ = run_replicate(small_cfg, small_data, stop=("pretrain", 1))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, mid)
+    blob = bytearray(path.read_bytes())
+    if damage == "flip_byte":
+        blob[len(blob) // 2] ^= 0xFF
+    else:
+        cut = {"truncate_0": 0, "truncate_10": 10,
+               "truncate_half": len(blob) // 2}[damage]
+        blob = blob[:cut]
+    path.write_bytes(bytes(blob))
+    with pytest.raises(StateError, match="ckpt.npz"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_hash_mismatch_refused(small_cfg, small_data, tmp_path):
     mid, _ = run_replicate(small_cfg, small_data, stop=("finetune", 1))
     path = tmp_path / "ckpt.npz"
@@ -239,8 +263,8 @@ def test_evaluate_reports_all_metrics(small_cfg, small_data):
 
 def test_val_auc_baseline_recorded_before_training(small_cfg, small_data):
     view = small_data[0].training_view()
-    model = build_random_mad_model(small_cfg)
-    frozen = model.copy()
+    model = random_mad_model(small_cfg)
+    frozen = copy.deepcopy(model)
     _, centers, _, hist = finetune(small_cfg, view, small_data[1], model,
                                    end_epoch=0)
     assert len(hist["val_auc"]) == 1  # baseline only, no epochs run
