@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .config import (apply_overrides, default_config, load_config,
                      serialize_config, to_experiment)
-from .data import (GT_ABNORMAL, _GT_NAMES, generate_synthetic, load_splits,
-                   relabel, save_splits)
+from .data import (GT_ABNORMAL, _GT_NAMES, atomic_write, generate_synthetic,
+                   load_splits, relabel, save_splits)
 from .errors import (ConfigError, DomainError, MadlabError, NumericsError,
                      SchemaError, StateError)
 from .evaluation import auc, knn_score, replicate_ci, significance_code, welch_t_test
@@ -65,7 +65,7 @@ def _load_cfg(args) -> dict:
 
 
 def _write_json(path, obj):
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -102,7 +102,7 @@ def _train_once(cfg: dict, data_dir: str, out_dir: str) -> int:
 
     def persist(r, state):
         save_checkpoint(os.path.join(out_dir, f"checkpoint_r{r}.npz"), state)
-        with open(os.path.join(out_dir, f"centers_r{r}.jsonl"), "w") as fh:
+        with atomic_write(os.path.join(out_dir, f"centers_r{r}.jsonl")) as fh:
             hist = state.ft_history or {"live": [], "counts": []}
             for epoch, (live, counts) in enumerate(
                     zip(hist["live"], hist["counts"])):
@@ -111,7 +111,7 @@ def _train_once(cfg: dict, data_dir: str, out_dir: str) -> int:
 
     result = run_experiment(exp, datasets, on_replicate=persist)
 
-    with open(os.path.join(out_dir, "config.cfg"), "w") as fh:
+    with atomic_write(os.path.join(out_dir, "config.cfg")) as fh:
         fh.write(serialize_config(cfg))
     _write_json(os.path.join(out_dir, "metrics.json"), result.metrics_dict())
     _write_json(os.path.join(out_dir, "run_info.json"),
@@ -176,7 +176,7 @@ def cmd_eval(args) -> int:
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)
     scores_path = os.path.join(out_dir, "scores.csv")
-    with open(scores_path, "w") as fh:
+    with atomic_write(scores_path) as fh:
         fh.write("id,score,score_knn,ground_truth\n")
         for i in range(len(target)):
             fh.write(f"{i},{float(scores[i])!r},{float(knn[i])!r},"

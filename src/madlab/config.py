@@ -8,7 +8,7 @@ value parsing and formatting (keyed on the default's type),
 ``to_experiment``, the checkpoint config dict (``dataclasses.asdict`` and
 ``experiment_from_dict``) and ``experiment_hash`` all follow from the
 fields, in declaration order. Fields without a doc (``data.seed``,
-``augment.seed``, ``dims.input_dim``) are derived by ``to_experiment``.
+``dims.input_dim``) are derived by ``to_experiment``.
 
 Config files hold one dotted ``key=value`` per line with ``#`` comments;
 unknown keys are rejected, and ``parse(serialize(c)) == c`` holds for any
@@ -124,7 +124,6 @@ class AugmentationConfig:
     noise_sigma: float = _key(1.0, "additive noise std per view")
     scale_jitter: float = _key(0.1, "multiplicative jitter range 1 +- value")
     dropout_prob: float = _key(0.2, "per-coordinate zeroing probability")
-    seed: int = 0
 
     def __post_init__(self):
         if self.noise_sigma < 0:
@@ -188,7 +187,6 @@ class FinetuneConfig:
     weight_decay: float = _key(1e-6, "objective L2 term, applied as decay")
     eps_d: float = _key(1e-6, "squared-distance floor in the abnormal branch")
     optimizer: str = _key(ADAM, "update rule: adam or sgd")
-    update_centers: bool = _key(False, "refresh live centers each epoch")
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch < 1 or self.n_s < 1:
@@ -265,10 +263,6 @@ def _parse_value(key: str, text: str):
     kind = type(_SCHEMA[key][1])
     text = text.strip()
     try:
-        if kind is bool:
-            if text not in ("true", "false"):
-                raise ValueError("expected true or false")
-            return text == "true"
         if kind is tuple:
             return tuple(int(v) for v in text.split(",")) if text else ()
         return kind(text)
@@ -278,8 +272,6 @@ def _parse_value(key: str, text: str):
 
 def _format_value(key: str, value) -> str:
     kind = type(_SCHEMA[key][1])
-    if kind is bool:
-        return "true" if value else "false"
     if kind is tuple:
         return ",".join(str(v) for v in value)
     if kind is float:
@@ -308,8 +300,11 @@ def parse_config(text: str) -> dict:
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path) as fh:
+            return parse_config(fh.read())
+    except UnicodeDecodeError as exc:  # not a text file
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def serialize_config(cfg: dict) -> str:
@@ -345,6 +340,6 @@ def to_experiment(cfg: dict) -> ExperimentConfig:
         for name in path[:-1]:
             node = node.setdefault(name, {})
         node[path[-1]] = cfg[key]
-    tree["data"]["seed"] = tree["augment"]["seed"] = cfg["run.seed"]
+    tree["data"]["seed"] = cfg["run.seed"]
     tree["dims"]["input_dim"] = cfg["data.dim"]
     return experiment_from_dict(tree)

@@ -12,6 +12,7 @@ does not contain it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import math
@@ -279,7 +280,22 @@ def augment_pairs(features: np.ndarray, cfg: AugmentationConfig, rng):
     return out[0], out[1]
 
 
-# --- CSV serialization -------------------------------------------------
+# --- file output and CSV serialization --------------------------------
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **open_kw):
+    """Write through a temp file beside ``path`` that replaces it on success,
+    so a failure part way leaves any previous file intact."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, mode, **open_kw)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
 
 def _header(dim: int) -> list[str]:
     return ["group_id", "mode_id", "ground_truth", "label"] + [
@@ -288,7 +304,7 @@ def _header(dim: int) -> list[str]:
 
 def save_csv(dataset: Dataset, path):
     """Write one split: decimal features at 9 significant digits."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_header(dataset.dim))
         for i in range(len(dataset)):
@@ -301,30 +317,33 @@ def save_csv(dataset: Dataset, path):
 
 def load_csv(path, split: str) -> Dataset:
     """Read one split back; schema violations raise SchemaError."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if len(header) < 5 or header[:4] != _header(0)[:4]:
-            raise SchemaError(f"{path}: unexpected header {header[:4]}")
-        dim = len(header) - 4
-        if header != _header(dim):
-            raise SchemaError(f"{path}: feature columns must be f0..f{dim - 1}")
-
-        groups, modes, gts, labels, feats = [], [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4 + dim:
-                raise SchemaError(f"{path}:{lineno}: expected {4 + dim} fields")
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                groups.append(int(row[0]))
-                modes.append(int(row[1]))
-                gts.append(_GT_VALUES[row[2]])
-                labels.append(_LABEL_VALUES[row[3]])
-                feats.append([float(v) for v in row[4:]])
-            except (ValueError, KeyError) as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+                header = next(reader)
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file") from None
+            if len(header) < 5 or header[:4] != _header(0)[:4]:
+                raise SchemaError(f"{path}: unexpected header {header[:4]}")
+            dim = len(header) - 4
+            if header != _header(dim):
+                raise SchemaError(f"{path}: feature columns must be f0..f{dim - 1}")
+
+            groups, modes, gts, labels, feats = [], [], [], [], []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 4 + dim:
+                    raise SchemaError(f"{path}:{lineno}: expected {4 + dim} fields")
+                try:
+                    groups.append(int(row[0]))
+                    modes.append(int(row[1]))
+                    gts.append(_GT_VALUES[row[2]])
+                    labels.append(_LABEL_VALUES[row[3]])
+                    feats.append([float(v) for v in row[4:]])
+                except (ValueError, KeyError) as exc:
+                    raise SchemaError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:  # not a text file
+        raise SchemaError(f"{path}: {exc}") from None
 
     features = np.asarray(feats, dtype=np.float64)
     if features.size and not np.all(np.isfinite(features)):

@@ -40,15 +40,12 @@ def auc(scores, positives) -> float:
         raise DomainError("AUC needs at least one positive and one negative")
 
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # tied run [i, j] of the sorted scores: each gets the average 1-based rank
+    i = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    j = np.r_[i[1:], scores.size] - 1
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (i + j) + 1.0, j - i + 1)
 
     u = ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

@@ -24,7 +24,6 @@ class CenterSet:
     live: np.ndarray             # (n_s,) bool
     counts: np.ndarray           # (n_s,) int, refreshed each epoch
     gamma: float = 0.05
-    initial_count: int = 0
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
@@ -39,8 +38,10 @@ class CenterSet:
             raise StateError("a CenterSet needs at least one live center")
         if not 0.0 < self.gamma < 1.0:
             raise DomainError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.initial_count == 0:
-            self.initial_count = n_s
+
+    @property
+    def initial_count(self) -> int:
+        return self.centers.shape[0]  # pruning tombstones, never deletes
 
     @property
     def n_live(self) -> int:
@@ -119,7 +120,7 @@ def kmeans(points, k: int, seed, max_iters: int = 100,
 
     counts = np.bincount(assign, minlength=k)
     return CenterSet(centers=centers, live=np.ones(k, dtype=bool),
-                     counts=counts, gamma=gamma, initial_count=k)
+                     counts=counts, gamma=gamma)
 
 
 def nearest_live_center(embeddings, centers: CenterSet) -> np.ndarray:

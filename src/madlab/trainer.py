@@ -2,8 +2,8 @@
 center initialization, fine-tuning with per-epoch cardinality pruning.
 
 All randomness is derived from (seed, phase tag, epoch) so a run can be
-checkpointed at any epoch boundary and resumed bit-exactly: the optimizer
-buffers carry the only state that is not recomputable.
+checkpointed at any epoch boundary and resumed bit-exactly: a checkpoint
+holds only the state that the config cannot rebuild.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from .config import (  # noqa: F401 -- the config classes resolve here too
     AugmentationConfig, ExperimentConfig, FinetuneConfig, GeneratorConfig,
     ModelDims, PretrainConfig, experiment_from_dict, experiment_hash)
 from .data import (Dataset, TrainingView, UNLABELED, GT_ABNORMAL,
-                   augment_pairs, generate_synthetic)
+                   atomic_write, augment_pairs, generate_synthetic)
 from .errors import ConfigError, MadlabError, NumericsError, StateError
 from .evaluation import auc, knn_score, replicate_ci
 from .losses import ContrastiveBatch, MadBatch, info_nce_loss, mad_loss
-from .numcore import (ADAM, IDENTITY, RELU, SGD, LayerSpec, Mlp, GradientTape,
+from .numcore import (IDENTITY, RELU, LayerSpec, Mlp, GradientTape,
                       OptimizerState, apply_lr_schedule, init_params,
                       mlp_backward, optimizer_step)
 from .spheres import (CenterSet, anomaly_scores, assign_and_count, kmeans,
@@ -33,7 +33,7 @@ from .spheres import (CenterSet, anomaly_scores, assign_and_count, kmeans,
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # rng stream tags
 _T_INIT_PRETEXT = 11
@@ -221,12 +221,6 @@ def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
 
         emb = model.embed(view.features[presumed])
         assign_and_count(emb, centers)
-        if fc.update_centers:
-            assigned = nearest_live_center(emb, centers)
-            for j in np.flatnonzero(centers.live):
-                mask = assigned == j
-                if mask.any():
-                    centers.centers[j] = emb[mask].mean(axis=0)
         prune(centers)
         history["train_loss"].append(loss_sum)
         history["val_auc"].append(_val_auc(model, centers, val_ds))
@@ -413,14 +407,15 @@ def run_experiment(cfg: ExperimentConfig, datasets=None, on_replicate=None):
 
 def save_checkpoint(path, state: TrainerState):
     """Versioned npz container; restore refuses on config-hash mismatch."""
+    opt = state.opt
     meta = {"version": CHECKPOINT_VERSION,
             "config": asdict(state.config),
             "config_hash": experiment_hash(state.config),
             "phase": state.phase, "epoch": state.epoch,
             "pre_losses": state.pre_losses,
             "ft_history": state.ft_history,
-            "has_mad": state.mad_model is not None,
-            "has_centers": state.centers is not None}
+            "opt": None if opt is None else {
+                "learning_rate": opt.learning_rate, "step_count": opt.step_count}}
     arrays = {"meta_json": np.frombuffer(
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)}
     for i, p in enumerate(state.pretext_model.net.parameters()):
@@ -428,22 +423,15 @@ def save_checkpoint(path, state: TrainerState):
     if state.mad_model is not None:
         for i, p in enumerate(state.mad_model.net.parameters()):
             arrays[f"mad_{i}"] = p
-    if state.opt is not None:
-        o = state.opt
-        arrays["opt_scalar"] = np.array(
-            [o.learning_rate, o.weight_decay, float(o.step_count),
-             1.0 if o.rule == ADAM else 0.0])
-        if o.m is not None:
-            for i, (m, v) in enumerate(zip(o.m, o.v)):
-                arrays[f"opt_m_{i}"] = m
-                arrays[f"opt_v_{i}"] = v
+    if opt is not None and opt.m is not None:
+        for i, (m, v) in enumerate(zip(opt.m, opt.v)):
+            arrays[f"opt_m_{i}"] = m
+            arrays[f"opt_v_{i}"] = v
     if state.centers is not None:
         arrays["centers"] = state.centers.centers
         arrays["centers_live"] = state.centers.live
         arrays["centers_counts"] = state.centers.counts
-        arrays["centers_scalar"] = np.array(
-            [state.centers.gamma, float(state.centers.initial_count)])
-    with open(path, "wb") as fh:  # savez would append .npz to a bare path
+    with atomic_write(path, "wb") as fh:  # savez would append .npz to a bare path
         np.savez(fh, **arrays)
 
 
@@ -452,10 +440,16 @@ def load_checkpoint(path) -> TrainerState:
         raise StateError(f"checkpoint not found: {path}")
     try:
         return _read_checkpoint(path)
-    except StateError:
-        raise
+    except StateError as exc:
+        raise StateError(f"{path}: {exc}") from exc
     except Exception as exc:  # bad zip/CRC, missing keys, invalid arrays
         raise StateError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _encoder(z, prefix: str, cfg: ExperimentConfig, head_dim: int):
+    specs, n_body = _layer_specs(cfg.dims, head_dim)
+    params = [z[f"{prefix}_{i}"] for i in range(2 * len(specs))]
+    return EncoderModel(Mlp(specs, params=params), n_body)
 
 
 def _read_checkpoint(path) -> TrainerState:
@@ -468,34 +462,24 @@ def _read_checkpoint(path) -> TrainerState:
         if experiment_hash(cfg) != meta["config_hash"]:
             raise StateError("checkpoint config hash mismatch; refusing restore")
 
-        pre_specs, n_body = _layer_specs(cfg.dims, cfg.dims.proj_dim)
-        pre_params = [z[f"pretext_{i}"] for i in range(2 * len(pre_specs))]
-        pretext = EncoderModel(Mlp(pre_specs, params=pre_params), n_body)
-
-        mad = None
-        if meta["has_mad"]:
-            mad_specs, _ = _layer_specs(cfg.dims, cfg.dims.mad_dim)
-            mad_params = [z[f"mad_{i}"] for i in range(2 * len(mad_specs))]
-            mad = EncoderModel(Mlp(mad_specs, params=mad_params), n_body)
+        pretext = _encoder(z, "pretext", cfg, cfg.dims.proj_dim)
+        mad = _encoder(z, "mad", cfg, cfg.dims.mad_dim) if "mad_0" in z else None
 
         opt = None
-        if "opt_scalar" in z:
-            lr, wd, step, is_adam = z["opt_scalar"]
-            opt = OptimizerState(rule=ADAM if is_adam else SGD,
-                                 learning_rate=float(lr),
-                                 weight_decay=float(wd),
-                                 step_count=int(step))
+        if meta["opt"] is not None:  # the phase's config gives rule and decay
+            pre = meta["phase"] == "pretrain"
+            opt = replace(_make_optimizer(cfg.pretrain if pre else cfg.finetune),
+                          learning_rate=meta["opt"]["learning_rate"],
+                          step_count=meta["opt"]["step_count"])
             if "opt_m_0" in z:
-                count = len([k for k in z.files if k.startswith("opt_m_")])
-                opt.m = [z[f"opt_m_{i}"] for i in range(count)]
-                opt.v = [z[f"opt_v_{i}"] for i in range(count)]
+                params = (pretext if pre else mad).net.parameters()
+                opt.m = [z[f"opt_m_{i}"] for i in range(len(params))]
+                opt.v = [z[f"opt_v_{i}"] for i in range(len(params))]
+                if [a.shape for a in opt.m + opt.v] != [p.shape for p in params * 2]:
+                    raise StateError("optimizer moments do not match the parameters")
 
-        centers = None
-        if meta["has_centers"]:
-            gamma, init_count = z["centers_scalar"]
-            centers = CenterSet(z["centers"], z["centers_live"],
-                                z["centers_counts"], float(gamma),
-                                int(init_count))
+        centers = (CenterSet(z["centers"], z["centers_live"], z["centers_counts"],
+                             cfg.finetune.gamma) if "centers" in z else None)
 
     return TrainerState(config=cfg, phase=meta["phase"], epoch=meta["epoch"],
                         pretext_model=pretext, mad_model=mad, opt=opt,

@@ -1,17 +1,23 @@
-"""The benchmark tracer must still find every function it wraps.
+"""The benchmark must still find what it uses of madlab.
 
 ``perfbench/tracer.py`` patches madlab's public functions under the names
-through which trainer, cli and data call them. A refactor that drops or
-renames one of those names breaks only traced benchmark runs, so this test
-installs the tracer and removes it again.
+through which trainer, cli and data call them, and ``perfbench/workloads.py``
+checks that every checkpoint round-trips. A refactor that breaks either
+fails only when the benchmark runs, so these tests run both here.
 """
 
 import sys
 from pathlib import Path
 
+import pytest
+
+from madlab.config import apply_overrides, default_config, to_experiment
+from madlab.trainer import run_replicate
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_tracer_patches_and_restores_every_attribute():
@@ -26,3 +32,16 @@ def test_tracer_patches_and_restores_every_attribute():
         t.unpatch()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, f"{owner}.{attr}"
+
+
+@pytest.mark.parametrize("stop", [("pretrain", 1), None],
+                         ids=["mid_pretrain", "done"])
+def test_checkpoint_round_trip_check_passes(tmp_path, stop):
+    cfg = to_experiment(apply_overrides(default_config(), [
+        "data.dim=8", "data.modes=2", "data.train_size=120",
+        "data.val_size=40", "data.test_size=40", "data.normal_rank=6",
+        "model.body=8", "model.proj_dim=4", "model.mad_dim=4",
+        "pretrain.epochs=2", "finetune.epochs=2", "finetune.n_s=4",
+        "eval.knn_k=5"]))
+    state, _ = run_replicate(cfg, stop=stop)
+    assert workloads._round_trips(state, str(tmp_path / "ckpt.npz"))

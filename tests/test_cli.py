@@ -130,6 +130,23 @@ def test_train_schema_violation_exits_2(tmp_path, data_dir):
     assert code == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("target, expected", [
+    ("config", EXIT_CONFIG), ("train_csv", EXIT_SCHEMA)],
+    ids=["config", "train_csv"])
+def test_undecodable_input_exits_documented_code(tmp_path, data_dir, capsys,
+                                                 target, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("run.replicates=2\n")
+    bad = cfg if target == "config" else data_dir / "train.csv"
+    bad.write_bytes(b"\xff\xfe\x00")
+    code = main(["train", "--data", str(data_dir), "--out",
+                 str(tmp_path / "x"), "--config", str(cfg)] + SMALL_SETS)
+    err = capsys.readouterr().err
+    assert code == expected
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(bad) in err
+
+
 def test_eval_replays_recorded_val_auc(tmp_path, trained_dir, data_dir):
     doc = json.loads((trained_dir / "metrics.json").read_text())
     recorded = [r for r in doc["records"]

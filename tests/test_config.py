@@ -16,15 +16,13 @@ def test_parse_serialize_round_trip_defaults():
 
 def test_parse_serialize_round_trip_modified():
     cfg = apply_overrides(default_config(), [
-        "finetune.eta=2.5", "pretrain.milestones=10,20,30",
-        "finetune.update_centers=true", "data.dim=16",
+        "finetune.eta=2.5", "pretrain.milestones=10,20,30", "data.dim=16",
         "pretrain.lr=3.25e-05", "finetune.milestones=",
         "pretrain.optimizer=sgd"])
     again = parse_config(serialize_config(cfg))
     assert again == cfg
     assert again["pretrain.milestones"] == (10, 20, 30)
     assert again["finetune.milestones"] == ()
-    assert again["finetune.update_centers"] is True
     assert again["pretrain.lr"] == 3.25e-05
 
 
@@ -39,8 +37,6 @@ def test_bad_values_rejected():
     with pytest.raises(ConfigError):
         parse_config("data.dim=abc\n")
     with pytest.raises(ConfigError):
-        parse_config("finetune.update_centers=yes\n")
-    with pytest.raises(ConfigError):
         parse_config("just a line\n")
 
 
@@ -52,7 +48,7 @@ def test_comments_and_blanks_ignored():
 
 def test_every_key_documented():
     cfg = default_config()
-    assert len(cfg) == 47
+    assert len(cfg) == 46
     for line in serialize_config(cfg).splitlines():
         key, doc = line.split("  # ", 1)
         assert doc.strip(), f"{key} lacks documentation"
@@ -83,19 +79,19 @@ def test_default_config_text_pinned():
     # config.cfg of a default run; a schema edit that changes it fails here
     text = serialize_config(default_config())
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5f4a6f5f50d7eae64488aea5e9c9db5a6818ff657c75b9c1ddf7ed80d553a43f")
+        "cd79362234b8322928cd9530341c60dc5d26998656538f1758477f2bfcedb8ca")
 
 
 def test_default_experiment_hash_pinned():
     # metrics.json config_hash and checkpoint loadability depend on it
     assert experiment_hash(ExperimentConfig()) == (
-        "84b241664593a408ee9c2348989af930c7ba01a575955fa9ac107cbccf584999")
+        "b875804c7fe72cdf2d33cd6b8085fa35a610c4bdffcc5ebbe2733d49c7b16e68")
 
 
 def test_seed_propagates_to_components():
     cfg = apply_overrides(default_config(), ["run.seed=17"])
     exp = to_experiment(cfg)
-    assert exp.seed == 17 and exp.data.seed == 17 and exp.augment.seed == 17
+    assert exp.seed == 17 and exp.data.seed == 17
 
 
 def test_load_config_file(tmp_path):

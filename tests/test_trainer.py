@@ -208,23 +208,71 @@ def test_checkpoint_missing_file(tmp_path):
         load_checkpoint(tmp_path / "nope.npz")
 
 
-@pytest.mark.parametrize("damage", ["truncate_0", "truncate_10",
-                                    "truncate_half", "flip_byte"])
+def _damage(path, damage):
+    """Corrupt a saved checkpoint's bytes, or re-save it with one stored
+    array or the version changed."""
+    if damage.startswith(("truncate", "flip")):
+        blob = bytearray(path.read_bytes())
+        if damage == "flip_byte":
+            blob[len(blob) // 2] ^= 0xFF
+        else:
+            cut = {"truncate_0": 0, "truncate_10": 10,
+                   "truncate_half": len(blob) // 2}[damage]
+            blob = blob[:cut]
+        path.write_bytes(bytes(blob))
+        return
+    arrays = dict(np.load(path, allow_pickle=False))
+    if damage == "missing_moment_pair":
+        last = max(int(k.rsplit("_", 1)[1]) for k in arrays
+                   if k.startswith("opt_m_"))
+        del arrays[f"opt_m_{last}"], arrays[f"opt_v_{last}"]
+    elif damage == "misshaped_moment":
+        arrays["opt_v_0"] = arrays["opt_v_0"][:-1]
+    else:
+        meta = json.loads(bytes(arrays["meta_json"]).decode())
+        meta["version"] = 1
+        arrays["meta_json"] = np.frombuffer(
+            json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("damage, match", [
+    pytest.param(damage, match, id=damage) for damage, match in [
+        ("truncate_0", "ckpt.npz"), ("truncate_10", "ckpt.npz"),
+        ("truncate_half", "ckpt.npz"), ("flip_byte", "ckpt.npz"),
+        ("missing_moment_pair", "ckpt.npz: KeyError: .*opt_m_5"),
+        ("misshaped_moment", "ckpt.npz: optimizer moments"),
+        ("version_1", "ckpt.npz: unsupported checkpoint version 1")]])
 def test_corrupt_checkpoint_raises_state_error(small_cfg, small_data,
-                                               tmp_path, damage):
+                                               tmp_path, damage, match):
     mid, _ = run_replicate(small_cfg, small_data, stop=("pretrain", 1))
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, mid)
-    blob = bytearray(path.read_bytes())
-    if damage == "flip_byte":
-        blob[len(blob) // 2] ^= 0xFF
-    else:
-        cut = {"truncate_0": 0, "truncate_10": 10,
-               "truncate_half": len(blob) // 2}[damage]
-        blob = blob[:cut]
-    path.write_bytes(bytes(blob))
-    with pytest.raises(StateError, match="ckpt.npz"):
+    _damage(path, damage)
+    with pytest.raises(StateError, match=match):
         load_checkpoint(path)
+
+
+def test_failed_save_keeps_previous_checkpoint(small_cfg, small_data,
+                                               tmp_path, monkeypatch):
+    first, _ = run_replicate(small_cfg, small_data, stop=("pretrain", 1))
+    later, _ = run_replicate(small_cfg, small_data, stop=("finetune", 1))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, first)
+    real_savez = np.savez
+
+    def failing_savez(fh, **arrays):
+        real_savez(fh, **dict(list(arrays.items())[:3]))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(trainer_mod.np, "savez", failing_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, later)
+    monkeypatch.undo()
+    restored = load_checkpoint(path)
+    assert (restored.phase, restored.epoch) == ("pretrain", 1)
+    assert params_equal(restored.pretext_model, first.pretext_model)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
 
 
 def test_checkpoint_hash_mismatch_refused(small_cfg, small_data, tmp_path):
