@@ -126,7 +126,7 @@ def _train_once(cfg: dict, data_dir: str, out_dir: str) -> int:
                   f"(n={a['n']})")
     if result.errors:
         first = result.errors[0]
-        print(f"{len(result.errors)} replicate(s) aborted; first: "
+        print(f"error: {len(result.errors)} replicate(s) aborted; first: "
               f"replicate {first['replicate']}: {first['error']}",
               file=sys.stderr)
         return EXIT_NUMERIC

@@ -368,7 +368,8 @@ def save_splits(datasets, out_dir):
 
 
 def load_splits(data_dir):
-    """Load the three split files from ``data_dir``."""
+    """Load the three split files from ``data_dir``; scoring needs a
+    presumed-normal train row and both classes in val and test."""
     out = []
     for split in SPLITS:
         p = os.path.join(data_dir, f"{split}.csv")
@@ -378,4 +379,9 @@ def load_splits(data_dir):
     dims = {ds.dim for ds in out}
     if len(dims) != 1:
         raise SchemaError(f"splits disagree on feature dim: {sorted(dims)}")
+    if not np.any(out[0].labels >= 0):
+        raise SchemaError(f"{data_dir}: train split has no presumed-normal row")
+    for ds in out[1:]:
+        if np.unique(ds.ground_truth).size < 2:
+            raise SchemaError(f"{data_dir}: {ds.split} split needs both classes")
     return tuple(out)

@@ -1,17 +1,18 @@
 """The two training objectives and their analytic embedding gradients.
 
-``info_nce_loss`` is the temperature-scaled contrastive objective over
-positive pairs with in-batch negatives; ``mad_loss`` is the multi-center
+``info_nce_loss(z, temperature)`` is the temperature-scaled contrastive
+objective over positive pairs with in-batch negatives;
+``mad_loss(z, labels, centers, eta, n_rows, eps_d)`` is the multi-center
 semi-supervised detection objective (unlabeled attraction, labeled
-attraction/repulsion via the +-1 exponent). Both return exact gradients
-w.r.t. the embedding rows so the network backward pass can chain onto
-them; both are checked against central finite differences in the tests.
+attraction/repulsion via the +-1 exponent). Both take plain arrays, check
+their arguments on every call, and return exact gradients w.r.t. the
+embedding rows so the network backward pass can chain onto them; both are
+checked against central finite differences in the tests.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,67 +23,23 @@ from .spheres import nearest_live_center
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class ContrastiveBatch:
-    """2N x d embeddings where rows (2i, 2i+1) are the positive pair i."""
-
-    embeddings: np.ndarray
-    temperature: float
-
-    def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        if self.embeddings.ndim != 2:
-            raise ShapeError(f"embeddings must be 2-d, got {self.embeddings.shape}")
-        if self.embeddings.shape[0] % 2 != 0:
-            raise ShapeError(
-                f"row count must be even (pairs), got {self.embeddings.shape[0]}"
-            )
-        if not self.temperature > 0:
-            raise DomainError(f"temperature must be > 0, got {self.temperature}")
-
-
-@dataclass
-class MadBatch:
-    """Embeddings with per-row labels and the full-dataset denominators.
-
-    ``n_total``/``m_total`` are the dataset-level unlabeled/labeled counts;
-    per-batch losses are therefore partial sums of the epoch objective.
-    """
-
-    embeddings: np.ndarray
-    labels: np.ndarray
-    eta: float
-    n_total: int
-    m_total: int
-
-    def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        self.labels = np.asarray(self.labels)
-        if self.embeddings.ndim != 2:
-            raise ShapeError(f"embeddings must be 2-d, got {self.embeddings.shape}")
-        if self.labels.shape != (self.embeddings.shape[0],):
-            raise ShapeError(
-                f"labels shape {self.labels.shape} does not match "
-                f"{self.embeddings.shape[0]} rows"
-            )
-        if not set(np.unique(self.labels)) <= {UNLABELED, KNOWN_NORMAL, KNOWN_ABNORMAL}:
-            raise DomainError("labels must be in {0, +1, -1}")
-        if self.eta < 0:
-            raise DomainError(f"eta must be >= 0, got {self.eta}")
-        if self.n_total + self.m_total <= 0:
-            raise DomainError("n_total + m_total must be positive")
-
-
-def info_nce_loss(batch: ContrastiveBatch):
+def info_nce_loss(z, temperature: float):
     """Contrastive pair loss summed over all 2N anchors.
 
-    For anchor i with positive j: -log softmax over cosine similarities to
-    every other row, scaled by 1/temperature, numerator at j. Both
-    orderings of each pair contribute. Returns (loss, gradient) with the
-    gradient taken w.r.t. the raw (unnormalized) embedding rows.
+    ``z`` is 2N x d with rows (2i, 2i+1) the positive pair i. For anchor i
+    with positive j: -log softmax over cosine similarities to every other
+    row, scaled by 1/temperature, numerator at j. Both orderings of each
+    pair contribute. Returns (loss, gradient) with the gradient taken
+    w.r.t. the raw (unnormalized) embedding rows.
     """
-    z = batch.embeddings
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2:
+        raise ShapeError(f"embeddings must be 2-d, got {z.shape}")
     n_rows = z.shape[0]
+    if n_rows % 2 != 0:
+        raise ShapeError(f"row count must be even (pairs), got {n_rows}")
+    if not temperature > 0:
+        raise DomainError(f"temperature must be > 0, got {temperature}")
     if n_rows < 4:
         log.debug("contrastive batch with %d rows: denominators contain only "
                   "the positive", n_rows)
@@ -92,7 +49,7 @@ def info_nce_loss(batch: ContrastiveBatch):
 
     zh = z / norms[:, None]
     sims = np.clip(zh @ zh.T, -1.0, 1.0)
-    logits = sims / batch.temperature
+    logits = sims / temperature
     np.fill_diagonal(logits, -np.inf)
 
     pos = np.arange(n_rows) ^ 1  # partner of row i is i XOR 1
@@ -107,7 +64,7 @@ def info_nce_loss(batch: ContrastiveBatch):
     probs = stable / denom[:, None]
     a = probs.copy()
     a[np.arange(n_rows), pos] -= 1.0
-    a /= batch.temperature
+    a /= temperature
 
     g_hat = (a + a.T) @ zh
     # through the row normalization: project out the radial component
@@ -115,40 +72,55 @@ def info_nce_loss(batch: ContrastiveBatch):
     return loss, grad
 
 
-def mad_loss(batch: MadBatch, centers, eps_d: float = 1e-6):
+def mad_loss(z, labels, centers, eta: float, n_rows: int,
+             eps_d: float = 1e-6):
     """Multi-center detection objective over one batch.
 
     Each row is assigned to its nearest live center (ties -> lowest
     index). Unlabeled rows add d^2/(n+m); labeled rows add
-    eta * (d^2)^(+-1) / (n+m), with the squared distance floored at
-    ``eps_d`` inside the -1 branch so known anomalies sitting on a center
-    cannot blow up the loss. Returns (loss, embedding_gradients,
-    assignments).
+    eta * (d^2)^(+-1) / (n+m), where n+m = ``n_rows`` is the dataset size,
+    so batch losses are partial sums of the epoch objective. The squared
+    distance is floored at ``eps_d`` inside the -1 branch so known
+    anomalies sitting on a center cannot blow up the loss. Returns (loss,
+    embedding_gradients, assignments).
     """
-    z = batch.embeddings
+    z = np.asarray(z, dtype=np.float64)
+    labels = np.asarray(labels)
+    if z.ndim != 2:
+        raise ShapeError(f"embeddings must be 2-d, got {z.shape}")
+    if labels.shape != (z.shape[0],):
+        raise ShapeError(
+            f"labels shape {labels.shape} does not match {z.shape[0]} rows")
+    if not set(np.unique(labels)) <= {UNLABELED, KNOWN_NORMAL, KNOWN_ABNORMAL}:
+        raise DomainError("labels must be in {0, +1, -1}")
+    if eta < 0:
+        raise DomainError(f"eta must be >= 0, got {eta}")
+    if n_rows <= 0:
+        raise DomainError(f"n_rows must be positive, got {n_rows}")
+
     assignments = nearest_live_center(z, centers)
     delta = z - centers.centers[assignments]
     d2 = np.einsum("rd,rd->r", delta, delta)
 
-    scale = 1.0 / (batch.n_total + batch.m_total)
+    scale = 1.0 / n_rows
 
     loss = 0.0
     grad = np.zeros_like(z)
-    unl = batch.labels == UNLABELED
-    nrm = batch.labels == KNOWN_NORMAL
-    abn = batch.labels == KNOWN_ABNORMAL
+    unl = labels == UNLABELED
+    nrm = labels == KNOWN_NORMAL
+    abn = labels == KNOWN_ABNORMAL
 
     if np.any(unl):
         loss += scale * float(d2[unl].sum())
         grad[unl] = 2.0 * scale * delta[unl]
     if np.any(nrm):
-        loss += batch.eta * scale * float(d2[nrm].sum())
-        grad[nrm] = 2.0 * batch.eta * scale * delta[nrm]
+        loss += eta * scale * float(d2[nrm].sum())
+        grad[nrm] = 2.0 * eta * scale * delta[nrm]
     if np.any(abn):
         d2_floor = np.maximum(d2[abn], eps_d)
-        loss += batch.eta * scale * float((1.0 / d2_floor).sum())
+        loss += eta * scale * float((1.0 / d2_floor).sum())
         live_grad = d2[abn] > eps_d  # max() is flat below the floor
-        coef = np.where(live_grad, -2.0 * batch.eta * scale / d2_floor ** 2, 0.0)
+        coef = np.where(live_grad, -2.0 * eta * scale / d2_floor ** 2, 0.0)
         grad[abn] = coef[:, None] * delta[abn]
 
     return loss, grad, assignments

@@ -1,5 +1,7 @@
 """Two-phase training: contrastive pretraining, encoder transfer, k-means
 center initialization, fine-tuning with per-epoch cardinality pruning.
+Both phases run their epochs through one batch loop, ``_run_epoch``; each
+supplies only its batch input, its loss and its per-epoch work.
 
 All randomness is derived from (seed, phase tag, epoch) so a run can be
 checkpointed at any epoch boundary and resumed bit-exactly: a checkpoint
@@ -20,11 +22,11 @@ from . import __version__
 from .config import (  # noqa: F401 -- the config classes resolve here too
     AugmentationConfig, ExperimentConfig, FinetuneConfig, GeneratorConfig,
     ModelDims, PretrainConfig, experiment_from_dict, experiment_hash)
-from .data import (Dataset, TrainingView, UNLABELED, GT_ABNORMAL,
+from .data import (Dataset, TrainingView, GT_ABNORMAL,
                    atomic_write, augment_pairs, generate_synthetic)
 from .errors import ConfigError, MadlabError, NumericsError, StateError
 from .evaluation import auc, knn_score, replicate_ci
-from .losses import ContrastiveBatch, MadBatch, info_nce_loss, mad_loss
+from .losses import info_nce_loss, mad_loss
 from .numcore import (IDENTITY, RELU, LayerSpec, Mlp, GradientTape,
                       OptimizerState, apply_lr_schedule, init_params,
                       mlp_backward, optimizer_step)
@@ -97,11 +99,31 @@ def _make_optimizer(phase_cfg) -> OptimizerState:
                           weight_decay=phase_cfg.weight_decay)
 
 
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty((2 * a.shape[0], a.shape[1]))
-    out[0::2] = a
-    out[1::2] = b
-    return out
+def _run_epoch(phase: str, seed_key: list, epoch: int, pc, model, opt,
+               n: int, batch_input, loss_fn) -> float:
+    """One pass over ``n`` rows in ``seed_key + [epoch]`` order, batches of
+    ``pc.batch``; returns the loss sum. ``batch_input(idx)`` is the network
+    input and ``loss_fn(z, idx)`` gives (loss, dloss/dz); a loss that raises
+    or is not finite aborts with a ``NumericsError`` naming epoch and batch."""
+    opt.learning_rate = apply_lr_schedule(epoch, pc.lr, pc.milestones,
+                                          pc.decay_factor)
+    perm = np.random.default_rng([*seed_key, epoch]).permutation(n)
+    loss_sum = 0.0
+    for bi, start in enumerate(range(0, n, pc.batch)):
+        idx = perm[start:start + pc.batch]
+        tape = GradientTape()
+        z = model.net.forward(batch_input(idx), tape)
+        try:
+            loss, gz = loss_fn(z, idx)
+            if not np.isfinite(loss):
+                raise NumericsError("non-finite loss")
+        except MadlabError as exc:
+            raise NumericsError(
+                f"{phase} epoch {epoch} batch {bi}: {exc}") from exc
+        grads, _ = mlp_backward(tape, gz)
+        optimizer_step(opt, model.net.parameters(), grads)
+        loss_sum += loss
+    return loss_sum
 
 
 def pretrain(cfg: ExperimentConfig, view: TrainingView, *, model=None,
@@ -111,59 +133,43 @@ def pretrain(cfg: ExperimentConfig, view: TrainingView, *, model=None,
     Returns (model, optimizer, per-epoch mean anchor losses for the epochs
     run here).
     """
-    if len(view) == 0:
+    n = len(view)
+    if n == 0:
         raise ConfigError("pretraining needs a non-empty dataset")
     pc = cfg.pretrain
     end_epoch = pc.epochs if end_epoch is None else end_epoch
     model = model if model is not None else build_pretext_model(cfg)
     opt = opt if opt is not None else _make_optimizer(pc)
 
-    n = len(view)
+    def pairs(idx):  # rows (2i, 2i+1): two views of row idx[i] from aug_rng
+        out = np.empty((2 * len(idx), view.features.shape[1]))
+        out[0::2], out[1::2] = augment_pairs(view.features[idx], cfg.augment,
+                                             aug_rng)
+        return out
+
     losses = []
     for epoch in range(start_epoch, end_epoch):
-        opt.learning_rate = apply_lr_schedule(epoch, pc.lr, pc.milestones,
-                                              pc.decay_factor)
-        perm = np.random.default_rng([cfg.seed, _T_SHUF_PRE, epoch]).permutation(n)
         aug_rng = np.random.default_rng([cfg.seed, _T_AUG, epoch])
-        loss_sum, anchors = 0.0, 0
-        for bi, start in enumerate(range(0, n, pc.batch)):
-            idx = perm[start:start + pc.batch]
-            va, vb = augment_pairs(view.features[idx], cfg.augment, aug_rng)
-            tape = GradientTape()
-            z = model.net.forward(_interleave(va, vb), tape)
-            try:
-                loss, gz = info_nce_loss(ContrastiveBatch(z, pc.temperature))
-            except MadlabError as exc:
-                raise NumericsError(
-                    f"pretext epoch {epoch} batch {bi}: {exc}") from exc
-            if not np.isfinite(loss):
-                raise NumericsError(
-                    f"pretext epoch {epoch} batch {bi}: non-finite loss")
-            grads, _ = mlp_backward(tape, gz)
-            optimizer_step(opt, model.net.parameters(), grads)
-            loss_sum += loss
-            anchors += 2 * len(idx)
-        losses.append(loss_sum / anchors)
+        loss_sum = _run_epoch("pretext", [cfg.seed, _T_SHUF_PRE], epoch, pc,
+                              model, opt, n, pairs,
+                              lambda z, idx: info_nce_loss(z, pc.temperature))
+        losses.append(loss_sum / (2 * n))  # mean over the 2n anchors
     return model, opt, losses
 
 
-def _full_objective(cfg, view, model, centers) -> float:
-    """Eq-style epoch objective on frozen weights: data terms plus the
-    L2 penalty that the optimizer realizes as decoupled decay."""
-    z = model.embed(view.features)
+def _record_epoch(history, cfg, view, val_ds: Dataset, model, centers):
+    """Append one row of the finetune history. The objective is the epoch
+    objective on frozen weights: data terms plus the L2 penalty that the
+    optimizer realizes as decoupled decay."""
     fc = cfg.finetune
-    n_total = int(np.sum(view.labels == UNLABELED))
-    m_total = len(view) - n_total
-    batch = MadBatch(z, view.labels, fc.eta, n_total, m_total)
-    loss, _, _ = mad_loss(batch, centers, fc.eps_d)
-    weight_term = 0.5 * fc.weight_decay * sum(
-        float(np.sum(p * p)) for p in model.net.parameters())
-    return loss + weight_term
-
-
-def _val_auc(model, centers, val_ds: Dataset) -> float:
     scores = anomaly_scores(model.embed(val_ds.features), centers)
-    return auc(scores, val_ds.ground_truth == GT_ABNORMAL)
+    history["val_auc"].append(auc(scores, val_ds.ground_truth == GT_ABNORMAL))
+    data_term, _, _ = mad_loss(model.embed(view.features), view.labels,
+                               centers, fc.eta, len(view), fc.eps_d)
+    history["objective"].append(data_term + 0.5 * fc.weight_decay * sum(
+        float(np.sum(p * p)) for p in model.net.parameters()))
+    history["live"].append(centers.n_live)
+    history["counts"].append([int(c) for c in centers.counts])
 
 
 def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
@@ -190,43 +196,22 @@ def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
             log.info("k-means clamped N_s from %d to %d", fc.n_s,
                      centers.initial_count)
     if history is None:
-        history = {"val_auc": [_val_auc(model, centers, val_ds)],
-                   "objective": [_full_objective(cfg, view, model, centers)],
-                   "live": [centers.n_live],
-                   "counts": [[int(c) for c in centers.counts]],
+        history = {"val_auc": [], "objective": [], "live": [], "counts": [],
                    "train_loss": []}
+        _record_epoch(history, cfg, view, val_ds, model, centers)
 
     n = len(view)
-    n_total = int(np.sum(view.labels == UNLABELED))
-    m_total = n - n_total
     opt = opt if opt is not None else _make_optimizer(fc)
-
     for epoch in range(start_epoch, end_epoch):
-        opt.learning_rate = apply_lr_schedule(epoch, fc.lr, fc.milestones,
-                                              fc.decay_factor)
-        perm = np.random.default_rng([cfg.seed, _T_SHUF_FT, epoch]).permutation(n)
-        loss_sum = 0.0
-        for bi, start in enumerate(range(0, n, fc.batch)):
-            idx = perm[start:start + fc.batch]
-            tape = GradientTape()
-            z = model.net.forward(view.features[idx], tape)
-            batch = MadBatch(z, view.labels[idx], fc.eta, n_total, m_total)
-            loss, gz, _ = mad_loss(batch, centers, fc.eps_d)
-            if not np.isfinite(loss):
-                raise NumericsError(
-                    f"finetune epoch {epoch} batch {bi}: non-finite loss")
-            grads, _ = mlp_backward(tape, gz)
-            optimizer_step(opt, model.net.parameters(), grads)
-            loss_sum += loss
-
-        emb = model.embed(view.features[presumed])
-        assign_and_count(emb, centers)
+        loss_sum = _run_epoch(
+            "finetune", [cfg.seed, _T_SHUF_FT], epoch, fc, model, opt, n,
+            lambda idx: view.features[idx],
+            lambda z, idx: mad_loss(z, view.labels[idx], centers, fc.eta, n,
+                                    fc.eps_d)[:2])
+        assign_and_count(model.embed(view.features[presumed]), centers)
         prune(centers)
         history["train_loss"].append(loss_sum)
-        history["val_auc"].append(_val_auc(model, centers, val_ds))
-        history["objective"].append(_full_objective(cfg, view, model, centers))
-        history["live"].append(centers.n_live)
-        history["counts"].append([int(c) for c in centers.counts])
+        _record_epoch(history, cfg, view, val_ds, model, centers)
 
     return model, centers, opt, history
 
@@ -294,32 +279,27 @@ def run_replicate(cfg: ExperimentConfig, datasets=None, *, state=None,
         raise ConfigError("state was produced under a different config")
 
     if state.phase == "pretrain":
-        target = cfg.pretrain.epochs
-        if stop is not None and stop[0] == "pretrain":
-            target = min(target, stop[1])
-        model, opt, losses = pretrain(
+        halt = stop is not None and stop[0] == "pretrain"
+        target = min(cfg.pretrain.epochs, stop[1]) if halt else cfg.pretrain.epochs
+        state.pretext_model, state.opt, losses = pretrain(
             cfg, view, model=state.pretext_model, opt=state.opt,
             start_epoch=state.epoch, end_epoch=target)
-        state.pretext_model, state.opt = model, opt
         state.pre_losses = state.pre_losses + losses
         state.epoch = target
-        if stop is not None and stop[0] == "pretrain":
+        if halt:
             return state, []
         state.phase, state.epoch, state.opt = "finetune", 0, None
         state.mad_model = transfer_weights(state.pretext_model, cfg)
 
     if state.phase == "finetune":
-        target = cfg.finetune.epochs
-        if stop is not None and stop[0] == "finetune":
-            target = min(target, stop[1])
-        model, centers, opt, history = finetune(
+        halt = stop is not None and stop[0] == "finetune"
+        target = min(cfg.finetune.epochs, stop[1]) if halt else cfg.finetune.epochs
+        state.mad_model, state.centers, state.opt, state.ft_history = finetune(
             cfg, view, val_ds, state.mad_model, centers=state.centers,
             opt=state.opt, start_epoch=state.epoch,
             end_epoch=target, history=state.ft_history)
-        state.mad_model, state.centers, state.opt = model, centers, opt
-        state.ft_history = history
         state.epoch = target
-        if stop is not None and stop[0] == "finetune":
+        if halt:
             return state, []
         state.phase = "done"
 

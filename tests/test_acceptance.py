@@ -19,7 +19,7 @@ from madlab.errors import DomainError
 from madlab.evaluation import (auc, replicate_ci, significance_code,
                                welch_t_test)
 from madlab.losses import (KNOWN_ABNORMAL, KNOWN_NORMAL, UNLABELED,
-                           ContrastiveBatch, MadBatch, info_nce_loss, mad_loss)
+                           info_nce_loss, mad_loss)
 from madlab.numcore import GradientTape, mlp_backward
 from madlab.spheres import CenterSet, prune
 from madlab.trainer import run_replicate, save_checkpoint, load_checkpoint
@@ -67,9 +67,8 @@ def test_criterion_01_gradient_suite():
         n_pairs = int(rng.integers(2, 5))
         z = rng.normal(size=(2 * n_pairs, int(rng.integers(2, 9))))
         tau = float(rng.uniform(0.2, 1.5))
-        _, grad = info_nce_loss(ContrastiveBatch(z.copy(), tau))
-        numeric = central_diff(
-            lambda arr: info_nce_loss(ContrastiveBatch(arr, tau))[0], z)
+        _, grad = info_nce_loss(z.copy(), tau)
+        numeric = central_diff(lambda arr: info_nce_loss(arr, tau)[0], z)
         assert grads_close(grad, numeric), "info_nce"
         checked += 1
 
@@ -84,11 +83,10 @@ def test_criterion_01_gradient_suite():
                 rows.append(z)
         z = np.array(rows)
         labels = rng.choice([UNLABELED, KNOWN_NORMAL, KNOWN_ABNORMAL], size=6)
-        batch = MadBatch(z, labels, float(rng.uniform(0.3, 2.0)), 7, 3)
-        _, grad, _ = mad_loss(batch, centers)
+        eta = float(rng.uniform(0.3, 2.0))
+        _, grad, _ = mad_loss(z, labels, centers, eta, 10)
         numeric = central_diff(
-            lambda arr: mad_loss(MadBatch(arr, labels, batch.eta, 7, 3),
-                                 centers)[0], z.copy())
+            lambda arr: mad_loss(arr, labels, centers, eta, 10)[0], z.copy())
         assert grads_close(grad, numeric), "mad"
         checked += 1
 
@@ -102,18 +100,17 @@ def test_criterion_01_gradient_suite():
 
 def test_criterion_02_loss_oracles():
     z = np.random.default_rng(0).normal(size=(2, 6))
-    single, _ = info_nce_loss(ContrastiveBatch(z, 0.5))
+    single, _ = info_nce_loss(z, 0.5)
 
     units = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    two_pair, _ = info_nce_loss(ContrastiveBatch(units, 1.0))
+    two_pair, _ = info_nce_loss(units, 1.0)
     expected = 4.0 * math.log(1.0 + 2.0 * math.exp(-1.0))
 
     cs = make_centers([[0.0, 0.0]], [0], 0.05)
-    at_center, _, _ = mad_loss(
-        MadBatch(np.zeros((1, 2)), np.array([UNLABELED]), 1.0, 1, 0), cs)
-    abnormal_one, _, _ = mad_loss(
-        MadBatch(np.array([[1.0, 0.0]]), np.array([KNOWN_ABNORMAL]),
-                 1.0, 0, 1), cs)
+    at_center, _, _ = mad_loss(np.zeros((1, 2)), np.array([UNLABELED]), cs,
+                               1.0, 1)
+    abnormal_one, _, _ = mad_loss(np.array([[1.0, 0.0]]),
+                                  np.array([KNOWN_ABNORMAL]), cs, 1.0, 1)
 
     report(2, "loss oracle values",
            single == 0.0 and abs(two_pair - expected) < 1e-9

@@ -20,6 +20,17 @@ import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 
+TOY_OVERRIDES = [
+    "data.dim=8", "data.modes=2", "data.train_size=120", "data.val_size=40",
+    "data.test_size=40", "data.normal_rank=6", "model.body=8",
+    "model.proj_dim=4", "model.mad_dim=4", "pretrain.epochs=2",
+    "finetune.epochs=2", "finetune.n_s=4", "eval.knn_k=5"]
+
+
+def toy_config():
+    return to_experiment(apply_overrides(default_config(), TOY_OVERRIDES))
+
+
 def test_tracer_patches_and_restores_every_attribute():
     t = tracer.Tracer()
     try:
@@ -37,11 +48,31 @@ def test_tracer_patches_and_restores_every_attribute():
 @pytest.mark.parametrize("stop", [("pretrain", 1), None],
                          ids=["mid_pretrain", "done"])
 def test_checkpoint_round_trip_check_passes(tmp_path, stop):
-    cfg = to_experiment(apply_overrides(default_config(), [
-        "data.dim=8", "data.modes=2", "data.train_size=120",
-        "data.val_size=40", "data.test_size=40", "data.normal_rank=6",
-        "model.body=8", "model.proj_dim=4", "model.mad_dim=4",
-        "pretrain.epochs=2", "finetune.epochs=2", "finetune.n_s=4",
-        "eval.knn_k=5"]))
-    state, _ = run_replicate(cfg, stop=stop)
+    state, _ = run_replicate(toy_config(), stop=stop)
     assert workloads._round_trips(state, str(tmp_path / "ckpt.npz"))
+
+
+def test_step_and_center_spans_are_direct_children_of_the_phase():
+    # step_us, bookkeeping_s and center_survival read these parent links
+    t = tracer.Tracer()
+    tracer.install(t)
+    try:
+        run_replicate(toy_config())
+    finally:
+        t.unpatch()
+    by_id = {s.id: s for s in t.spans}
+    expected = {"numcore.optimizer_step": ("trainer.pretrain",
+                                           "trainer.finetune"),
+                "losses.info_nce": ("trainer.pretrain",),
+                "losses.mad_loss": ("trainer.finetune",),
+                "spheres.kmeans": ("trainer.finetune",),
+                "spheres.prune": ("trainer.finetune",)}
+    for name, parents in expected.items():
+        spans = [s for s in t.spans if s.name == name]
+        assert spans, name
+        for s in spans:
+            parent = by_id[s.parent].name if s.parent is not None else None
+            assert parent in parents, f"{name} under {parent}"
+    steps = [by_id[s.parent].name for s in t.spans
+             if s.name == "numcore.optimizer_step"]
+    assert {"trainer.pretrain", "trainer.finetune"} <= set(steps)

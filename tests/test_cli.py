@@ -1,8 +1,18 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from madlab.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_OK,
+import madlab.trainer as trainer_mod
+from madlab.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                         EXIT_REPLICATES, EXIT_SCHEMA, main)
 
 
@@ -260,6 +270,130 @@ def test_train_optimizer_typo_exits_1(tmp_path, data_dir, capsys, key):
     assert err.startswith("error:") and key in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("run/checkpoint_r*.npz"))
+
+
+@pytest.mark.parametrize("loss_name, where", [
+    ("info_nce_loss", "pretext epoch 0 batch 0"),
+    ("mad_loss", "finetune epoch 0 batch 0"),
+], ids=["pretext", "finetune"])
+def test_train_numeric_abort_exits_3(tmp_path, data_dir, capsys, monkeypatch,
+                                     loss_name, where):
+    real = getattr(trainer_mod, loss_name)
+
+    def nan_loss(z, *args):
+        out = real(z, *args)
+        if loss_name == "mad_loss" and len(z) == args[3]:  # epoch objective
+            return out
+        return (float("nan"), *out[1:])
+
+    monkeypatch.setattr(trainer_mod, loss_name, nan_loss)
+    code = main(["train", "--data", str(data_dir), "--out",
+                 str(tmp_path / "run")] + SMALL_SETS)
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"replicate 0: {where}: non-finite loss" in err
+
+
+# sha256 of metrics.json from the two-subprocess run below (SMALL_SETS,
+# default seed); any change to the training numerics moves it.
+SMALL_METRICS_SHA256 = (
+    "6d2e3889c1692d257c06f5a2e273b58836fc21d6d1d5dd3b451755a2d306a493")
+
+
+def _train_in_subprocess(out: Path, blas_threads: int) -> bytes:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env.pop("MADLAB_LOG", None)
+    for argv in (["generate", "--out", str(out / "data")],
+                 ["train", "--data", str(out / "data"), "--out",
+                  str(out / "run")]):
+        subprocess.run([sys.executable, "-m", "madlab.cli", *argv,
+                        *SMALL_SETS], env=env, check=True,
+                       capture_output=True, timeout=300)
+    return (out / "run" / "metrics.json").read_bytes()
+
+
+def test_train_metrics_pinned_and_blas_thread_invariant(tmp_path):
+    one = _train_in_subprocess(tmp_path / "blas1", 1)
+    two = _train_in_subprocess(tmp_path / "blas2", 2)
+    assert one == two
+    assert hashlib.sha256(one).hexdigest() == SMALL_METRICS_SHA256
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """A one-replicate toy run; ``orig/`` holds its CSVs and checkpoint."""
+    root = tmp_path_factory.mktemp("eval_inputs")
+    assert main(["generate", "--out", str(root / "orig")]
+                + SMALL_SETS) == EXIT_OK
+    assert main(["train", "--data", str(root / "orig"), "--out",
+                 str(root / "run"), "--replicates", "1"]
+                + SMALL_SETS) == EXIT_OK
+    (root / "run" / "checkpoint_r0.npz").rename(
+        root / "orig" / "checkpoint.npz")
+    return root
+
+
+def _eval_exit(case: Path) -> tuple:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", "--checkpoint", str(case / "checkpoint.npz"),
+                     "--data", str(case / "data"), "--out", str(case / "out")])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("target", ["checkpoint.npz", "train.csv", "val.csv",
+                                    "test.csv"])
+@settings(max_examples=50, deadline=None)
+@given(damage=st.sampled_from(["flip", "truncate"]),
+       position=st.integers(min_value=0, max_value=2 ** 31),
+       mask=st.integers(min_value=1, max_value=255))
+# found by this test: val.csv cut after rows that are all normal
+@example(damage="truncate", position=403, mask=1)
+def test_eval_on_damaged_input_exits_documented_code(eval_inputs, target,
+                                                     damage, position, mask):
+    root = eval_inputs
+    blobs = {f.name: f.read_bytes() for f in (root / "orig").iterdir()}
+    blob = bytearray(blobs[target])
+    position %= len(blob)
+    if damage == "flip":
+        blob[position] ^= mask
+    else:
+        del blob[position:]
+    case = root / "case"
+    (case / "data").mkdir(parents=True, exist_ok=True)
+    for name, original in blobs.items():
+        path = case / ("" if name == "checkpoint.npz" else "data") / name
+        path.write_bytes(bytes(blob) if name == target else original)
+
+    code, err = _eval_exit(case)
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_CHECKPOINT), err
+    if code != EXIT_OK:
+        assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("split, column, keep", [
+    ("train", 3, "abnormal"),   # no presumed-normal kNN reference row
+    ("val", 2, "normal"),       # an AUC over one class
+    ("test", 2, "abnormal"),
+], ids=["train_known_abnormal_only", "val_normal_only", "test_abnormal_only"])
+def test_eval_split_unfit_for_scoring_exits_2(eval_inputs, tmp_path, split,
+                                              column, keep):
+    case = tmp_path
+    shutil.copytree(eval_inputs / "orig", case / "data")
+    (case / "data" / "checkpoint.npz").rename(case / "checkpoint.npz")
+    path = case / "data" / f"{split}.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(r for r in rows
+                                     if r.split(",")[column] == keep))
+    code, err = _eval_exit(case)
+    assert code == EXIT_SCHEMA
+    assert err.startswith("error:") and f"{split} split" in err
 
 
 def test_usage_error_exits_1():

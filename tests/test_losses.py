@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from madlab.errors import DomainError, StateError
+from madlab.errors import DomainError, ShapeError, StateError
 from madlab.losses import (KNOWN_ABNORMAL, KNOWN_NORMAL, UNLABELED,
-                           ContrastiveBatch, MadBatch, info_nce_loss,
-                           mad_loss)
+                           info_nce_loss, mad_loss)
 from madlab.spheres import CenterSet
 
 from _oracles import central_diff, grads_close
@@ -23,7 +22,7 @@ def make_centers(points, gamma=0.05):
 
 def test_single_pair_loss_is_exactly_zero():
     z = np.random.default_rng(0).normal(size=(2, 5))
-    loss, grad = info_nce_loss(ContrastiveBatch(z, temperature=0.7))
+    loss, grad = info_nce_loss(z, temperature=0.7)
     assert loss == 0.0
     assert np.allclose(grad, 0.0, atol=1e-12)
 
@@ -32,7 +31,7 @@ def test_two_pair_unit_vector_hand_value():
     # anchors see sim 1 to the positive and 0 to the two negatives:
     # per anchor -log(e / (e + 2)) = log(1 + 2/e); four anchors total
     z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    loss, _ = info_nce_loss(ContrastiveBatch(z, temperature=1.0))
+    loss, _ = info_nce_loss(z, temperature=1.0)
     expected = 4.0 * math.log(1.0 + 2.0 * math.exp(-1.0))
     assert abs(loss - expected) < 1e-9
 
@@ -45,9 +44,9 @@ def test_info_nce_gradient_matches_finite_differences(seed):
     z = rng.normal(size=(2 * n_pairs, d))
     tau = float(rng.uniform(0.2, 1.5))
 
-    _, grad = info_nce_loss(ContrastiveBatch(z.copy(), tau))
+    _, grad = info_nce_loss(z.copy(), tau)
     numeric = central_diff(
-        lambda arr: info_nce_loss(ContrastiveBatch(arr, tau))[0], z)
+        lambda arr: info_nce_loss(arr, tau)[0], z)
     assert grads_close(grad, numeric)
 
 
@@ -55,37 +54,37 @@ def test_info_nce_non_negative_and_positive_with_negatives():
     rng = np.random.default_rng(5)
     for n_pairs in (2, 3, 4):
         z = rng.normal(size=(2 * n_pairs, 6))
-        loss, _ = info_nce_loss(ContrastiveBatch(z, 0.5))
+        loss, _ = info_nce_loss(z, 0.5)
         assert loss > 0.0
 
 
 def test_info_nce_per_row_scale_invariance():
     rng = np.random.default_rng(6)
     z = rng.normal(size=(6, 4))
-    base, _ = info_nce_loss(ContrastiveBatch(z.copy(), 0.5))
+    base, _ = info_nce_loss(z.copy(), 0.5)
     z2 = z.copy()
     z2[3] *= 17.0  # cosine similarity ignores per-row scale
-    scaled, _ = info_nce_loss(ContrastiveBatch(z2, 0.5))
+    scaled, _ = info_nce_loss(z2, 0.5)
     assert math.isclose(base, scaled, rel_tol=1e-10)
 
 
 def test_info_nce_rejects_zero_row_and_odd_count():
     z = np.zeros((4, 3))
     with pytest.raises(DomainError):
-        info_nce_loss(ContrastiveBatch(z, 0.5))
+        info_nce_loss(z, 0.5)
     with pytest.raises(Exception):
-        ContrastiveBatch(np.ones((3, 2)), 0.5)
+        info_nce_loss(np.ones((3, 2)), 0.5)
     with pytest.raises(DomainError):
-        ContrastiveBatch(np.ones((4, 2)), 0.0)
+        info_nce_loss(np.ones((4, 2)), 0.0)
 
 
 # --- MAD loss -------------------------------------------------------------
 
 def test_unlabeled_row_at_center_contributes_zero():
     centers = make_centers([[1.0, 2.0], [5.0, 5.0]])
-    batch = MadBatch(np.array([[1.0, 2.0]]), np.array([UNLABELED]),
-                     eta=1.0, n_total=1, m_total=0)
-    loss, grad, assign = mad_loss(batch, centers)
+    loss, grad, assign = mad_loss(np.array([[1.0, 2.0]]),
+                                  np.array([UNLABELED]), centers, eta=1.0,
+                                  n_rows=1)
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros((1, 2)))
     assert assign[0] == 0
@@ -93,25 +92,22 @@ def test_unlabeled_row_at_center_contributes_zero():
 
 def test_known_abnormal_at_distance_one():
     centers = make_centers([[0.0, 0.0]])
-    batch = MadBatch(np.array([[1.0, 0.0]]), np.array([KNOWN_ABNORMAL]),
-                     eta=1.0, n_total=0, m_total=1)
-    loss, _, _ = mad_loss(batch, centers)
+    loss, _, _ = mad_loss(np.array([[1.0, 0.0]]), np.array([KNOWN_ABNORMAL]),
+                          centers, eta=1.0, n_rows=1)
     assert loss == 1.0  # (1^2)^(-1)
 
 
 def test_known_normal_at_distance_two():
     centers = make_centers([[0.0, 0.0]])
-    batch = MadBatch(np.array([[2.0, 0.0]]), np.array([KNOWN_NORMAL]),
-                     eta=1.0, n_total=0, m_total=1)
-    loss, _, _ = mad_loss(batch, centers)
+    loss, _, _ = mad_loss(np.array([[2.0, 0.0]]), np.array([KNOWN_NORMAL]),
+                          centers, eta=1.0, n_rows=1)
     assert loss == 4.0  # eta * (2^2)^(+1)
 
 
 def test_denominator_uses_full_counts():
     centers = make_centers([[0.0]])
-    batch = MadBatch(np.array([[2.0]]), np.array([UNLABELED]),
-                     eta=1.0, n_total=7, m_total=3)
-    loss, _, _ = mad_loss(batch, centers)
+    loss, _, _ = mad_loss(np.array([[2.0]]), np.array([UNLABELED]), centers,
+                          eta=1.0, n_rows=10)
     assert math.isclose(loss, 4.0 / 10.0, rel_tol=1e-12)
 
 
@@ -127,20 +123,17 @@ def _random_mad_instance(rng, tie_margin=1e-3):
             rows.append(z)
     z = np.array(rows)
     labels = rng.choice([UNLABELED, KNOWN_NORMAL, KNOWN_ABNORMAL], size=5)
-    return centers, MadBatch(z, labels, eta=float(rng.uniform(0.3, 2.0)),
-                             n_total=6, m_total=4)
+    return centers, z, labels, float(rng.uniform(0.3, 2.0))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_mad_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(300 + seed)
-    centers, batch = _random_mad_instance(rng)
-    _, grad, _ = mad_loss(batch, centers)
-    z0 = batch.embeddings.copy()
+    centers, z0, labels, eta = _random_mad_instance(rng)
+    _, grad, _ = mad_loss(z0.copy(), labels, centers, eta, n_rows=10)
 
     def loss_at(arr):
-        b = MadBatch(arr, batch.labels, batch.eta, batch.n_total, batch.m_total)
-        return mad_loss(b, centers)[0]
+        return mad_loss(arr, labels, centers, eta, n_rows=10)[0]
 
     numeric = central_diff(loss_at, z0)
     assert grads_close(grad, numeric)
@@ -150,8 +143,8 @@ def test_assignment_minimizes_distance_and_breaks_ties_low():
     centers = make_centers([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
     z = np.array([[1.5, 0.0],   # nearest is center 2 (distance .5)
                   [1.0, 5.0]])  # equidistant to 0 and 1 -> index 0... no: 2 is nearer
-    batch = MadBatch(z, np.array([UNLABELED, UNLABELED]), 1.0, 2, 0)
-    _, _, assign = mad_loss(batch, centers)
+    _, _, assign = mad_loss(z, np.array([UNLABELED, UNLABELED]), centers,
+                            1.0, 2)
     live = centers.centers[assign]
     for i in range(len(z)):
         d_assigned = np.linalg.norm(z[i] - live[i])
@@ -161,8 +154,8 @@ def test_assignment_minimizes_distance_and_breaks_ties_low():
 
 def test_tie_breaks_to_lowest_index():
     centers = make_centers([[-1.0, 0.0], [1.0, 0.0]])
-    batch = MadBatch(np.array([[0.0, 3.0]]), np.array([UNLABELED]), 1.0, 1, 0)
-    _, _, assign = mad_loss(batch, centers)
+    _, _, assign = mad_loss(np.array([[0.0, 3.0]]), np.array([UNLABELED]),
+                            centers, 1.0, 1)
     assert assign[0] == 0
 
 
@@ -170,9 +163,8 @@ def test_abnormal_descent_step_pushes_away_from_center():
     rng = np.random.default_rng(9)
     centers = make_centers(rng.normal(size=(2, 4)))
     z = rng.normal(size=(6, 4))
-    batch = MadBatch(z, np.full(6, KNOWN_ABNORMAL), eta=1.0, n_total=0,
-                     m_total=6)
-    _, grad, assign = mad_loss(batch, centers)
+    _, grad, assign = mad_loss(z, np.full(6, KNOWN_ABNORMAL), centers,
+                               eta=1.0, n_rows=6)
     toward = centers.centers[assign] - z
     # descent direction -grad must point away from the assigned center
     assert np.all(np.einsum("ij,ij->i", -grad, toward) < 0.0)
@@ -182,16 +174,16 @@ def test_abnormal_loss_decreases_with_distance():
     centers = make_centers([[0.0]])
     losses = []
     for d in (0.5, 1.0, 2.0, 4.0):
-        batch = MadBatch(np.array([[d]]), np.array([KNOWN_ABNORMAL]), 1.0, 0, 1)
-        losses.append(mad_loss(batch, centers)[0])
+        losses.append(mad_loss(np.array([[d]]), np.array([KNOWN_ABNORMAL]),
+                               centers, 1.0, 1)[0])
     assert all(a > b > 0.0 for a, b in zip(losses, losses[1:]))
 
 
 def test_eps_d_floor_bounds_loss_and_kills_gradient():
     centers = make_centers([[0.0, 0.0]])
     z = np.array([[1e-9, 0.0]])  # d^2 = 1e-18 < eps_d
-    batch = MadBatch(z, np.array([KNOWN_ABNORMAL]), 1.0, 0, 1)
-    loss, grad, _ = mad_loss(batch, centers, eps_d=1e-6)
+    loss, grad, _ = mad_loss(z, np.array([KNOWN_ABNORMAL]), centers, 1.0, 1,
+                             eps_d=1e-6)
     assert loss == 1e6
     assert np.array_equal(grad, np.zeros_like(z))
 
@@ -201,16 +193,35 @@ def test_unlabeled_and_normal_terms_non_negative():
     centers = make_centers(rng.normal(size=(3, 3)))
     z = rng.normal(size=(10, 3))
     labels = rng.choice([UNLABELED, KNOWN_NORMAL], size=10)
-    loss, _, _ = mad_loss(MadBatch(z, labels, 1.3, 8, 2), centers)
+    loss, _, _ = mad_loss(z, labels, centers, 1.3, 10)
     assert loss >= 0.0
 
 
 def test_all_pruned_raises_state_error():
     centers = make_centers([[0.0], [1.0]])
     centers.live[:] = False  # bypasses the constructor guard
-    batch = MadBatch(np.array([[0.5]]), np.array([UNLABELED]), 1.0, 1, 0)
     with pytest.raises(StateError):
-        mad_loss(batch, centers)
+        mad_loss(np.array([[0.5]]), np.array([UNLABELED]), centers, 1.0, 1)
+
+
+_ROW = np.array([[1.0, 0.0]])
+_UNL = np.array([UNLABELED])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda c: info_nce_loss(np.ones(4), 0.5), ShapeError),
+    (lambda c: info_nce_loss(np.ones((3, 2)), 0.5), ShapeError),
+    (lambda c: info_nce_loss(np.ones((4, 2)), 0.0), DomainError),
+    (lambda c: mad_loss(np.ones(2), _UNL, c, 1.0, 1), ShapeError),
+    (lambda c: mad_loss(_ROW, np.array([0, 0]), c, 1.0, 1), ShapeError),
+    (lambda c: mad_loss(_ROW, np.array([2]), c, 1.0, 1), DomainError),
+    (lambda c: mad_loss(_ROW, _UNL, c, -0.5, 1), DomainError),
+    (lambda c: mad_loss(_ROW, _UNL, c, 1.0, 0), DomainError),
+], ids=["nce_not_2d", "nce_odd_rows", "nce_temperature", "mad_not_2d",
+        "mad_label_shape", "mad_label_value", "mad_eta", "mad_n_rows"])
+def test_loss_argument_guards(call, error):
+    with pytest.raises(error):
+        call(make_centers([[0.0, 0.0]]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,5 +232,5 @@ def test_info_nce_loss_non_negative_property(seed):
     z = rng.normal(size=(2 * n_pairs, int(rng.integers(2, 7))))
     if np.any(np.linalg.norm(z, axis=1) == 0.0):
         return
-    loss, _ = info_nce_loss(ContrastiveBatch(z, float(rng.uniform(0.1, 2.0))))
+    loss, _ = info_nce_loss(z, float(rng.uniform(0.1, 2.0)))
     assert loss >= -1e-12

@@ -6,7 +6,7 @@ import pytest
 
 from madlab.errors import DomainError, ShapeError, StateError
 from madlab.evaluation import knn_score
-from madlab.losses import UNLABELED, MadBatch, mad_loss
+from madlab.losses import UNLABELED, mad_loss
 from madlab.spheres import (CenterSet, anomaly_scores, assign_and_count,
                             kmeans, nearest_live_center, prune)
 
@@ -223,8 +223,8 @@ def test_distances_match_direct_oracle_at_extreme_scale(offset, spread):
     nearest = live_idx[np.argmin(d2, axis=1)]
 
     assert np.array_equal(nearest_live_center(z, cs), nearest)
-    batch = MadBatch(z, np.full(len(z), UNLABELED), 1.0, len(z), 0)
-    assert np.array_equal(mad_loss(batch, cs)[2], nearest)
+    assert np.array_equal(
+        mad_loss(z, np.full(len(z), UNLABELED), cs, 1.0, len(z))[2], nearest)
     assert np.allclose(anomaly_scores(z, cs), np.sqrt(d2.min(axis=1)),
                        rtol=1e-12, atol=0.0)
     k = 7

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 from dataclasses import asdict, replace
 
@@ -8,7 +9,7 @@ import pytest
 import madlab.trainer as trainer_mod
 from madlab.config import apply_overrides, default_config, to_experiment
 from madlab.data import generate_synthetic
-from madlab.errors import ConfigError, NumericsError, StateError
+from madlab.errors import ConfigError, DomainError, NumericsError, StateError
 from madlab.trainer import (ExperimentConfig, build_pretext_model, evaluate,
                             experiment_from_dict, experiment_hash, finetune,
                             load_checkpoint, pretrain, run_experiment,
@@ -163,6 +164,38 @@ def test_run_experiment_records_replicate_failures(small_cfg, small_data,
     assert res.replicates_completed == small_cfg.replicates - 1
     assert len(res.errors) == 1 and res.errors[0]["replicate"] == 0
     assert {r["replicate"] for r in res.records} == {1}
+
+
+@pytest.mark.parametrize("fault, message", [("nan", "non-finite loss"),
+                                            ("raise", "injected")],
+                         ids=["nan", "raise"])
+@pytest.mark.parametrize("phase, loss_name", [("pretext", "info_nce_loss"),
+                                              ("finetune", "mad_loss")],
+                         ids=["pretext", "finetune"])
+def test_loss_failure_aborts_with_epoch_and_batch(small_cfg, small_data,
+                                                  monkeypatch, phase,
+                                                  loss_name, fault, message):
+    n = len(small_data[0])
+    phase_cfg = (small_cfg.pretrain if phase == "pretext"
+                 else small_cfg.finetune)
+    target = -(-n // phase_cfg.batch) + 2  # epoch 1, batch 2
+    real = getattr(trainer_mod, loss_name)
+    steps = itertools.count()
+
+    def faulty(z, *args):
+        out = real(z, *args)
+        if loss_name == "mad_loss" and len(z) == n:  # the epoch objective
+            return out
+        if next(steps) != target:
+            return out
+        if fault == "raise":
+            raise DomainError("injected")
+        return (float("nan"), *out[1:])
+
+    monkeypatch.setattr(trainer_mod, loss_name, faulty)
+    with pytest.raises(NumericsError,
+                       match=f"^{phase} epoch 1 batch 2: {message}$"):
+        run_replicate(small_cfg, small_data)
 
 
 def test_experiment_dict_round_trip(small_cfg):
