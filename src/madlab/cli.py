@@ -44,6 +44,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _setup_logging():
     level = os.environ.get("MADLAB_LOG", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO,
@@ -83,7 +89,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _train_once(cfg: dict, data_dir: str, out_dir: str) -> int:
+def _train_once(cfg: dict, data_dir: str, out_dir: str, workers) -> int:
     exp = to_experiment(cfg)
     datasets = load_splits(data_dir)
     if datasets[0].dim != exp.data.dim:
@@ -109,7 +115,8 @@ def _train_once(cfg: dict, data_dir: str, out_dir: str) -> int:
                 fh.write(json.dumps({"epoch": epoch, "live": live,
                                      "counts": counts}) + "\n")
 
-    result = run_experiment(exp, datasets, on_replicate=persist)
+    result = run_experiment(exp, datasets, on_replicate=persist,
+                            workers=workers)
 
     with atomic_write(os.path.join(out_dir, "config.cfg")) as fh:
         fh.write(serialize_config(cfg))
@@ -117,7 +124,8 @@ def _train_once(cfg: dict, data_dir: str, out_dir: str) -> int:
     _write_json(os.path.join(out_dir, "run_info.json"),
                 {"config_hash": result.config_hash,
                  "wall_clock_sec": result.wall_clock_sec,
-                 "versions": result.versions})
+                 "versions": result.versions, "workers": result.workers,
+                 "replicate_sec": result.replicate_sec})
 
     for name in ("val_auc", "test_auc"):
         if name in result.aggregate:
@@ -137,14 +145,15 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     ratios = args.labeled_ratio
     if not ratios:
-        return _train_once(cfg, args.data, args.out)
+        return _train_once(cfg, args.data, args.out, args.workers)
     status = EXIT_OK
     for ratio in ratios:
         sub = apply_overrides(cfg, [f"data.labeled_ratio={ratio}"])
         out_dir = (args.out if len(ratios) == 1
                    else os.path.join(args.out, f"labeled_{ratio:g}"))
         print(f"== labeled ratio {ratio:g} -> {out_dir}")
-        status = max(status, _train_once(sub, args.data, out_dir))
+        status = max(status, _train_once(sub, args.data, out_dir,
+                                         args.workers))
     return status
 
 
@@ -261,6 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeled-ratio", action="append", type=float,
                    metavar="R", help="relabel train at this ratio; repeat "
                    "for a sweep (subdirectory per ratio)")
+    p.add_argument("--workers", type=_worker_count, metavar="N",
+                   help="worker processes for the replicates (default: one "
+                   "per core, at most one per replicate)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a split from a checkpoint")

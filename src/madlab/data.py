@@ -348,6 +348,11 @@ def load_csv(path, split: str) -> Dataset:
     features = np.asarray(feats, dtype=np.float64)
     if features.size and not np.all(np.isfinite(features)):
         raise SchemaError(f"{path}: non-finite feature values")
+    with np.errstate(over="ignore"):  # distances need finite squared norms
+        huge = ~np.isfinite(np.square(features).sum(axis=-1))
+    if huge.any():
+        raise SchemaError(f"{path}:{int(np.argmax(huge)) + 2}: feature values "
+                          "too large (squared norm overflows)")
     try:
         return Dataset(features.reshape(len(groups), dim), np.array(labels),
                        np.array(gts), np.array(modes), np.array(groups), split)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, StateError
+from .errors import DomainError, NumericsError, ShapeError, StateError
 
 log = logging.getLogger(__name__)
 
@@ -71,6 +71,8 @@ def _kmeans_pp_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
     d2 = squared_distances(points, centers[:1]).ravel()
     for j in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise NumericsError("k-means seeding: squared distances overflow")
         if total == 0.0:
             # all remaining mass sits on chosen centers; any point works
             idx = rng.integers(points.shape[0])

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -320,6 +321,8 @@ class RunResult:
     replicates_completed: int
     wall_clock_sec: float
     versions: dict
+    workers: int
+    replicate_sec: list             # wall seconds; None where it failed
 
     def metrics_dict(self) -> dict:
         """The deterministic part, suitable for byte-stable JSON output."""
@@ -351,28 +354,100 @@ def aggregate_records(records: list) -> dict:
     return agg
 
 
-def run_experiment(cfg: ExperimentConfig, datasets=None, on_replicate=None):
+def resolve_workers(replicates: int, workers=None) -> int:
+    """The worker processes that run ``replicates`` replicates: ``workers``,
+    or one per usable core when None, at most one per replicate, and 1
+    where processes cannot be forked."""
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    elif workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    return min(workers, replicates) if hasattr(os, "fork") else 1
+
+
+def _replicate_task(rcfg: ExperimentConfig, datasets):
+    """One replicate, in this process or in a worker: (state, records, wall
+    seconds), or the text of the MadlabError that stopped it.
+    ``run_replicate`` is looked up when called, so a replacement installed
+    on this module before the workers fork runs in them too."""
+    t0 = time.monotonic()
+    try:
+        state, records = run_replicate(rcfg, datasets)
+    except MadlabError as exc:
+        return str(exc)
+    return state, records, time.monotonic() - t0
+
+
+_worker_datasets = None  # set in each worker process by _init_worker
+
+
+def _init_worker(datasets):
+    global _worker_datasets
+    _worker_datasets = datasets
+
+
+def _worker_task(rcfg: ExperimentConfig):
+    return _replicate_task(rcfg, _worker_datasets)
+
+
+def _replicate_outcomes(rcfgs, datasets, workers: int):
+    """``_replicate_task`` outcomes in replicate order: run here one after
+    another with 1 worker, else in a pool of forked workers. Fork, not
+    spawn: workers inherit the loaded modules, any patches on them and the
+    datasets, so only configs and results are pickled. A replicate whose
+    worker died yields its error text."""
+    if workers == 1:
+        yield from (_replicate_task(rcfg, datasets) for rcfg in rcfgs)
+        return
+    # imported here: the pool modules add about 20 ms to every start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(datasets,))
+    try:
+        futures = [pool.submit(_worker_task, rcfg) for rcfg in rcfgs]
+        for fut in futures:
+            try:
+                outcome = fut.result()
+            except BrokenProcessPool as exc:
+                outcome = f"worker process died: {exc}"
+            yield outcome
+    finally:  # also when the caller stops early: no worker outlives the run
+        pool.shutdown(cancel_futures=True)
+
+
+def run_experiment(cfg: ExperimentConfig, datasets=None, on_replicate=None,
+                   *, workers=None):
     """Run all replicates; replicate r uses seed + r.
 
     With ``datasets`` given, every replicate trains on them (the on-disk
     protocol); otherwise each replicate generates its own data from its
     seed. ``on_replicate(r, state)`` lets callers persist checkpoints and
     trajectories. Failures are recorded and skipped in the aggregate.
+    ``workers`` processes run the replicates (see ``resolve_workers``);
+    records, errors and ``on_replicate`` calls come in replicate order in
+    this process either way, so the outputs do not depend on it.
     """
     t0 = time.monotonic()
-    records, errors = [], []
-    for r in range(cfg.replicates):
-        rcfg = replace(cfg, seed=cfg.seed + r)
-        try:
-            state, recs = run_replicate(rcfg, datasets)
-        except MadlabError as exc:
-            log.error("replicate %d failed: %s", r, exc)
-            errors.append({"replicate": r, "error": str(exc)})
-            continue
-        for rec in recs:
-            records.append({"replicate": r, **rec})
-        if on_replicate is not None:
-            on_replicate(r, state)
+    workers = resolve_workers(cfg.replicates, workers)
+    rcfgs = [replace(cfg, seed=cfg.seed + r) for r in range(cfg.replicates)]
+    records, errors, seconds = [], [], []
+    with closing(_replicate_outcomes(rcfgs, datasets, workers)) as outcomes:
+        for r, outcome in enumerate(outcomes):
+            if isinstance(outcome, str):
+                log.error("replicate %d failed: %s", r, outcome)
+                errors.append({"replicate": r, "error": outcome})
+                seconds.append(None)
+                continue
+            state, recs, sec = outcome
+            seconds.append(sec)
+            for rec in recs:
+                records.append({"replicate": r, **rec})
+            if on_replicate is not None:
+                on_replicate(r, state)
 
     completed = cfg.replicates - len(errors)
     return RunResult(
@@ -380,7 +455,8 @@ def run_experiment(cfg: ExperimentConfig, datasets=None, on_replicate=None):
         aggregate=aggregate_records(records),
         replicates_requested=cfg.replicates, replicates_completed=completed,
         wall_clock_sec=time.monotonic() - t0,
-        versions={"madlab": __version__, "numpy": np.__version__})
+        versions={"madlab": __version__, "numpy": np.__version__},
+        workers=workers, replicate_sec=seconds)
 
 
 # --- checkpointing ------------------------------------------------------

@@ -301,7 +301,8 @@ SMALL_METRICS_SHA256 = (
     "6d2e3889c1692d257c06f5a2e273b58836fc21d6d1d5dd3b451755a2d306a493")
 
 
-def _train_in_subprocess(out: Path, blas_threads: int) -> bytes:
+def _train_in_subprocess(out: Path, blas_threads: int,
+                         train_args=()) -> bytes:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(
@@ -309,7 +310,7 @@ def _train_in_subprocess(out: Path, blas_threads: int) -> bytes:
     env.pop("MADLAB_LOG", None)
     for argv in (["generate", "--out", str(out / "data")],
                  ["train", "--data", str(out / "data"), "--out",
-                  str(out / "run")]):
+                  str(out / "run"), *train_args]):
         subprocess.run([sys.executable, "-m", "madlab.cli", *argv,
                         *SMALL_SETS], env=env, check=True,
                        capture_output=True, timeout=300)
@@ -321,6 +322,78 @@ def test_train_metrics_pinned_and_blas_thread_invariant(tmp_path):
     two = _train_in_subprocess(tmp_path / "blas2", 2)
     assert one == two
     assert hashlib.sha256(one).hexdigest() == SMALL_METRICS_SHA256
+
+
+def test_train_outputs_identical_at_1_and_2_workers(tmp_path):
+    outputs = {}
+    for workers in (1, 2):
+        run = tmp_path / f"w{workers}"
+        metrics = _train_in_subprocess(run, 1, ["--workers", str(workers)])
+        assert hashlib.sha256(metrics).hexdigest() == SMALL_METRICS_SHA256
+        files = sorted((run / "run").glob("*_r*.*"))
+        assert [f.name for f in files] == [
+            "centers_r0.jsonl", "centers_r1.jsonl",
+            "checkpoint_r0.npz", "checkpoint_r1.npz"]
+        outputs[workers] = [f.read_bytes() for f in files]
+        info = json.loads((run / "run" / "run_info.json").read_text())
+        assert info["workers"] == workers
+        assert len(info["replicate_sec"]) == 2
+        assert all(s > 0 for s in info["replicate_sec"])
+    assert outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("value", ["0", "x", "-1"])
+def test_train_bad_worker_count_exits_1(tmp_path, data_dir, capsys, value):
+    code = main(["train", "--data", str(data_dir), "--out",
+                 str(tmp_path / "run"), "--workers", value] + SMALL_SETS)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "--workers" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_dead_worker_exits_3(tmp_path, data_dir, capsys, monkeypatch):
+    real = trainer_mod.run_replicate
+    first_seed = trainer_mod.ExperimentConfig().seed
+
+    def dies_on_replicate_0(cfg, datasets=None, **kw):
+        if cfg.seed == first_seed:
+            os._exit(1)  # the forked worker inherits this patch
+        return real(cfg, datasets, **kw)
+
+    monkeypatch.setattr(trainer_mod, "run_replicate", dies_on_replicate_0)
+    code = main(["train", "--data", str(data_dir), "--out",
+                 str(tmp_path / "run"), "--workers", "2"] + SMALL_SETS)
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "replicate 0: worker process died: " in err
+    doc = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    assert doc["errors"][0]["replicate"] == 0
+    assert all(e["error"].startswith("worker process died: ")
+               for e in doc["errors"])
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_huge_feature_value_exits_2(eval_inputs, tmp_path, capsys, split):
+    # a finite value whose square overflows float64
+    shutil.copytree(eval_inputs / "orig", tmp_path / "data")
+    (tmp_path / "data" / "checkpoint.npz").rename(tmp_path / "checkpoint.npz")
+    path = tmp_path / "data" / f"{split}.csv"
+    header, first, *rows = path.read_text().splitlines(keepends=True)
+    fields = first.split(",")
+    fields[4] = "1e200"
+    path.write_text(header + ",".join(fields) + "".join(rows))
+    for argv in (["train", "--data", str(tmp_path / "data"), "--out",
+                  str(tmp_path / "run")] + SMALL_SETS,
+                 ["eval", "--checkpoint", str(tmp_path / "checkpoint.npz"),
+                  "--data", str(tmp_path / "data")]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_SCHEMA, err
+        assert err.startswith(f"error: {path}:2: feature values too large")
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from madlab.errors import DomainError, ShapeError, StateError
+from madlab.errors import DomainError, NumericsError, ShapeError, StateError
 from madlab.evaluation import knn_score
 from madlab.losses import UNLABELED, mad_loss
 from madlab.spheres import (CenterSet, anomaly_scores, assign_and_count,
@@ -42,6 +42,12 @@ def test_kmeans_clamps_k_with_warning(caplog):
         cs = kmeans(pts, 3, seed=0)
     assert cs.centers.shape[0] == 2
     assert any("clamping" in r.message for r in caplog.records)
+
+
+def test_kmeans_seeding_overflow_raises_numerics_error():
+    pts = np.array([[0.0, 0.0], [1e155, 0.0], [-1e155, 1.0]])
+    with pytest.raises(NumericsError, match="k-means seeding"):
+        kmeans(pts, 2, seed=0)
 
 
 def test_kmeans_empty_input_rejected():

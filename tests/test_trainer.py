@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import multiprocessing
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -164,6 +165,43 @@ def test_run_experiment_records_replicate_failures(small_cfg, small_data,
     assert res.replicates_completed == small_cfg.replicates - 1
     assert len(res.errors) == 1 and res.errors[0]["replicate"] == 0
     assert {r["replicate"] for r in res.records} == {1}
+
+
+def test_run_experiment_worker_count_invariant(small_cfg, small_data):
+    cfg = replace(small_cfg, seed=3, replicates=3)  # seeds 3-5 all finish
+    results, orders = [], []
+    for workers in (1, 2):
+        order = []
+        res = run_experiment(cfg, small_data, workers=workers,
+                             on_replicate=lambda r, s: order.append(r))
+        assert res.workers == workers
+        assert len(res.replicate_sec) == 3
+        results.append(res.metrics_dict())
+        orders.append(order)
+    assert results[0] == results[1]
+    assert orders == [[0, 1, 2], [0, 1, 2]]
+
+
+def test_resolve_workers():
+    assert trainer_mod.resolve_workers(2, 1) == 1
+    assert trainer_mod.resolve_workers(2, 8) == 2  # at most one per replicate
+    assert trainer_mod.resolve_workers(1) == 1
+    with pytest.raises(ConfigError):
+        trainer_mod.resolve_workers(2, 0)
+
+
+@pytest.mark.parametrize("where", ["on_replicate", "worker"])
+def test_run_experiment_reraises_and_stops_workers(small_cfg, small_data,
+                                                   monkeypatch, where):
+    def fail(*args, **kwargs):
+        raise KeyError("injected")
+
+    if where == "worker":  # not a MadlabError, so not recorded as one
+        monkeypatch.setattr(trainer_mod, "run_replicate", fail)
+    with pytest.raises(KeyError, match="injected"):
+        run_experiment(small_cfg, small_data,
+                       fail if where == "on_replicate" else None, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("fault, message", [("nan", "non-finite loss"),
