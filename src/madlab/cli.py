@@ -91,11 +91,7 @@ def cmd_generate(args) -> int:
 
 def _train_once(cfg: dict, data_dir: str, out_dir: str, workers) -> int:
     exp = to_experiment(cfg)
-    datasets = load_splits(data_dir)
-    if datasets[0].dim != exp.data.dim:
-        raise SchemaError(
-            f"data dim {datasets[0].dim} does not match configured "
-            f"{exp.data.dim}")
+    datasets = load_splits(data_dir, exp.data.dim)
     os.makedirs(out_dir, exist_ok=True)
 
     train_ds, val_ds, test_ds = datasets
@@ -163,11 +159,7 @@ def cmd_eval(args) -> int:
         raise StateError(
             "checkpoint has no trained detection model; cannot evaluate")
     exp = state.config
-    datasets = load_splits(args.data)
-    if datasets[0].dim != exp.data.dim:
-        raise SchemaError(
-            f"data dim {datasets[0].dim} does not match checkpoint config "
-            f"{exp.data.dim}")
+    datasets = load_splits(args.data, exp.data.dim)
     train_ds = datasets[0]
     target = {"val": datasets[1], "test": datasets[2]}[args.split]
 
@@ -224,7 +216,7 @@ def cmd_compare(args) -> int:
     vals_a = _replicate_values(args.metrics_a, args.split, args.metric)
     vals_b = _replicate_values(args.metrics_b, args.split, args.metric)
     if len(vals_a) < 2 or len(vals_b) < 2:
-        print(f"need >= 2 replicates per side, got {len(vals_a)} and "
+        print(f"error: need >= 2 replicates per side, got {len(vals_a)} and "
               f"{len(vals_b)}", file=sys.stderr)
         return EXIT_REPLICATES
     t, df, p = welch_t_test(vals_a, vals_b)

@@ -372,18 +372,19 @@ def save_splits(datasets, out_dir):
     return paths
 
 
-def load_splits(data_dir):
-    """Load the three split files from ``data_dir``; scoring needs a
-    presumed-normal train row and both classes in val and test."""
+def load_splits(data_dir, dim: int):
+    """Load the three split files from ``data_dir``, each with ``dim``
+    features; scoring needs a presumed-normal train row and both classes in
+    val and test."""
     out = []
     for split in SPLITS:
         p = os.path.join(data_dir, f"{split}.csv")
         if not os.path.exists(p):
             raise SchemaError(f"missing data file {p}")
         out.append(load_csv(p, split))
-    dims = {ds.dim for ds in out}
-    if len(dims) != 1:
-        raise SchemaError(f"splits disagree on feature dim: {sorted(dims)}")
+        if out[-1].dim != dim:
+            raise SchemaError(f"{p}: data dim {out[-1].dim} does not match "
+                              f"the configured {dim}")
     if not np.any(out[0].labels >= 0):
         raise SchemaError(f"{data_dir}: train split has no presumed-normal row")
     for ds in out[1:]:

@@ -171,15 +171,17 @@ def welch_t_test(sample_a, sample_b):
     """Two-sample mean comparison with unequal variances.
 
     Returns ``(t, df, p)`` with the Welch-Satterthwaite degrees of freedom
-    and a two-sided p-value.
+    and a two-sided p-value. A sample with fewer than two values, or with
+    zero or non-finite variance, raises ``DomainError``.
     """
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise DomainError("each sample needs at least two values")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    if va == 0.0 or vb == 0.0:
-        raise DomainError("degenerate (zero-variance) sample")
+    with np.errstate(over="ignore"):  # an overflowing variance is rejected below
+        va, vb = a.var(ddof=1), b.var(ddof=1)
+    if not (0.0 < va < math.inf and 0.0 < vb < math.inf):
+        raise DomainError("degenerate sample: zero or non-finite variance")
     na, nb = a.size, b.size
     se2 = va / na + vb / nb
     t = float((a.mean() - b.mean()) / math.sqrt(se2))

@@ -30,7 +30,9 @@ def info_nce_loss(z, temperature: float):
     with positive j: -log softmax over cosine similarities to every other
     row, scaled by 1/temperature, numerator at j. Both orderings of each
     pair contribute. Returns (loss, gradient) with the gradient taken
-    w.r.t. the raw (unnormalized) embedding rows.
+    w.r.t. the raw (unnormalized) embedding rows. Rows are divided by
+    max(norm, 1e-12), as in SimCLR, so an all-zero row (every ReLU dead
+    under a zero head bias) normalizes to zero with a finite gradient.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
@@ -43,9 +45,7 @@ def info_nce_loss(z, temperature: float):
     if n_rows < 4:
         log.debug("contrastive batch with %d rows: denominators contain only "
                   "the positive", n_rows)
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms == 0.0):
-        raise DomainError("zero-norm embedding row in contrastive batch")
+    norms = np.maximum(np.linalg.norm(z, axis=1), 1e-12)
 
     zh = z / norms[:, None]
     sims = np.clip(zh @ zh.T, -1.0, 1.0)

@@ -24,6 +24,7 @@ _ACTIVATIONS = (RELU, IDENTITY)
 SGD = "sgd"
 ADAM = "adam"
 _RULES = (SGD, ADAM)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's default constants
 
 
 @dataclass(frozen=True)
@@ -202,9 +203,6 @@ class OptimizerState:
     rule: str
     learning_rate: float
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: list[np.ndarray] | None = None
     v: list[np.ndarray] | None = None
@@ -249,14 +247,14 @@ def optimizer_step(state: OptimizerState, params: list[np.ndarray],
             state.v = [np.zeros_like(p) for p in params]
         state.step_count += 1
         t = state.step_count
-        bc1 = 1.0 - state.beta1 ** t
-        bc2 = 1.0 - state.beta2 ** t
+        bc1 = 1.0 - _BETA1 ** t
+        bc2 = 1.0 - _BETA2 ** t
         for p, g, m, v in zip(params, grads, state.m, state.v):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
     if decay is not None:
         for p, d in zip(params, decay):

@@ -1,7 +1,10 @@
 """Two-phase training: contrastive pretraining, encoder transfer, k-means
 center initialization, fine-tuning with per-epoch cardinality pruning.
 Both phases run their epochs through one batch loop, ``_run_epoch``; each
-supplies only its batch input, its loss and its per-epoch work.
+supplies only its batch input, its loss and its per-epoch work. A phase
+reads and advances one ``TrainerState``: it runs from ``state.epoch`` to a
+given end epoch and writes the optimizer, losses, centers and history it
+creates or updates back into the state.
 
 All randomness is derived from (seed, phase tag, epoch) so a run can be
 checkpointed at any epoch boundary and resumed bit-exactly: a checkpoint
@@ -95,6 +98,21 @@ def transfer_weights(pretext: EncoderModel, cfg: ExperimentConfig) -> EncoderMod
     return EncoderModel(Mlp(specs, params=params), n_body)
 
 
+@dataclass
+class TrainerState:
+    """Everything needed to resume a run at an epoch boundary."""
+
+    config: ExperimentConfig
+    phase: str                      # "pretrain" | "finetune" | "done"
+    epoch: int                      # completed epochs within the phase
+    pretext_model: EncoderModel
+    mad_model: EncoderModel | None = None
+    opt: OptimizerState | None = None
+    centers: CenterSet | None = None
+    pre_losses: list = field(default_factory=list)
+    ft_history: dict | None = None
+
+
 def _make_optimizer(phase_cfg) -> OptimizerState:
     return OptimizerState(rule=phase_cfg.optimizer, learning_rate=phase_cfg.lr,
                           weight_decay=phase_cfg.weight_decay)
@@ -127,20 +145,17 @@ def _run_epoch(phase: str, seed_key: list, epoch: int, pc, model, opt,
     return loss_sum
 
 
-def pretrain(cfg: ExperimentConfig, view: TrainingView, *, model=None,
-             opt=None, start_epoch: int = 0, end_epoch=None):
-    """Contrastive pretraining over ALL train samples, labels ignored.
-
-    Returns (model, optimizer, per-epoch mean anchor losses for the epochs
-    run here).
-    """
+def pretrain(cfg: ExperimentConfig, view: TrainingView, state: TrainerState,
+             end_epoch: int):
+    """Contrastive pretraining of ``state.pretext_model`` over ALL train
+    samples, labels ignored, from ``state.epoch`` to ``end_epoch``; appends
+    each epoch's mean anchor loss to ``state.pre_losses``."""
     n = len(view)
     if n == 0:
         raise ConfigError("pretraining needs a non-empty dataset")
     pc = cfg.pretrain
-    end_epoch = pc.epochs if end_epoch is None else end_epoch
-    model = model if model is not None else build_pretext_model(cfg)
-    opt = opt if opt is not None else _make_optimizer(pc)
+    if state.opt is None:
+        state.opt = _make_optimizer(pc)
 
     def pairs(idx):  # rows (2i, 2i+1): two views of row idx[i] from aug_rng
         out = np.empty((2 * len(idx), view.features.shape[1]))
@@ -148,21 +163,21 @@ def pretrain(cfg: ExperimentConfig, view: TrainingView, *, model=None,
                                              aug_rng)
         return out
 
-    losses = []
-    for epoch in range(start_epoch, end_epoch):
+    for epoch in range(state.epoch, end_epoch):
         aug_rng = np.random.default_rng([cfg.seed, _T_AUG, epoch])
         loss_sum = _run_epoch("pretext", [cfg.seed, _T_SHUF_PRE], epoch, pc,
-                              model, opt, n, pairs,
+                              state.pretext_model, state.opt, n, pairs,
                               lambda z, idx: info_nce_loss(z, pc.temperature))
-        losses.append(loss_sum / (2 * n))  # mean over the 2n anchors
-    return model, opt, losses
+        state.pre_losses.append(loss_sum / (2 * n))  # mean over the 2n anchors
+        state.epoch = epoch + 1
 
 
-def _record_epoch(history, cfg, view, val_ds: Dataset, model, centers):
+def _record_epoch(state: TrainerState, cfg, view, val_ds: Dataset):
     """Append one row of the finetune history. The objective is the epoch
     objective on frozen weights: data terms plus the L2 penalty that the
     optimizer realizes as decoupled decay."""
     fc = cfg.finetune
+    model, centers, history = state.mad_model, state.centers, state.ft_history
     scores = anomaly_scores(model.embed(val_ds.features), centers)
     history["val_auc"].append(auc(scores, val_ds.ground_truth == GT_ABNORMAL))
     data_term, _, _ = mad_loss(model.embed(view.features), view.labels,
@@ -174,47 +189,46 @@ def _record_epoch(history, cfg, view, val_ds: Dataset, model, centers):
 
 
 def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
-             model: EncoderModel, *, centers=None, opt=None,
-             start_epoch: int = 0, end_epoch=None, history=None):
-    """Fine-tune the detection encoder against the center set.
+             state: TrainerState, end_epoch: int):
+    """Fine-tune ``state.mad_model`` from ``state.epoch`` to ``end_epoch``.
 
-    Initializes centers by k-means over the embedded presumed-normal
-    samples (unlabeled + known-normal) when none are given, then runs
-    batched updates with per-epoch cardinality pruning. ``history`` rows
-    indexed by epoch; index 0 holds the pre-finetune baseline.
+    Initializes missing centers by k-means over the embedded presumed-normal
+    samples (unlabeled + known-normal), then runs batched updates with
+    per-epoch cardinality pruning. ``state.ft_history`` rows are indexed by
+    epoch; index 0 holds the pre-finetune baseline.
     """
     fc = cfg.finetune
-    end_epoch = fc.epochs if end_epoch is None else end_epoch
+    model = state.mad_model
     presumed = view.labels >= 0
 
-    if centers is None:
-        if start_epoch != 0:
+    if state.centers is None:
+        if state.epoch != 0:
             raise StateError("resuming finetune requires the saved centers")
         emb = model.embed(view.features[presumed])
-        centers = kmeans(emb, fc.n_s, seed=[cfg.seed, _T_KMEANS],
-                         gamma=fc.gamma)
-        if fc.n_s > 1 and centers.initial_count < fc.n_s:
+        state.centers = kmeans(emb, fc.n_s, seed=[cfg.seed, _T_KMEANS],
+                               gamma=fc.gamma)
+        if fc.n_s > 1 and state.centers.initial_count < fc.n_s:
             log.info("k-means clamped N_s from %d to %d", fc.n_s,
-                     centers.initial_count)
-    if history is None:
-        history = {"val_auc": [], "objective": [], "live": [], "counts": [],
-                   "train_loss": []}
-        _record_epoch(history, cfg, view, val_ds, model, centers)
+                     state.centers.initial_count)
+    if state.ft_history is None:
+        state.ft_history = {"val_auc": [], "objective": [], "live": [],
+                            "counts": [], "train_loss": []}
+        _record_epoch(state, cfg, view, val_ds)
+    if state.opt is None:
+        state.opt = _make_optimizer(fc)
 
-    n = len(view)
-    opt = opt if opt is not None else _make_optimizer(fc)
-    for epoch in range(start_epoch, end_epoch):
+    n, centers = len(view), state.centers
+    for epoch in range(state.epoch, end_epoch):
         loss_sum = _run_epoch(
-            "finetune", [cfg.seed, _T_SHUF_FT], epoch, fc, model, opt, n,
+            "finetune", [cfg.seed, _T_SHUF_FT], epoch, fc, model, state.opt, n,
             lambda idx: view.features[idx],
             lambda z, idx: mad_loss(z, view.labels[idx], centers, fc.eta, n,
                                     fc.eps_d)[:2])
         assign_and_count(model.embed(view.features[presumed]), centers)
         prune(centers)
-        history["train_loss"].append(loss_sum)
-        _record_epoch(history, cfg, view, val_ds, model, centers)
-
-    return model, centers, opt, history
+        state.ft_history["train_loss"].append(loss_sum)
+        _record_epoch(state, cfg, view, val_ds)
+        state.epoch = epoch + 1
 
 
 def evaluate(cfg: ExperimentConfig, pretext_model: EncoderModel,
@@ -245,21 +259,6 @@ def evaluate(cfg: ExperimentConfig, pretext_model: EncoderModel,
     return records
 
 
-@dataclass
-class TrainerState:
-    """Everything needed to resume a run at an epoch boundary."""
-
-    config: ExperimentConfig
-    phase: str                      # "pretrain" | "finetune" | "done"
-    epoch: int                      # completed epochs within the phase
-    pretext_model: EncoderModel
-    mad_model: EncoderModel | None = None
-    opt: OptimizerState | None = None
-    centers: CenterSet | None = None
-    pre_losses: list = field(default_factory=list)
-    ft_history: dict | None = None
-
-
 def run_replicate(cfg: ExperimentConfig, datasets=None, *, state=None,
                   stop=None):
     """Run (or resume) one full replicate: generate/pretrain/transfer/
@@ -281,12 +280,8 @@ def run_replicate(cfg: ExperimentConfig, datasets=None, *, state=None,
 
     if state.phase == "pretrain":
         halt = stop is not None and stop[0] == "pretrain"
-        target = min(cfg.pretrain.epochs, stop[1]) if halt else cfg.pretrain.epochs
-        state.pretext_model, state.opt, losses = pretrain(
-            cfg, view, model=state.pretext_model, opt=state.opt,
-            start_epoch=state.epoch, end_epoch=target)
-        state.pre_losses = state.pre_losses + losses
-        state.epoch = target
+        pretrain(cfg, view, state,
+                 min(cfg.pretrain.epochs, stop[1]) if halt else cfg.pretrain.epochs)
         if halt:
             return state, []
         state.phase, state.epoch, state.opt = "finetune", 0, None
@@ -294,12 +289,8 @@ def run_replicate(cfg: ExperimentConfig, datasets=None, *, state=None,
 
     if state.phase == "finetune":
         halt = stop is not None and stop[0] == "finetune"
-        target = min(cfg.finetune.epochs, stop[1]) if halt else cfg.finetune.epochs
-        state.mad_model, state.centers, state.opt, state.ft_history = finetune(
-            cfg, view, val_ds, state.mad_model, centers=state.centers,
-            opt=state.opt, start_epoch=state.epoch,
-            end_epoch=target, history=state.ft_history)
-        state.epoch = target
+        finetune(cfg, view, val_ds, state,
+                 min(cfg.finetune.epochs, stop[1]) if halt else cfg.finetune.epochs)
         if halt:
             return state, []
         state.phase = "done"

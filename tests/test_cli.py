@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import madlab.trainer as trainer_mod
 from madlab.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                         EXIT_REPLICATES, EXIT_SCHEMA, main)
+from madlab.config import default_config, serialize_config
 
 
 SMALL_SETS = [
@@ -255,6 +256,23 @@ def test_compare_malformed_metrics_exits_2(tmp_path, trained_dir, capsys,
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("huge_first", [True, False], ids=["a", "b"])
+def test_compare_overflowing_variance_exits_1(tmp_path, capsys, huge_first):
+    paths = []
+    for name, vals in (("huge", [1e308, -1e308, 5e307]),
+                       ("small", [0.1, 0.2, 0.3])):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(
+            {"records": [{"split": "test", "auc": v} for v in vals]}))
+    if not huge_first:
+        paths.reverse()
+    code = main(["compare", *map(str, paths), "--out", str(tmp_path / "cmp")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "variance" in err
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_bad_log_level_env(tmp_path, monkeypatch):
     monkeypatch.setenv("MADLAB_LOG", "loud")
     assert main(["generate", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
@@ -375,6 +393,22 @@ def test_train_dead_worker_exits_3(tmp_path, data_dir, capsys, monkeypatch):
                for e in doc["errors"])
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_data_dim_mismatch_exits_2(eval_inputs, tmp_path, capsys, command):
+    data = tmp_path / "data"  # 16 features; the config and checkpoint say 8
+    assert main(["generate", "--out", str(data)] + SMALL_SETS
+                + ["--set", "data.dim=16"]) == EXIT_OK
+    argv = (["train", "--data", str(data), "--out", str(tmp_path / "run")]
+            + SMALL_SETS if command == "train" else
+            ["eval", "--checkpoint", str(eval_inputs / "orig" / "checkpoint.npz"),
+             "--data", str(data), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_SCHEMA
+    assert err.startswith("error:") and "data dim 16" in err
+
+
 @pytest.mark.parametrize("split", ["train", "val"])
 def test_huge_feature_value_exits_2(eval_inputs, tmp_path, capsys, split):
     # a finite value whose square overflows float64
@@ -398,25 +432,57 @@ def test_huge_feature_value_exits_2(eval_inputs, tmp_path, capsys, split):
 
 @pytest.fixture(scope="module")
 def eval_inputs(tmp_path_factory):
-    """A one-replicate toy run; ``orig/`` holds its CSVs and checkpoint."""
+    """A two-replicate toy run; ``orig/`` holds its CSVs and replicate 0's
+    checkpoint, ``run/`` its ``metrics.json``. The fuzz tests write their
+    cases under the same root."""
     root = tmp_path_factory.mktemp("eval_inputs")
     assert main(["generate", "--out", str(root / "orig")]
                 + SMALL_SETS) == EXIT_OK
     assert main(["train", "--data", str(root / "orig"), "--out",
-                 str(root / "run"), "--replicates", "1"]
-                + SMALL_SETS) == EXIT_OK
+                 str(root / "run")] + SMALL_SETS) == EXIT_OK
     (root / "run" / "checkpoint_r0.npz").rename(
         root / "orig" / "checkpoint.npz")
     return root
 
 
-def _eval_exit(case: Path) -> tuple:
+def _main_exit(argv) -> tuple:
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
-        code = main(["eval", "--checkpoint", str(case / "checkpoint.npz"),
-                     "--data", str(case / "data"), "--out", str(case / "out")])
+        code = main(argv)
     return code, err.getvalue()
+
+
+def _eval_exit(case: Path) -> tuple:
+    return _main_exit(["eval", "--checkpoint", str(case / "checkpoint.npz"),
+                       "--data", str(case / "data"), "--out", str(case / "out")])
+
+
+def _assert_documented_exit(code, err, allowed):
+    assert code in allowed, err
+    if code != EXIT_OK:
+        assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def _damaged(blob: bytes, damage, position, mask, replacement=b"") -> bytes:
+    """``blob`` with the byte at ``position`` flipped by ``mask``, cut at
+    ``position``, or replaced by ``replacement``."""
+    if damage == "replace":
+        return replacement
+    blob = bytearray(blob)
+    position %= len(blob)
+    if damage == "flip":
+        blob[position] ^= mask
+    else:
+        del blob[position:]
+    return bytes(blob)
+
+
+DAMAGE = dict(damage=st.sampled_from(["flip", "truncate", "replace"]),
+              position=st.integers(min_value=0, max_value=2 ** 31),
+              mask=st.integers(min_value=1, max_value=255),
+              replacement=st.binary(max_size=256))
 
 
 @pytest.mark.parametrize("target", ["checkpoint.npz", "train.csv", "val.csv",
@@ -431,23 +497,57 @@ def test_eval_on_damaged_input_exits_documented_code(eval_inputs, target,
                                                      damage, position, mask):
     root = eval_inputs
     blobs = {f.name: f.read_bytes() for f in (root / "orig").iterdir()}
-    blob = bytearray(blobs[target])
-    position %= len(blob)
-    if damage == "flip":
-        blob[position] ^= mask
-    else:
-        del blob[position:]
+    blob = _damaged(blobs[target], damage, position, mask)
     case = root / "case"
     (case / "data").mkdir(parents=True, exist_ok=True)
     for name, original in blobs.items():
         path = case / ("" if name == "checkpoint.npz" else "data") / name
-        path.write_bytes(bytes(blob) if name == target else original)
+        path.write_bytes(blob if name == target else original)
 
     code, err = _eval_exit(case)
-    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_CHECKPOINT), err
-    if code != EXIT_OK:
-        assert err.startswith("error:")
-    assert "Traceback" not in err
+    _assert_documented_exit(code, err, (EXIT_OK, EXIT_SCHEMA, EXIT_CHECKPOINT))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(**DAMAGE)
+def test_generate_on_damaged_config_exits_documented_code(
+        eval_inputs, damage, position, mask, replacement):
+    path = eval_inputs / "config.cfg"
+    path.write_bytes(_damaged(serialize_config(default_config()).encode(),
+                              damage, position, mask, replacement))
+    code, err = _main_exit([
+        "generate", "--config", str(path), "--out", str(eval_inputs / "gen"),
+        "--set", "data.train_size=40", "--set", "data.val_size=20",
+        "--set", "data.test_size=20"])
+    _assert_documented_exit(code, err, (EXIT_OK, EXIT_CONFIG))
+
+
+def _reject_constant(name):
+    raise AssertionError(f"compare_report.json holds {name}, not JSON")
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(**DAMAGE)
+# a variance that overflows: compare used to exit 0 with df = nan, p = 1
+@example(damage="replace", position=0, mask=1, replacement=json.dumps(
+    {"records": [{"split": "test", "auc": v}
+                 for v in (1e308, -1e308, 5e307)]}).encode())
+def test_compare_on_damaged_metrics_exits_documented_code(
+        eval_inputs, damage, position, mask, replacement):
+    good = eval_inputs / "run" / "metrics.json"
+    bad = eval_inputs / "damaged_metrics.json"
+    bad.write_bytes(_damaged(good.read_bytes(), damage, position, mask,
+                             replacement))
+    report = eval_inputs / "cmp" / "compare_report.json"
+    report.unlink(missing_ok=True)
+    code, err = _main_exit(["compare", str(bad), str(good), "--out",
+                            str(report.parent)])
+    _assert_documented_exit(code, err, (EXIT_OK, EXIT_CONFIG, EXIT_SCHEMA,
+                                        EXIT_REPLICATES))
+    if code == EXIT_OK:
+        json.loads(report.read_text(), parse_constant=_reject_constant)
+    else:
+        assert not report.exists()
 
 
 @pytest.mark.parametrize("split, column, keep", [

@@ -181,7 +181,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
     datasets = generate_synthetic(SMALL)
     paths = save_splits(datasets, tmp_path)
     first = [open(p, "rb").read() for p in paths]
-    loaded = load_splits(tmp_path)
+    loaded = load_splits(tmp_path, SMALL.dim)
     save_splits(loaded, tmp_path)
     second = [open(p, "rb").read() for p in paths]
     assert first == second
@@ -233,7 +233,7 @@ def test_csv_label_gt_disagreement_rejected(tmp_path):
 
 def test_load_splits_missing_file(tmp_path):
     with pytest.raises(SchemaError):
-        load_splits(tmp_path)
+        load_splits(tmp_path, SMALL.dim)
 
 
 def test_training_view_hides_ground_truth():

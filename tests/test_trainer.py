@@ -11,7 +11,8 @@ import madlab.trainer as trainer_mod
 from madlab.config import apply_overrides, default_config, to_experiment
 from madlab.data import generate_synthetic
 from madlab.errors import ConfigError, DomainError, NumericsError, StateError
-from madlab.trainer import (ExperimentConfig, build_pretext_model, evaluate,
+from madlab.trainer import (ExperimentConfig, TrainerState,
+                            build_pretext_model, evaluate,
                             experiment_from_dict, experiment_hash, finetune,
                             load_checkpoint, pretrain, run_experiment,
                             run_replicate, save_checkpoint, transfer_weights)
@@ -42,6 +43,19 @@ def random_mad_model(cfg):
     return transfer_weights(build_pretext_model(cfg), cfg)
 
 
+def pretrained(cfg, view):
+    """The state after a full pretraining phase from initialization."""
+    state = TrainerState(cfg, "pretrain", 0, build_pretext_model(cfg))
+    pretrain(cfg, view, state, cfg.pretrain.epochs)
+    return state
+
+
+def finetune_start(cfg, mad_model):
+    """The state at the start of fine-tuning ``mad_model``."""
+    return TrainerState(cfg, "finetune", 0, build_pretext_model(cfg),
+                        mad_model=mad_model)
+
+
 def params_equal(a, b):
     pa, pb = a.net.parameters(), b.net.parameters()
     return len(pa) == len(pb) and all(np.array_equal(x, y)
@@ -51,29 +65,28 @@ def params_equal(a, b):
 def test_zero_epochs_leaves_initialization(small_cfg, small_data):
     view = small_data[0].training_view()
     cfg = replace(small_cfg, pretrain=replace(small_cfg.pretrain, epochs=0))
-    model, _, losses = pretrain(cfg, view)
-    assert losses == []
-    assert params_equal(model, build_pretext_model(cfg))
+    state = pretrained(cfg, view)
+    assert state.pre_losses == []
+    assert params_equal(state.pretext_model, build_pretext_model(cfg))
 
 
 def test_pretrain_deterministic(small_cfg, small_data):
     view = small_data[0].training_view()
-    m1, _, l1 = pretrain(small_cfg, view)
-    m2, _, l2 = pretrain(small_cfg, view)
-    assert params_equal(m1, m2)
-    assert l1 == l2
+    s1, s2 = pretrained(small_cfg, view), pretrained(small_cfg, view)
+    assert params_equal(s1.pretext_model, s2.pretext_model)
+    assert s1.pre_losses == s2.pre_losses
 
 
 def test_pretrain_empty_dataset_rejected(small_cfg, small_data):
     from madlab.data import TrainingView
     empty = TrainingView(np.empty((0, 8)), np.empty(0, dtype=np.int8))
     with pytest.raises(ConfigError):
-        pretrain(small_cfg, empty)
+        pretrained(small_cfg, empty)
 
 
 def test_transfer_copies_body_and_freshens_head(small_cfg, small_data):
     view = small_data[0].training_view()
-    pre, _, _ = pretrain(small_cfg, view)
+    pre = pretrained(small_cfg, view).pretext_model
     mad = transfer_weights(pre, small_cfg)
     for a, b in zip(pre.body_params(), mad.body_params()):
         assert np.array_equal(a, b)
@@ -85,7 +98,7 @@ def test_transfer_copies_body_and_freshens_head(small_cfg, small_data):
 
 def test_transfer_idempotent(small_cfg, small_data):
     view = small_data[0].training_view()
-    pre, _, _ = pretrain(small_cfg, view)
+    pre = pretrained(small_cfg, view).pretext_model
     assert params_equal(transfer_weights(pre, small_cfg),
                         transfer_weights(pre, small_cfg))
 
@@ -97,8 +110,9 @@ def test_finetune_runs_without_supervision(small_cfg, small_data):
     ds = generate_synthetic(replace(cfg.data, seed=cfg.seed))
     view = ds[0].training_view()
     assert np.all(view.labels == 0)
-    model = random_mad_model(cfg)
-    model, centers, _, hist = finetune(cfg, view, ds[1], model)
+    state = finetune_start(cfg, random_mad_model(cfg))
+    finetune(cfg, view, ds[1], state, cfg.finetune.epochs)
+    centers, hist = state.centers, state.ft_history
     assert centers.n_live >= 1
     assert len(hist["val_auc"]) == cfg.finetune.epochs + 1
 
@@ -106,17 +120,19 @@ def test_finetune_runs_without_supervision(small_cfg, small_data):
 def test_unimodal_pruning_is_noop(small_cfg, small_data):
     cfg = replace(small_cfg, finetune=replace(small_cfg.finetune, n_s=1))
     view = small_data[0].training_view()
-    model = random_mad_model(cfg)
-    _, centers, _, hist = finetune(cfg, view, small_data[1], model)
+    state = finetune_start(cfg, random_mad_model(cfg))
+    finetune(cfg, view, small_data[1], state, cfg.finetune.epochs)
+    centers, hist = state.centers, state.ft_history
     assert centers.n_live == 1
     assert hist["live"] == [1] * (cfg.finetune.epochs + 1)
 
 
 def test_epoch_histories_align(small_cfg, small_data):
     view = small_data[0].training_view()
-    model = random_mad_model(small_cfg)
-    _, centers, _, hist = finetune(small_cfg, view, small_data[1], model)
+    state = finetune_start(small_cfg, random_mad_model(small_cfg))
     epochs = small_cfg.finetune.epochs
+    finetune(small_cfg, view, small_data[1], state, epochs)
+    hist = state.ft_history
     assert len(hist["val_auc"]) == epochs + 1      # index 0 = baseline
     assert len(hist["objective"]) == epochs + 1
     assert len(hist["live"]) == epochs + 1
@@ -133,6 +149,15 @@ def test_run_replicate_produces_records(small_cfg, small_data):
         assert 0.0 <= r["auc"] <= 1.0
         assert len(r["epoch_auc"]) == small_cfg.finetune.epochs + 1
         assert r["live_centers"][0] == small_cfg.finetune.n_s
+
+
+def test_zero_embedding_row_does_not_abort(small_cfg, small_data):
+    # under seed 2 one train row reaches the projection head as exact zeros
+    _, records = run_replicate(replace(small_cfg, seed=2), small_data)
+    assert len(records) == 2
+    for r in records:
+        assert all(np.isfinite(r[k]) for k in ("auc", "auc_knn",
+                                                 "auc_knn_pretext"))
 
 
 def test_run_experiment_single_replicate_flagged(small_cfg, small_data):
@@ -384,7 +409,7 @@ def test_val_auc_baseline_recorded_before_training(small_cfg, small_data):
     view = small_data[0].training_view()
     model = random_mad_model(small_cfg)
     frozen = copy.deepcopy(model)
-    _, centers, _, hist = finetune(small_cfg, view, small_data[1], model,
-                                   end_epoch=0)
-    assert len(hist["val_auc"]) == 1  # baseline only, no epochs run
+    state = finetune_start(small_cfg, model)
+    finetune(small_cfg, view, small_data[1], state, 0)
+    assert len(state.ft_history["val_auc"]) == 1  # baseline only, no epochs run
     assert params_equal(model, frozen)
