@@ -171,8 +171,9 @@ def welch_t_test(sample_a, sample_b):
     """Two-sample mean comparison with unequal variances.
 
     Returns ``(t, df, p)`` with the Welch-Satterthwaite degrees of freedom
-    and a two-sided p-value. A sample with fewer than two values, or with
-    zero or non-finite variance, raises ``DomainError``.
+    and a two-sided p-value. A sample with fewer than two values, with
+    zero or non-finite variance, or whose variance leaves no finite t or df
+    in float64, raises ``DomainError``.
     """
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
@@ -183,9 +184,13 @@ def welch_t_test(sample_a, sample_b):
     if not (0.0 < va < math.inf and 0.0 < vb < math.inf):
         raise DomainError("degenerate sample: zero or non-finite variance")
     na, nb = a.size, b.size
-    se2 = va / na + vb / nb
-    t = float((a.mean() - b.mean()) / math.sqrt(se2))
-    df = float(se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        se2 = va / na + vb / nb
+        t = float((a.mean() - b.mean()) / math.sqrt(se2))
+        df = float(se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)))
+    if not (math.isfinite(t) and math.isfinite(df)):
+        raise DomainError("sample variances out of float64 range: their squares "
+                          "overflow or underflow, so the Welch df is undefined")
     return t, df, student_t_two_sided_p(t, df)
 
 

@@ -4,6 +4,11 @@ Everything is float64 numpy. A network is a plain sequence of
 fully-connected layers; gradients come from a manually recorded tape
 (reverse sweep over stored intermediates), so every derivative is an
 explicit formula that the finite-difference suite can audit.
+
+Parameters, gradients and Adam's moments each live in an ``Arena``: one
+float64 vector that is also the list of its views [W0, b0, W1, ...]. The
+optimizer updates whole vectors; ``mlp_backward`` returns the model's
+gradient arena, which the next backward pass on that model overwrites.
 """
 
 from __future__ import annotations
@@ -59,6 +64,24 @@ def init_params(layers, rng) -> list[np.ndarray]:
     return params
 
 
+class Arena(list):
+    """Arrays kept as reshaped views into one float64 vector, ``flat``.
+    Built from arrays, it copies them; unpickled, it is one vector again."""
+
+    def __init__(self, arrays):
+        arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        ends = np.cumsum([a.size for a in arrays])
+        super().__init__(self.flat[end - a.size:end].reshape(a.shape)
+                         for a, end in zip(arrays, ends))
+
+    def __reduce__(self):
+        return Arena, (list(self),)
+
+    def zeros_like(self) -> Arena:
+        return Arena(np.zeros_like(a) for a in self)
+
+
 class GradientTape:
     """Forward intermediates for one recorded pass, consumed by backward.
 
@@ -98,25 +121,16 @@ class Mlp:
         self.layers = layers
         if params is None:
             params = init_params(layers, rng)
-        self._check_param_shapes(params)
-        self._params = [np.asarray(p, dtype=np.float64) for p in params]
+        expected = [shape for s in layers
+                    for shape in ((s.in_dim, s.out_dim), (s.out_dim,))]
+        if [np.shape(p) for p in params] != expected:
+            raise ShapeError(f"parameter shapes {[np.shape(p) for p in params]} "
+                             f"do not match the layers' {expected}")
+        self._params = Arena(params)  # a copy: the caller's arrays stay apart
+        self._grads = self._params.zeros_like()
 
-    def _check_param_shapes(self, params):
-        if len(params) != 2 * len(self.layers):
-            raise ShapeError(
-                f"expected {2 * len(self.layers)} parameter arrays, "
-                f"got {len(params)}"
-            )
-        for i, spec in enumerate(self.layers):
-            w, b = params[2 * i], params[2 * i + 1]
-            if w.shape != (spec.in_dim, spec.out_dim) or b.shape != (spec.out_dim,):
-                raise ShapeError(
-                    f"layer {i} parameter shapes {w.shape}/{b.shape} do not "
-                    f"match spec {spec.in_dim}x{spec.out_dim}"
-                )
-
-    def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list [W0, b0, W1, b1, ...]; arrays are live views."""
+    def parameters(self) -> Arena:
+        """Parameter list [W0, b0, W1, b1, ...]: live views into one vector."""
         return self._params
 
     @property
@@ -167,26 +181,23 @@ class Mlp:
 def mlp_backward(tape: GradientTape, output_gradient: np.ndarray):
     """Reverse sweep over a recorded forward pass.
 
-    Returns ``(param_grads, input_grad)`` where param_grads aligns 1:1 with
-    ``model.parameters()``. ReLU uses subgradient 0 at exactly 0.
+    Returns ``(param_grads, input_grad)`` where param_grads is the model's
+    gradient arena, aligned 1:1 with ``model.parameters()`` and rewritten by
+    the next backward pass. ReLU uses subgradient 0 at exactly 0.
     """
     if not tape.primed:
         raise StateError("backward requires a recorded forward pass")
     model = tape.model
-    out = tape.preacts[-1]
     g = np.asarray(output_gradient, dtype=np.float64)
-    if g.shape != out.shape:
-        raise ShapeError(
-            f"output gradient shape {g.shape} does not match forward "
-            f"output {out.shape}"
-        )
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * len(model.layers))
+    if g.shape != tape.preacts[-1].shape:
+        raise ShapeError(f"output gradient shape {g.shape} does not match "
+                         f"forward output {tape.preacts[-1].shape}")
+    grads = model._grads
     for i in range(len(model.layers) - 1, -1, -1):
         if model.layers[i].activation == RELU:
             g = g * (tape.preacts[i] > 0.0)
-        x = tape.inputs[i]
-        grads[2 * i] = x.T @ g
-        grads[2 * i + 1] = g.sum(axis=0)
+        np.matmul(tape.inputs[i].T, g, out=grads[2 * i])
+        g.sum(axis=0, out=grads[2 * i + 1])
         g = g @ model._params[2 * i].T
     return grads, g
 
@@ -204,8 +215,8 @@ class OptimizerState:
     learning_rate: float
     weight_decay: float = 0.0
     step_count: int = 0
-    m: list[np.ndarray] | None = None
-    v: list[np.ndarray] | None = None
+    m: Arena | None = None
+    v: Arena | None = None
 
     def __post_init__(self):
         if self.rule not in _RULES:
@@ -214,51 +225,39 @@ class OptimizerState:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
-def optimizer_step(state: OptimizerState, params: list[np.ndarray],
-                   grads: list[np.ndarray]) -> list[np.ndarray]:
-    """Apply one in-place update; returns the same parameter list.
+def optimizer_step(state: OptimizerState, params: Arena, grads: Arena) -> Arena:
+    """One in-place update of the whole parameter vector; returns ``params``.
 
     SGD:  p <- p - lr * g
     Adam: bias-corrected first/second moments with the default constants.
     Both subtract lr * weight_decay * p (pre-step value) afterwards.
     """
-    if len(params) != len(grads):
-        raise ShapeError(f"{len(params)} parameters vs {len(grads)} gradients")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ShapeError(
-                f"parameter {i}: shape {p.shape} vs gradient {g.shape}"
-            )
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(
-                f"non-finite gradient for parameter {i} at step "
-                f"{state.step_count + 1}; aborting update"
-            )
+    p, g = params.flat, grads.flat
+    if p.shape != g.shape:
+        raise ShapeError(f"parameter vector {p.shape} vs gradient {g.shape}")
+    if not np.isfinite(g).all():
+        raise NumericsError(f"non-finite gradient at step {state.step_count + 1}; "
+                            "aborting update")
 
     lr = state.learning_rate
-    decay = [lr * state.weight_decay * p for p in params] if state.weight_decay else None
-
+    decay = lr * state.weight_decay * p if state.weight_decay else None
     if state.rule == SGD:
-        for p, g in zip(params, grads):
-            p -= lr * g
+        p -= lr * g
     else:
         if state.m is None:
-            state.m = [np.zeros_like(p) for p in params]
-            state.v = [np.zeros_like(p) for p in params]
+            state.m, state.v = params.zeros_like(), params.zeros_like()
         state.step_count += 1
         t = state.step_count
         bc1 = 1.0 - _BETA1 ** t
         bc2 = 1.0 - _BETA2 ** t
-        for p, g, m, v in zip(params, grads, state.m, state.v):
-            m *= _BETA1
-            m += (1.0 - _BETA1) * g
-            v *= _BETA2
-            v += (1.0 - _BETA2) * g * g
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
-
+        m, v = state.m.flat, state.v.flat
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
     if decay is not None:
-        for p, d in zip(params, decay):
-            p -= d
+        p -= decay
     return params
 
 

@@ -31,7 +31,7 @@ from .data import (Dataset, TrainingView, GT_ABNORMAL,
 from .errors import ConfigError, MadlabError, NumericsError, StateError
 from .evaluation import auc, knn_score, replicate_ci
 from .losses import info_nce_loss, mad_loss
-from .numcore import (IDENTITY, RELU, LayerSpec, Mlp, GradientTape,
+from .numcore import (IDENTITY, RELU, Arena, LayerSpec, Mlp, GradientTape,
                       OptimizerState, apply_lr_schedule, init_params,
                       mlp_backward, optimizer_step)
 from .spheres import (CenterSet, anomaly_scores, assign_and_count, kmeans,
@@ -93,9 +93,8 @@ def transfer_weights(pretext: EncoderModel, cfg: ExperimentConfig) -> EncoderMod
             f"body depth mismatch: pretext has {pretext.body_layers} layers, "
             f"config wants {n_body}")
     head_rng = np.random.default_rng([cfg.seed, _T_INIT_HEAD])
-    params = [p.copy() for p in pretext.body_params()]
-    params.extend(init_params(specs[n_body:], head_rng))
-    return EncoderModel(Mlp(specs, params=params), n_body)
+    params = pretext.body_params() + init_params(specs[n_body:], head_rng)
+    return EncoderModel(Mlp(specs, params=params), n_body)  # Mlp copies
 
 
 @dataclass
@@ -500,7 +499,8 @@ def _encoder(z, prefix: str, cfg: ExperimentConfig, head_dim: int):
 
 
 def _read_checkpoint(path) -> TrainerState:
-    with np.load(path, allow_pickle=False) as z:
+    # np.load closes a file it opened itself only when the zip reader succeeds
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
         meta = json.loads(bytes(z["meta_json"]).decode())
         if meta.get("version") != CHECKPOINT_VERSION:
             raise StateError(
@@ -520,8 +520,8 @@ def _read_checkpoint(path) -> TrainerState:
                           step_count=meta["opt"]["step_count"])
             if "opt_m_0" in z:
                 params = (pretext if pre else mad).net.parameters()
-                opt.m = [z[f"opt_m_{i}"] for i in range(len(params))]
-                opt.v = [z[f"opt_v_{i}"] for i in range(len(params))]
+                opt.m = Arena(z[f"opt_m_{i}"] for i in range(len(params)))
+                opt.v = Arena(z[f"opt_v_{i}"] for i in range(len(params)))
                 if [a.shape for a in opt.m + opt.v] != [p.shape for p in params * 2]:
                     raise StateError("optimizer moments do not match the parameters")
 

@@ -2,7 +2,8 @@
 
 Each function re-derives an expected value by a route that shares no code
 with the implementation under test: central finite differences for
-gradients, exhaustive pair counting for AUC, scipy for the t-distribution.
+gradients, exhaustive pair counting for AUC, scipy for the t-distribution,
+a per-array loop for the whole-vector optimizer step.
 """
 
 import numpy as np
@@ -81,3 +82,33 @@ def direct_sq_distances(points, refs):
     """(n, k) squared distances from explicit per-pair differences."""
     diff = np.asarray(points)[:, None, :] - np.asarray(refs)[None, :, :]
     return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def per_array_step(state, params, grads):
+    """The optimizer update one parameter array at a time, with Adam's
+    default constants written out: ``state`` carries rule, learning_rate,
+    weight_decay, step_count and plain-list moments m/v (None before the
+    first Adam step). Updates ``params`` in place."""
+    lr = state.learning_rate
+    decay = ([lr * state.weight_decay * p for p in params]
+             if state.weight_decay else None)
+    if state.rule == "sgd":
+        for p, g in zip(params, grads):
+            p -= lr * g
+    else:
+        if state.m is None:
+            state.m = [np.zeros_like(p) for p in params]
+            state.v = [np.zeros_like(p) for p in params]
+        state.step_count += 1
+        t = state.step_count
+        bc1 = 1.0 - 0.9 ** t
+        bc2 = 1.0 - 0.999 ** t
+        for p, g, m, v in zip(params, grads, state.m, state.v):
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+    if decay is not None:
+        for p, d in zip(params, decay):
+            p -= d

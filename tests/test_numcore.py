@@ -1,12 +1,14 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from madlab.errors import NumericsError, ShapeError, StateError
-from madlab.numcore import (ADAM, IDENTITY, RELU, SGD, GradientTape, LayerSpec,
-                            Mlp, OptimizerState, apply_lr_schedule, init_params,
-                            mlp_backward, optimizer_step)
+from madlab.numcore import (ADAM, IDENTITY, RELU, SGD, Arena, GradientTape,
+                            LayerSpec, Mlp, OptimizerState, apply_lr_schedule,
+                            init_params, mlp_backward, optimizer_step)
 
-from _oracles import central_diff, grads_close, random_mlp
+from _oracles import central_diff, grads_close, per_array_step, random_mlp
 
 
 def identity_layer_model(dim):
@@ -113,26 +115,26 @@ def test_relu_subgradient_zero_at_zero():
 
 
 def test_sgd_direct_rule():
-    p = [np.array([1.0])]
+    p = Arena([np.array([1.0])])
     state = OptimizerState(rule=SGD, learning_rate=0.1)
-    optimizer_step(state, p, [np.array([0.5])])
+    optimizer_step(state, p, Arena([np.array([0.5])]))
     assert np.allclose(p[0], 0.95)
 
 
 @pytest.mark.parametrize("rule", [SGD, ADAM])
 def test_zero_gradient_zero_decay_leaves_parameters(rule):
-    p = [np.array([1.5, -2.0])]
+    p = Arena([np.array([1.5, -2.0])])
     before = p[0].copy()
     state = OptimizerState(rule=rule, learning_rate=0.1, weight_decay=0.0)
-    optimizer_step(state, p, [np.zeros(2)])
+    optimizer_step(state, p, Arena([np.zeros(2)]))
     assert np.array_equal(p[0], before)
 
 
 def test_adam_first_step_closed_form():
     # bias correction makes the first step ~ -lr * sign(g)
-    p = [np.zeros(1)]
+    p = Arena([np.zeros(1)])
     state = OptimizerState(rule=ADAM, learning_rate=1e-3)
-    optimizer_step(state, p, [np.ones(1)])
+    optimizer_step(state, p, Arena([np.ones(1)]))
     expected = -1e-3 * 1.0 / (1.0 + 1e-8)
     assert np.allclose(p[0], expected, atol=1e-15)
     assert abs(p[0][0] + 1e-3) < 1e-6
@@ -140,22 +142,78 @@ def test_adam_first_step_closed_form():
 
 def test_decoupled_weight_decay_both_rules():
     for rule in (SGD, ADAM):
-        p = [np.array([1.0])]
+        p = Arena([np.array([1.0])])
         state = OptimizerState(rule=rule, learning_rate=0.1, weight_decay=0.1)
-        optimizer_step(state, p, [np.zeros(1)])
+        optimizer_step(state, p, Arena([np.zeros(1)]))
         assert np.allclose(p[0], 1.0 - 0.1 * 0.1 * 1.0)
 
 
 def test_non_finite_gradient_aborts():
     state = OptimizerState(rule=SGD, learning_rate=0.1)
     with pytest.raises(NumericsError):
-        optimizer_step(state, [np.zeros(1)], [np.array([np.nan])])
+        optimizer_step(state, Arena([np.zeros(1)]), Arena([np.array([np.nan])]))
 
 
 def test_optimizer_shape_mismatch():
     state = OptimizerState(rule=SGD, learning_rate=0.1)
     with pytest.raises(ShapeError):
-        optimizer_step(state, [np.zeros(2)], [np.zeros(3)])
+        optimizer_step(state, Arena([np.zeros(2)]), Arena([np.zeros(3)]))
+
+
+@pytest.mark.parametrize("rule", [SGD, ADAM])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_fused_step_matches_per_array_oracle_bit_for_bit(rule, weight_decay):
+    model, batch = random_mlp(np.random.default_rng(21), max_layers=3)
+    state = OptimizerState(rule=rule, learning_rate=1e-2,
+                           weight_decay=weight_decay)
+    ref = OptimizerState(rule=rule, learning_rate=1e-2,
+                         weight_decay=weight_decay)
+    ref_params = [p.copy() for p in model.parameters()]
+    for _ in range(50):
+        tape = GradientTape()
+        out = model.forward(batch, tape)
+        grads, _ = mlp_backward(tape, out)  # d/dp of 0.5*sum(out^2)
+        per_array_step(ref, ref_params, [g.copy() for g in grads])
+        optimizer_step(state, model.parameters(), grads)
+    assert all(np.array_equal(p, q)
+               for p, q in zip(model.parameters(), ref_params))
+    if rule == ADAM:
+        assert state.step_count == ref.step_count == 50
+        assert all(np.array_equal(a, b) for a, b in zip(state.m, ref.m))
+        assert all(np.array_equal(a, b) for a, b in zip(state.v, ref.v))
+    else:
+        assert state.m is None and state.v is None
+
+
+def test_parameters_and_moments_are_views_of_one_vector():
+    model, batch = random_mlp(np.random.default_rng(22))
+    state = OptimizerState(rule=ADAM, learning_rate=1e-3)
+    tape = GradientTape()
+    grads, _ = mlp_backward(tape, model.forward(batch, tape))
+    optimizer_step(state, model.parameters(), grads)
+    for arena in (model.parameters(), grads, state.m, state.v,
+                  pickle.loads(pickle.dumps(model.parameters()))):
+        assert isinstance(arena, list)
+        assert sum(a.size for a in arena) == arena.flat.size
+        assert all(np.shares_memory(a, arena.flat) for a in arena)
+    assert not np.shares_memory(state.m.flat, state.v.flat)
+
+
+def test_in_place_edit_of_a_view_changes_forward():
+    model = identity_layer_model(2)
+    model.parameters()[1] += 1.0
+    model.parameters()[0].ravel()[0] = 3.0  # as central_diff edits an entry
+    assert np.array_equal(model.forward(np.array([[1.0, 2.0]])), [[4.0, 3.0]])
+
+
+def test_mlp_copies_the_callers_arrays():
+    arrays = [np.eye(2), np.zeros(2)]
+    model = Mlp([LayerSpec(2, 2, IDENTITY)], params=arrays)
+    assert not any(np.shares_memory(a, model.parameters().flat) for a in arrays)
+    arrays[0][0, 0] = 5.0
+    model.parameters()[1][0] = 7.0
+    assert np.array_equal(model.forward(np.array([[1.0, 0.0]])), [[8.0, 0.0]])
+    assert np.array_equal(arrays[1], np.zeros(2))
 
 
 def test_lr_schedule_paper_settings():

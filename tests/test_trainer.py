@@ -1,7 +1,10 @@
 import copy
+import gc
 import itertools
 import json
 import multiprocessing
+import sys
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -347,6 +350,29 @@ def test_corrupt_checkpoint_raises_state_error(small_cfg, small_data,
     _damage(path, damage)
     with pytest.raises(StateError, match=match):
         load_checkpoint(path)
+
+
+def test_corrupt_zip_checkpoint_closes_its_file(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.npz"
+    path.write_bytes(b"PK\x03\x04" + bytes(40))  # zip magic, then nothing
+    unraisable = []  # where a ResourceWarning raised in a finalizer lands
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(StateError):
+            load_checkpoint(path)
+        gc.collect()
+    assert unraisable == []
+
+
+def test_loaded_moments_are_views_of_one_vector(small_cfg, small_data,
+                                                tmp_path):
+    mid, _ = run_replicate(small_cfg, small_data, stop=("pretrain", 1))
+    save_checkpoint(tmp_path / "ckpt.npz", mid)
+    opt = load_checkpoint(tmp_path / "ckpt.npz").opt
+    for saved, loaded in ((mid.opt.m, opt.m), (mid.opt.v, opt.v)):
+        assert all(np.shares_memory(a, loaded.flat) for a in loaded)
+        assert np.array_equal(saved.flat, loaded.flat)
 
 
 def test_failed_save_keeps_previous_checkpoint(small_cfg, small_data,
