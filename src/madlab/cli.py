@@ -16,19 +16,18 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .config import (apply_overrides, default_config, load_config,
                      serialize_config, to_experiment)
 from .data import (GT_ABNORMAL, _GT_NAMES, atomic_write, generate_synthetic,
-                   load_splits, relabel, save_splits)
+                   load_splits, save_splits)
 from .errors import (ConfigError, DomainError, MadlabError, NumericsError,
                      SchemaError, StateError)
-from .evaluation import auc, knn_score, replicate_ci, significance_code, welch_t_test
-from .spheres import anomaly_scores
+from .evaluation import (  # noqa: F401 -- knn_score: a perfbench/tracer.py patch point
+    auc, knn_score, replicate_ci, significance_code, welch_t_test)
+from .spheres import anomaly_scores  # noqa: F401 -- perfbench/tracer.py patches it here
 from .trainer import (experiment_hash, load_checkpoint, run_experiment,
-                      save_checkpoint)
+                      save_checkpoint, score_splits)
 
 log = logging.getLogger(__name__)
 
@@ -91,16 +90,8 @@ def cmd_generate(args) -> int:
 
 def _train_once(cfg: dict, data_dir: str, out_dir: str, workers) -> int:
     exp = to_experiment(cfg)
-    datasets = load_splits(data_dir, exp.data.dim)
+    datasets = load_splits(data_dir, exp.data)
     os.makedirs(out_dir, exist_ok=True)
-
-    train_ds, val_ds, test_ds = datasets
-    if abs(cfg["data.labeled_ratio"] * len(train_ds)
-           - int(np.sum(train_ds.labels != 0))) > 1.0:
-        log.info("relabeling train split at ratio %g", cfg["data.labeled_ratio"])
-        train_ds = relabel(train_ds, cfg["data.labeled_ratio"],
-                           cfg["data.labeled_normal_fraction"], exp.seed)
-        datasets = (train_ds, val_ds, test_ds)
 
     def persist(r, state):
         save_checkpoint(os.path.join(out_dir, f"checkpoint_r{r}.npz"), state)
@@ -159,20 +150,11 @@ def cmd_eval(args) -> int:
         raise StateError(
             "checkpoint has no trained detection model; cannot evaluate")
     exp = state.config
-    datasets = load_splits(args.data, exp.data.dim)
-    train_ds = datasets[0]
+    datasets = load_splits(args.data, exp.data)
     target = {"val": datasets[1], "test": datasets[2]}[args.split]
-
-    emb = state.mad_model.embed(target.features)
-    scores = anomaly_scores(emb, state.centers)
-    presumed = train_ds.labels >= 0
-    if args.embedding == "mad":
-        ref = state.mad_model.embed(train_ds.features[presumed])
-        query = emb
-    else:
-        ref = state.pretext_model.embed_body(train_ds.features[presumed])
-        query = state.pretext_model.embed_body(target.features)
-    knn = knn_score(query, ref, exp.knn_k)
+    [(scores, knn)] = score_splits(exp, state.pretext_model, state.mad_model,
+                                   state.centers, datasets[0], [target],
+                                   args.embedding)
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)

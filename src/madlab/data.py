@@ -372,22 +372,32 @@ def save_splits(datasets, out_dir):
     return paths
 
 
-def load_splits(data_dir, dim: int):
-    """Load the three split files from ``data_dir``, each with ``dim``
-    features; scoring needs a presumed-normal train row and both classes in
-    val and test."""
+def load_splits(data_dir, cfg: GeneratorConfig):
+    """Load the three split files from ``data_dir`` as ``cfg`` trains on
+    them: ``cfg.dim`` features, a presumed-normal train row, both classes in
+    val and test; a train split whose labeled count is more than one row off
+    ``cfg.labeled_ratio`` is relabeled at that ratio with ``cfg.seed``."""
     out = []
     for split in SPLITS:
         p = os.path.join(data_dir, f"{split}.csv")
         if not os.path.exists(p):
             raise SchemaError(f"missing data file {p}")
         out.append(load_csv(p, split))
-        if out[-1].dim != dim:
+        if out[-1].dim != cfg.dim:
             raise SchemaError(f"{p}: data dim {out[-1].dim} does not match "
-                              f"the configured {dim}")
-    if not np.any(out[0].labels >= 0):
+                              f"the configured {cfg.dim}")
+    train = out[0]
+    if not np.any(train.labels >= 0):
         raise SchemaError(f"{data_dir}: train split has no presumed-normal row")
     for ds in out[1:]:
         if np.unique(ds.ground_truth).size < 2:
             raise SchemaError(f"{data_dir}: {ds.split} split needs both classes")
+    if abs(cfg.labeled_ratio * len(train)
+           - int(np.sum(train.labels != UNLABELED))) > 1.0:
+        log.info("relabeling train split at ratio %g", cfg.labeled_ratio)
+        try:
+            out[0] = relabel(train, cfg.labeled_ratio,
+                             cfg.labeled_normal_fraction, cfg.seed)
+        except ConfigError as exc:
+            raise SchemaError(f"{data_dir}: train split: {exc}") from None
     return tuple(out)

@@ -206,9 +206,6 @@ def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
         emb = model.embed(view.features[presumed])
         state.centers = kmeans(emb, fc.n_s, seed=[cfg.seed, _T_KMEANS],
                                gamma=fc.gamma)
-        if fc.n_s > 1 and state.centers.initial_count < fc.n_s:
-            log.info("k-means clamped N_s from %d to %d", fc.n_s,
-                     state.centers.initial_count)
     if state.ft_history is None:
         state.ft_history = {"val_auc": [], "objective": [], "live": [],
                             "counts": [], "train_loss": []}
@@ -230,31 +227,41 @@ def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
         state.epoch = epoch + 1
 
 
+def score_splits(cfg: ExperimentConfig, pretext_model: EncoderModel,
+                 mad_model: EncoderModel, centers: CenterSet, train_ds: Dataset,
+                 splits, *spaces) -> list:
+    """Per split: its center-distance scores, then one kNN score vector per
+    space, "mad" (detection embedding) or "pretext" (pretext body), against
+    the presumed-normal train rows embedded once per space."""
+    embed = {"mad": mad_model.embed, "pretext": pretext_model.embed_body}
+    ref_rows = train_ds.features[train_ds.labels >= 0]
+    refs = [embed[space](ref_rows) for space in spaces]
+    out = []
+    for ds in splits:
+        emb = mad_model.embed(ds.features)
+        out.append((anomaly_scores(emb, centers), *(
+            knn_score(emb if space == "mad" else embed[space](ds.features),
+                      ref, cfg.knn_k) for space, ref in zip(spaces, refs))))
+    return out
+
+
 def evaluate(cfg: ExperimentConfig, pretext_model: EncoderModel,
              mad_model: EncoderModel, centers: CenterSet, datasets,
              history=None):
     """Score val/test: center-distance AUC plus kNN AUCs in the detection
-    and pretext-body embedding spaces (reference = presumed-normal train)."""
-    train_ds, val_ds, test_ds = datasets
-    presumed = train_ds.labels >= 0
-    ref_mad = mad_model.embed(train_ds.features[presumed])
-    ref_pre = pretext_model.embed_body(train_ds.features[presumed])
-
+    and pretext-body embedding spaces (``score_splits``)."""
     records = []
-    for ds in (val_ds, test_ds):
-        emb = mad_model.embed(ds.features)
+    for ds, (scores, knn_mad, knn_pre) in zip(datasets[1:], score_splits(
+            cfg, pretext_model, mad_model, centers, datasets[0], datasets[1:],
+            "mad", "pretext")):
         positives = ds.ground_truth == GT_ABNORMAL
-        rec = {
-            "split": ds.split,
-            "auc": auc(anomaly_scores(emb, centers), positives),
-            "auc_knn": auc(knn_score(emb, ref_mad, cfg.knn_k), positives),
-            "auc_knn_pretext": auc(
-                knn_score(pretext_model.embed_body(ds.features), ref_pre,
-                          cfg.knn_k), positives),
+        records.append({
+            "split": ds.split, "auc": auc(scores, positives),
+            "auc_knn": auc(knn_mad, positives),
+            "auc_knn_pretext": auc(knn_pre, positives),
             "epoch_auc": list(history["val_auc"]) if history else [],
             "live_centers": list(history["live"]) if history else [],
-        }
-        records.append(rec)
+        })
     return records
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from madlab import cli
 from madlab.config import apply_overrides, default_config, to_experiment
 from madlab.trainer import run_replicate
 
@@ -76,3 +77,32 @@ def test_step_and_center_spans_are_direct_children_of_the_phase():
     steps = [by_id[s.parent].name for s in t.spans
              if s.name == "numcore.optimizer_step"]
     assert {"trainer.pretrain", "trainer.finetune"} <= set(steps)
+
+
+@pytest.mark.parametrize("embedding", ["mad", "pretext"])
+def test_eval_scoring_spans_are_direct_children_of_cli_eval(tmp_path,
+                                                            embedding):
+    # evaluation.knn_score.s, .matrix_mb and cli.eval.self_s read these links
+    data, run = tmp_path / "data", tmp_path / "run"
+    sets = [a for o in TOY_OVERRIDES for a in ("--set", o)]
+    assert cli.main(["generate", "--out", str(data)] + sets) == 0
+    assert cli.main(["train", "--data", str(data), "--out", str(run),
+                     "--replicates", "1"] + sets) == 0
+    t = tracer.Tracer()
+    tracer.install(t)
+    try:
+        code = cli.main(["eval", "--checkpoint", str(run / "checkpoint_r0.npz"),
+                         "--data", str(data), "--out", str(tmp_path / "eval"),
+                         "--embedding", embedding])
+    finally:
+        t.unpatch()
+    assert code == 0
+    by_id = {s.id: s for s in t.spans}
+    for name in ("spheres.anomaly_scores", "evaluation.knn_score",
+                 "evaluation.auc"):
+        spans = [s for s in t.spans if s.name == name]
+        assert spans, name
+        for s in spans:
+            assert by_id[s.parent].name == "cli.eval", name
+            if name == "evaluation.knn_score":
+                assert s.amount is not None

@@ -160,20 +160,26 @@ def test_undecodable_input_exits_documented_code(tmp_path, data_dir, capsys,
     assert str(bad) in err
 
 
-def test_eval_replays_recorded_val_auc(tmp_path, trained_dir, data_dir):
-    doc = json.loads((trained_dir / "metrics.json").read_text())
-    recorded = [r for r in doc["records"]
-                if r["replicate"] == 0 and r["split"] == "val"][0]
+@pytest.mark.parametrize("train_args", [[], ["--labeled-ratio", "0.05"]],
+                         ids=["on_disk_labels", "relabeled"])
+def test_eval_replays_recorded_val_auc(tmp_path, data_dir, train_args):
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--out", str(run),
+                 "--replicates", "1"] + SMALL_SETS + train_args) == EXIT_OK
+    doc = json.loads((run / "metrics.json").read_text())
+    recorded = [r for r in doc["records"] if r["split"] == "val"][0]
 
-    out = tmp_path / "eval"
-    code = main(["eval", "--checkpoint",
-                 str(trained_dir / "checkpoint_r0.npz"),
-                 "--data", str(data_dir), "--out", str(out),
-                 "--split", "val"])
-    assert code == EXIT_OK
-    metrics = json.loads((out / "eval_metrics.json").read_text())
-    assert metrics["auc"] == recorded["epoch_auc"][-1]  # exact replay
-    assert metrics["auc"] == recorded["auc"]
+    for embedding, knn_key in (("mad", "auc_knn"),
+                               ("pretext", "auc_knn_pretext")):
+        out = tmp_path / f"eval_{embedding}"
+        code = main(["eval", "--checkpoint", str(run / "checkpoint_r0.npz"),
+                     "--data", str(data_dir), "--out", str(out),
+                     "--split", "val", "--embedding", embedding])
+        assert code == EXIT_OK
+        metrics = json.loads((out / "eval_metrics.json").read_text())
+        assert metrics["auc"] == recorded["epoch_auc"][-1]  # exact replay
+        assert metrics["auc"] == recorded["auc"]
+        assert metrics["auc_knn"] == recorded[knn_key]
 
     header = open(out / "scores.csv").readline().strip()
     assert header == "id,score,score_knn,ground_truth"
@@ -575,7 +581,9 @@ def test_compare_on_damaged_metrics_exits_documented_code(
     ("train", 3, "abnormal"),   # no presumed-normal kNN reference row
     ("val", 2, "normal"),       # an AUC over one class
     ("test", 2, "abnormal"),
-], ids=["train_known_abnormal_only", "val_normal_only", "test_abnormal_only"])
+    ("train", 2, "normal"),     # no abnormal row to label at the trained ratio
+], ids=["train_known_abnormal_only", "val_normal_only", "test_abnormal_only",
+        "train_unlabelable"])
 def test_eval_split_unfit_for_scoring_exits_2(eval_inputs, tmp_path, split,
                                               column, keep):
     case = tmp_path

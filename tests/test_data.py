@@ -175,13 +175,25 @@ def test_relabel_changes_ratio_deterministically():
     assert np.array_equal(re1.features, train.features)
 
 
+def test_load_splits_relabels_train_as_configured(tmp_path):
+    datasets = generate_synthetic(SMALL)
+    save_splits(datasets, tmp_path)
+    train = load_splits(tmp_path, replace(SMALL, labeled_ratio=0.1, seed=5))[0]
+    assert np.array_equal(train.labels,
+                          relabel(datasets[0], 0.1, 0.5, seed=5).labels)
+    # 100 known-abnormal rows asked of a split that holds 10 abnormal ones
+    with pytest.raises(SchemaError, match="train split: labeled counts"):
+        load_splits(tmp_path, replace(SMALL, labeled_ratio=0.5,
+                                      labeled_normal_fraction=0.0))
+
+
 # --- CSV schema --------------------------------------------------------------------
 
 def test_csv_round_trip_bit_exact(tmp_path):
     datasets = generate_synthetic(SMALL)
     paths = save_splits(datasets, tmp_path)
     first = [open(p, "rb").read() for p in paths]
-    loaded = load_splits(tmp_path, SMALL.dim)
+    loaded = load_splits(tmp_path, SMALL)
     save_splits(loaded, tmp_path)
     second = [open(p, "rb").read() for p in paths]
     assert first == second
@@ -233,7 +245,7 @@ def test_csv_label_gt_disagreement_rejected(tmp_path):
 
 def test_load_splits_missing_file(tmp_path):
     with pytest.raises(SchemaError):
-        load_splits(tmp_path, SMALL.dim)
+        load_splits(tmp_path, SMALL)
 
 
 def test_training_view_hides_ground_truth():
