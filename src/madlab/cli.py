@@ -161,9 +161,9 @@ def cmd_eval(args) -> int:
     scores_path = os.path.join(out_dir, "scores.csv")
     with atomic_write(scores_path) as fh:
         fh.write("id,score,score_knn,ground_truth\n")
-        for i in range(len(target)):
-            fh.write(f"{i},{float(scores[i])!r},{float(knn[i])!r},"
-                     f"{_GT_NAMES[int(target.ground_truth[i])]}\n")
+        names = [_GT_NAMES[g] for g in target.ground_truth.tolist()]
+        fh.writelines("%d,%r,%r,%s\n" % (i, *row) for i, row in enumerate(
+            zip(scores.tolist(), knn.tolist(), names)))
 
     positives = target.ground_truth == GT_ABNORMAL
     metrics = {"split": args.split, "embedding": args.embedding,

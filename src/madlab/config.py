@@ -265,9 +265,12 @@ def _parse_value(key: str, text: str):
     try:
         if kind is tuple:
             return tuple(int(v) for v in text.split(",")) if text else ()
-        return kind(text)
+        value = kind(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"bad value for {key}: {text!r} (must be finite)")
+    return value
 
 
 def _format_value(key: str, value) -> str:

@@ -303,16 +303,24 @@ def _header(dim: int) -> list[str]:
 
 
 def save_csv(dataset: Dataset, path):
-    """Write one split: decimal features at 9 significant digits."""
+    """Write one split: decimal features at 9 significant digits.
+
+    One ``%``-format per row writes the bytes ``csv.writer`` wrote for the
+    same fields; the arrays become Python values 1024 rows at a time.
+    """
+    row = "%d,%d,%s,%s" + ",%.9g" * dataset.dim + "\r\n"
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_header(dataset.dim))
-        for i in range(len(dataset)):
-            row = [int(dataset.group_ids[i]), int(dataset.mode_ids[i]),
-                   _GT_NAMES[int(dataset.ground_truth[i])],
-                   _LABEL_NAMES[int(dataset.labels[i])]]
-            row.extend(format(v, ".9g") for v in dataset.features[i])
-            writer.writerow(row)
+        fh.write(",".join(_header(dataset.dim)) + "\r\n")
+        for start in range(0, len(dataset), 1024):
+            block = slice(start, start + 1024)
+            fh.writelines(
+                row % (g, m, _GT_NAMES[gt], _LABEL_NAMES[label], *feats)
+                for g, m, gt, label, feats in zip(
+                    dataset.group_ids[block].tolist(),
+                    dataset.mode_ids[block].tolist(),
+                    dataset.ground_truth[block].tolist(),
+                    dataset.labels[block].tolist(),
+                    dataset.features[block].tolist()))
 
 
 def load_csv(path, split: str) -> Dataset:

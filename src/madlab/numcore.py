@@ -129,6 +129,13 @@ class Mlp:
         self._params = Arena(params)  # a copy: the caller's arrays stay apart
         self._grads = self._params.zeros_like()
 
+    def __getstate__(self):  # the gradient arena is scratch: rebuilt, not sent
+        return {k: v for k, v in self.__dict__.items() if k != "_grads"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._grads = self._params.zeros_like()
+
     def parameters(self) -> Arena:
         """Parameter list [W0, b0, W1, b1, ...]: live views into one vector."""
         return self._params

@@ -3,8 +3,14 @@
 Each function re-derives an expected value by a route that shares no code
 with the implementation under test: central finite differences for
 gradients, exhaustive pair counting for AUC, scipy for the t-distribution,
-a per-array loop for the whole-vector optimizer step.
+a per-array loop for the whole-vector optimizer step, ``csv.writer`` for
+the split files. The exception is the kNN score, whose oracle is one
+unblocked call of the same distance kernel: it pins the blocked scores to
+the bits of a single call.
 """
+
+import csv
+import io
 
 import numpy as np
 
@@ -112,3 +118,30 @@ def per_array_step(state, params, grads):
     if decay is not None:
         for p, d in zip(params, decay):
             p -= d
+
+
+def unblocked_knn_score(queries, references, k):
+    """Mean distance to the k nearest references from one (n, m) matrix."""
+    from madlab.spheres import squared_distances
+    d = squared_distances(np.asarray(queries), np.asarray(references))
+    np.sqrt(d, out=d)
+    if k < d.shape[1]:
+        d.partition(k - 1, axis=1)
+        d = d[:, :k]
+    return d.mean(axis=1)
+
+
+def csv_writer_split_bytes(ds):
+    """A split file written by ``csv.writer``, one formatted value per cell."""
+    gt_names = {1: "normal", -1: "abnormal"}
+    label_names = {0: "unlabeled", 1: "normal", -1: "abnormal"}
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["group_id", "mode_id", "ground_truth", "label"]
+                    + [f"f{i}" for i in range(ds.features.shape[1])])
+    for i in range(ds.features.shape[0]):
+        writer.writerow([int(ds.group_ids[i]), int(ds.mode_ids[i]),
+                         gt_names[int(ds.ground_truth[i])],
+                         label_names[int(ds.labels[i])]]
+                        + [format(v, ".9g") for v in ds.features[i]])
+    return buf.getvalue().encode()

@@ -10,6 +10,8 @@ from madlab.data import (GT_ABNORMAL, GT_NORMAL, KNOWN_ABNORMAL, KNOWN_NORMAL,
                          load_splits, relabel, save_csv, save_splits)
 from madlab.errors import ConfigError, SchemaError
 
+from _oracles import csv_writer_split_bytes
+
 
 SMALL = GeneratorConfig(dim=8, modes=2, train_size=200, val_size=100,
                         test_size=100, normal_rank=6, group_size=4, seed=0)
@@ -210,6 +212,17 @@ def test_csv_header_schema(tmp_path):
     header = open(p).readline().strip().split(",")
     assert header[:4] == ["group_id", "mode_id", "ground_truth", "label"]
     assert header[4:] == [f"f{i}" for i in range(ds.dim)]
+
+
+def test_save_csv_bytes_match_csv_writer(tmp_path):
+    # 1100 rows: one full 1024-row block and a ragged one
+    ds = generate_synthetic(replace(SMALL, train_size=1100))[0]
+    feats = ds.features.copy()
+    feats[0] = [-0.0, 5e-324, 1e308, 1 / 3, -1e-308, 2.0 / 3, 1e-5, 123456789.0]
+    feats[1] = [0.0, 1.0, -2.0, 1e15, 1e16, 4096.0, -3.0, 1e9]  # integral
+    ds = replace(ds, features=feats)
+    save_csv(ds, tmp_path / "train.csv")
+    assert (tmp_path / "train.csv").read_bytes() == csv_writer_split_bytes(ds)
 
 
 def test_csv_bad_header_rejected(tmp_path):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from madlab.evaluation import (auc, knn_score, regularized_incomplete_beta,
                                replicate_ci, significance_code,
                                student_t_two_sided_p, welch_t_test)
 
-from _oracles import pair_count_auc
+from _oracles import pair_count_auc, unblocked_knn_score
 
 
 # --- AUC --------------------------------------------------------------------
@@ -97,6 +101,35 @@ def test_knn_permutation_invariance_and_lipschitz():
         assert abs(fa - fb) <= np.linalg.norm(a - b) + 1e-12
 
 
+# The last references sit nearest every query, so k=1 reads the last columns
+# of the distance matrix, where a BLAS GEMM's edge tiles round differently
+# from its interior: a block size the kernel does not tile evenly moves bits.
+_BLOCKED_KNN_SCRIPT = """
+import numpy as np
+from madlab.evaluation import _KNN_BLOCK_ROWS, knn_score
+from _oracles import unblocked_knn_score
+rng = np.random.default_rng(0)
+queries = rng.normal(size=(5000, 16))
+assert len(range(0, 5000, _KNN_BLOCK_ROWS)) >= 3 and 5000 % _KNN_BLOCK_ROWS
+refs = np.concatenate([rng.normal(size=(384, 16)) + 20.0,
+                       0.5 * rng.normal(size=(6, 16))])
+for k in (1, len(refs)):
+    got, want = knn_score(queries, refs, k), unblocked_knn_score(queries, refs, k)
+    assert got.shape == want.shape == (5000,)
+    assert np.array_equal(got, want), f"k={k}: {np.sum(got != want)} rows differ"
+"""
+
+
+def test_knn_blocks_bit_identical_to_one_call():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _BLOCKED_KNN_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # --- replicate CI ---------------------------------------------------------------
 
 def test_ci_constant_values():
@@ -157,6 +190,32 @@ def test_welch_antisymmetry():
     assert math.isclose(ta, -tb, rel_tol=1e-12)
     assert math.isclose(pa, pb, rel_tol=1e-12)
     assert math.isclose(dfa, dfb, rel_tol=1e-12)
+
+
+def test_welch_is_scale_invariant_at_tiny_scale():
+    a, b = [1.0, 2.0, 3.0], [4.0, 5.0, 7.0]
+    t1, df1, p1 = welch_t_test(a, b)
+    tiny = welch_t_test([v * 1e-90 for v in a], [v * 1e-90 for v in b])
+    assert math.isclose(tiny[0], t1, rel_tol=1e-12)
+    assert math.isclose(tiny[1], df1, rel_tol=1e-12)
+    assert math.isclose(tiny[2], p1, rel_tol=1e-12)
+
+
+def test_welch_t_and_df_match_scipy():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        a = rng.normal(0.0, rng.uniform(0.1, 10.0), int(rng.integers(2, 12)))
+        b = rng.normal(1.0, rng.uniform(0.1, 10.0), int(rng.integers(2, 12)))
+        t, df, _ = welch_t_test(a, b)
+        ref = scipy.stats.ttest_ind(a, b, equal_var=False)
+        assert math.isclose(t, ref.statistic, rel_tol=1e-12)
+        assert math.isclose(df, ref.df, rel_tol=1e-12)
+
+
+def test_welch_underflowing_standard_error_rejected():
+    # subnormal variances whose shares of the standard error round to 0
+    with pytest.raises(DomainError, match="no finite t"):
+        welch_t_test([0.0] * 9 + [1e-161], [0.0] * 9 + [9e-162])
 
 
 def test_welch_degenerate_variance_rejected():

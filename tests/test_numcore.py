@@ -199,6 +199,24 @@ def test_parameters_and_moments_are_views_of_one_vector():
     assert not np.shares_memory(state.m.flat, state.v.flat)
 
 
+def test_pickled_mlp_rebuilds_a_zero_gradient_arena():
+    model, batch = random_mlp(np.random.default_rng(23))
+    tape = GradientTape()
+    mlp_backward(tape, model.forward(batch, tape))  # the original's are non-zero
+    blob = pickle.dumps(model)
+    assert len(blob) < len(pickle.dumps(model.__dict__))
+    copy = pickle.loads(blob)
+    grads = copy._grads
+    assert not grads.flat.any()
+    assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
+    assert all(np.shares_memory(g, grads.flat) for g in grads)
+    want, _ = mlp_backward(tape, np.ones((batch.shape[0], model.out_dim)))
+    copy_tape = GradientTape()
+    got, _ = mlp_backward(copy_tape, np.ones_like(copy.forward(batch, copy_tape)))
+    assert got is grads
+    assert np.array_equal(got.flat, want.flat)
+
+
 def test_in_place_edit_of_a_view_changes_forward():
     model = identity_layer_model(2)
     model.parameters()[1] += 1.0
