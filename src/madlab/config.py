@@ -149,10 +149,17 @@ class ModelDims:
             raise ConfigError("body widths must be >= 1 and non-empty")
 
 
-def _check_optimizer(phase: str, rule: str):
-    if rule not in (ADAM, SGD):
+def _check_update(phase: str, pc):
+    """The update rule and the two decays that each phase configures."""
+    if pc.optimizer not in (ADAM, SGD):
         raise ConfigError(
-            f"{phase}.optimizer must be {ADAM} or {SGD}, got {rule!r}")
+            f"{phase}.optimizer must be {ADAM} or {SGD}, got {pc.optimizer!r}")
+    if pc.decay_factor <= 0:
+        raise ConfigError(
+            f"{phase}.decay_factor must be > 0, got {pc.decay_factor}")
+    if pc.weight_decay < 0:
+        raise ConfigError(
+            f"{phase}.weight_decay must be >= 0, got {pc.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +178,7 @@ class PretrainConfig:
             raise ConfigError("pretrain needs epochs >= 0 and batch >= 2")
         if self.lr <= 0 or self.temperature <= 0:
             raise ConfigError("pretrain lr and temperature must be > 0")
-        _check_optimizer("pretrain", self.optimizer)
+        _check_update("pretrain", self)
 
 
 @dataclass(frozen=True)
@@ -197,7 +204,9 @@ class FinetuneConfig:
             raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
         if self.eta < 0:
             raise ConfigError(f"eta must be >= 0, got {self.eta}")
-        _check_optimizer("finetune", self.optimizer)
+        if self.eps_d <= 0:
+            raise ConfigError(f"finetune.eps_d must be > 0, got {self.eps_d}")
+        _check_update("finetune", self)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .spheres import (CenterSet, anomaly_scores, assign_and_count, kmeans,
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # rng stream tags
 _T_INIT_PRETEXT = 11
@@ -299,7 +299,7 @@ def run_replicate(cfg: ExperimentConfig, datasets=None, *, state=None,
                  min(cfg.finetune.epochs, stop[1]) if halt else cfg.finetune.epochs)
         if halt:
             return state, []
-        state.phase = "done"
+        state.phase, state.opt = "done", None  # nothing resumes from "done"
 
     records = evaluate(cfg, state.pretext_model, state.mad_model,
                        state.centers, datasets, state.ft_history)
@@ -459,7 +459,7 @@ def run_experiment(cfg: ExperimentConfig, datasets=None, on_replicate=None,
 # --- checkpointing ------------------------------------------------------
 
 def save_checkpoint(path, state: TrainerState):
-    """Versioned npz container; restore refuses on config-hash mismatch."""
+    """Versioned npz, one vector per arena; restore refuses on hash mismatch."""
     opt = state.opt
     meta = {"version": CHECKPOINT_VERSION,
             "config": asdict(state.config),
@@ -470,16 +470,12 @@ def save_checkpoint(path, state: TrainerState):
             "opt": None if opt is None else {
                 "learning_rate": opt.learning_rate, "step_count": opt.step_count}}
     arrays = {"meta_json": np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)}
-    for i, p in enumerate(state.pretext_model.net.parameters()):
-        arrays[f"pretext_{i}"] = p
+        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
+        "pretext": state.pretext_model.net.parameters().flat}
     if state.mad_model is not None:
-        for i, p in enumerate(state.mad_model.net.parameters()):
-            arrays[f"mad_{i}"] = p
+        arrays["mad"] = state.mad_model.net.parameters().flat
     if opt is not None and opt.m is not None:
-        for i, (m, v) in enumerate(zip(opt.m, opt.v)):
-            arrays[f"opt_m_{i}"] = m
-            arrays[f"opt_v_{i}"] = v
+        arrays["opt_m"], arrays["opt_v"] = opt.m.flat, opt.v.flat
     if state.centers is not None:
         arrays["centers"] = state.centers.centers
         arrays["centers_live"] = state.centers.live
@@ -493,16 +489,20 @@ def load_checkpoint(path) -> TrainerState:
         raise StateError(f"checkpoint not found: {path}")
     try:
         return _read_checkpoint(path)
-    except StateError as exc:
-        raise StateError(f"{path}: {exc}") from exc
     except Exception as exc:  # bad zip/CRC, missing keys, invalid arrays
-        raise StateError(f"{path}: {type(exc).__name__}: {exc}") from exc
+        kind = "" if isinstance(exc, StateError) else f"{type(exc).__name__}: "
+        raise StateError(f"{path}: {kind}{exc}") from exc
 
 
-def _encoder(z, prefix: str, cfg: ExperimentConfig, head_dim: int):
-    specs, n_body = _layer_specs(cfg.dims, head_dim)
-    params = [z[f"{prefix}_{i}"] for i in range(2 * len(specs))]
-    return EncoderModel(Mlp(specs, params=params), n_body)
+def _fill(arena: Arena, z, name: str) -> Arena:
+    """``arena``, laid out by the config, overwritten by stored ``name``."""
+    vec = z[name]
+    if vec.shape != arena.flat.shape:
+        raise StateError(f"{name} holds {vec.size} values, not {arena.flat.size}")
+    if not np.isfinite(vec).all():
+        raise StateError(f"{name} holds non-finite values")
+    arena.flat[:] = vec
+    return arena
 
 
 def _read_checkpoint(path) -> TrainerState:
@@ -516,8 +516,11 @@ def _read_checkpoint(path) -> TrainerState:
         if experiment_hash(cfg) != meta["config_hash"]:
             raise StateError("checkpoint config hash mismatch; refusing restore")
 
-        pretext = _encoder(z, "pretext", cfg, cfg.dims.proj_dim)
-        mad = _encoder(z, "mad", cfg, cfg.dims.mad_dim) if "mad_0" in z else None
+        pretext = build_pretext_model(cfg)
+        _fill(pretext.net.parameters(), z, "pretext")
+        mad = transfer_weights(pretext, cfg) if "mad" in z else None
+        if mad is not None:
+            _fill(mad.net.parameters(), z, "mad")
 
         opt = None
         if meta["opt"] is not None:  # the phase's config gives rule and decay
@@ -525,15 +528,17 @@ def _read_checkpoint(path) -> TrainerState:
             opt = replace(_make_optimizer(cfg.pretrain if pre else cfg.finetune),
                           learning_rate=meta["opt"]["learning_rate"],
                           step_count=meta["opt"]["step_count"])
-            if "opt_m_0" in z:
+            if opt.step_count > 0:  # Adam made its moments on its first step
                 params = (pretext if pre else mad).net.parameters()
-                opt.m = Arena(z[f"opt_m_{i}"] for i in range(len(params)))
-                opt.v = Arena(z[f"opt_v_{i}"] for i in range(len(params)))
-                if [a.shape for a in opt.m + opt.v] != [p.shape for p in params * 2]:
-                    raise StateError("optimizer moments do not match the parameters")
+                opt.m = _fill(params.zeros_like(), z, "opt_m")
+                opt.v = _fill(params.zeros_like(), z, "opt_v")
 
         centers = (CenterSet(z["centers"], z["centers_live"], z["centers_counts"],
                              cfg.finetune.gamma) if "centers" in z else None)
+        if centers is not None and (centers.centers.shape[1] != cfg.dims.mad_dim
+                                    or not np.isfinite(centers.centers).all()):
+            raise StateError(f"centers must be finite and {cfg.dims.mad_dim} "
+                             f"wide, got shape {centers.centers.shape}")
 
     return TrainerState(config=cfg, phase=meta["phase"], epoch=meta["epoch"],
                         pretext_model=pretext, mad_model=mad, opt=opt,

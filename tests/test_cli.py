@@ -137,6 +137,21 @@ def test_train_non_finite_float_key_exits_1(tmp_path, data_dir, capsys):
     assert not (tmp_path / "run").exists()
 
 
+# finite values outside these keys' domains used to pass with exit 0
+@pytest.mark.parametrize("key, value", [
+    ("finetune.eps_d", "-1"), ("finetune.eps_d", "0"),
+    ("pretrain.decay_factor", "-1"), ("finetune.decay_factor", "0"),
+    ("pretrain.weight_decay", "-1"), ("finetune.weight_decay", "-0.5")])
+def test_out_of_domain_key_exits_1(tmp_path, capsys, key, value):
+    code = main(["generate", "--out", str(tmp_path / "data"),
+                 "--set", f"{key}={value}"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: {key} must be")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_train_metrics_deterministic(tmp_path, data_dir):
     blobs = []
     for name in ("r1", "r2"):
@@ -658,6 +673,34 @@ def test_compare_on_damaged_metrics_exits_documented_code(
         json.loads(report.read_text(), parse_constant=_reject_constant)
     else:
         assert not report.exists()
+
+
+# a checkpoint with a valid CRC but bad values used to exit 3 (nan weight)
+# or 1 (inf or misshaped centers, the inf with a RuntimeWarning)
+@pytest.mark.parametrize("member, value, message", [
+    ("mad", np.nan, "mad holds non-finite values"),
+    ("pretext", -np.inf, "pretext holds non-finite values"),
+    ("centers", np.inf, "centers must be finite and 4 wide, got shape (6, 4)"),
+    ("centers", None, "centers must be finite and 4 wide, got shape (6, 3)")],
+    ids=["nan_weight", "inf_weight", "inf_center", "narrow_centers"])
+def test_eval_checkpoint_with_bad_values_exits_4(eval_inputs, tmp_path, member,
+                                                 value, message):
+    case = tmp_path
+    shutil.copytree(eval_inputs / "orig", case / "data")
+    path = case / "checkpoint.npz"
+    (case / "data" / "checkpoint.npz").rename(path)
+    arrays = dict(np.load(path, allow_pickle=False))
+    if value is None:
+        arrays[member] = arrays[member][:, :3]
+    else:
+        arrays[member].flat[0] = value
+    np.savez(path, **arrays)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _eval_exit(case)
+    assert code == EXIT_CHECKPOINT, err
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("split, column, keep", [

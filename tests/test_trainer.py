@@ -308,8 +308,8 @@ def test_checkpoint_missing_file(tmp_path):
 
 
 def _damage(path, damage):
-    """Corrupt a saved checkpoint's bytes, or re-save it with one stored
-    array or the version changed."""
+    """Corrupt a saved checkpoint's bytes, or re-save it with stored arrays
+    removed or cut short, or the version changed."""
     if damage.startswith(("truncate", "flip")):
         blob = bytearray(path.read_bytes())
         if damage == "flip_byte":
@@ -322,14 +322,14 @@ def _damage(path, damage):
         return
     arrays = dict(np.load(path, allow_pickle=False))
     if damage == "missing_moment_pair":
-        last = max(int(k.rsplit("_", 1)[1]) for k in arrays
-                   if k.startswith("opt_m_"))
-        del arrays[f"opt_m_{last}"], arrays[f"opt_v_{last}"]
+        del arrays["opt_m"]
+    elif damage == "missing_moments":
+        del arrays["opt_m"], arrays["opt_v"]
     elif damage == "misshaped_moment":
-        arrays["opt_v_0"] = arrays["opt_v_0"][:-1]
+        arrays["opt_v"] = arrays["opt_v"][:-1]
     else:
         meta = json.loads(bytes(arrays["meta_json"]).decode())
-        meta["version"] = 1
+        meta["version"] = int(damage.rsplit("_", 1)[1])
         arrays["meta_json"] = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
@@ -339,17 +339,50 @@ def _damage(path, damage):
     pytest.param(damage, match, id=damage) for damage, match in [
         ("truncate_0", "ckpt.npz"), ("truncate_10", "ckpt.npz"),
         ("truncate_half", "ckpt.npz"), ("flip_byte", "ckpt.npz"),
-        ("missing_moment_pair", "ckpt.npz: KeyError: .*opt_m_5"),
-        ("misshaped_moment", "ckpt.npz: optimizer moments"),
-        ("version_1", "ckpt.npz: unsupported checkpoint version 1")]])
+        ("missing_moment_pair", "ckpt.npz: KeyError: .*opt_m"),
+        # an Adam state that has stepped cannot resume without its moments
+        ("missing_moments", "ckpt.npz: KeyError: .*opt_m"),
+        ("misshaped_moment", "ckpt.npz: opt_v holds"),
+        ("version_1", "ckpt.npz: unsupported checkpoint version 1"),
+        ("version_2", "ckpt.npz: unsupported checkpoint version 2")]])
 def test_corrupt_checkpoint_raises_state_error(small_cfg, small_data,
                                                tmp_path, damage, match):
     mid, _ = run_replicate(small_cfg, small_data, stop=("pretrain", 1))
+    assert mid.opt.step_count > 0
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, mid)
     _damage(path, damage)
     with pytest.raises(StateError, match=match):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("stop, members", [
+    (None, {"meta_json", "pretext", "mad", "centers", "centers_live",
+            "centers_counts"}),
+    (("pretrain", 1), {"meta_json", "pretext", "opt_m", "opt_v"})],
+    ids=["done", "mid_pretrain"])
+def test_checkpoint_stores_one_vector_per_arena(small_cfg, small_data,
+                                                tmp_path, stop, members):
+    state, _ = run_replicate(small_cfg, small_data, stop=stop)
+    save_checkpoint(tmp_path / "ckpt.npz", state)
+    with np.load(tmp_path / "ckpt.npz", allow_pickle=False) as z:
+        assert set(z.files) == members
+    assert (state.opt is None) == (stop is None)  # "done" drops its optimizer
+
+
+def test_sgd_checkpoint_resumes_without_moments(small_cfg, small_data,
+                                                tmp_path):
+    cfg = replace(small_cfg, pretrain=replace(small_cfg.pretrain,
+                                              optimizer="sgd"))
+    ref, _ = run_replicate(cfg, small_data, stop=("pretrain", 2))
+    mid, _ = run_replicate(cfg, small_data, stop=("pretrain", 1))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, mid)
+    with np.load(path, allow_pickle=False) as z:
+        assert set(z.files) == {"meta_json", "pretext"}
+    final, _ = run_replicate(cfg, small_data, state=load_checkpoint(path),
+                             stop=("pretrain", 2))
+    assert params_equal(final.pretext_model, ref.pretext_model)
 
 
 def test_corrupt_zip_checkpoint_closes_its_file(tmp_path, monkeypatch):
@@ -367,10 +400,14 @@ def test_corrupt_zip_checkpoint_closes_its_file(tmp_path, monkeypatch):
 
 def test_loaded_moments_are_views_of_one_vector(small_cfg, small_data,
                                                 tmp_path):
-    mid, _ = run_replicate(small_cfg, small_data, stop=("pretrain", 1))
+    mid, _ = run_replicate(small_cfg, small_data, stop=("finetune", 1))
     save_checkpoint(tmp_path / "ckpt.npz", mid)
-    opt = load_checkpoint(tmp_path / "ckpt.npz").opt
-    for saved, loaded in ((mid.opt.m, opt.m), (mid.opt.v, opt.v)):
+    back = load_checkpoint(tmp_path / "ckpt.npz")
+    for saved, loaded in (
+            (mid.opt.m, back.opt.m), (mid.opt.v, back.opt.v),
+            (mid.pretext_model.net.parameters(),
+             back.pretext_model.net.parameters()),
+            (mid.mad_model.net.parameters(), back.mad_model.net.parameters())):
         assert all(np.shares_memory(a, loaded.flat) for a in loaded)
         assert np.array_equal(saved.flat, loaded.flat)
 
