@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spheres import squared_distances
+from .spheres import distances_to, ref_terms
 
 log = logging.getLogger(__name__)
 
@@ -80,10 +80,10 @@ def knn_score(queries, references, k: int = 100) -> np.ndarray:
                     k, references.shape[0])
         k = references.shape[0]
 
-    out = np.empty(queries.shape[0])
+    out, terms = np.empty(queries.shape[0]), ref_terms(references)
     for start in range(0, queries.shape[0], _KNN_BLOCK_ROWS):
         stop = start + _KNN_BLOCK_ROWS
-        d = squared_distances(queries[start:stop], references)
+        d = distances_to(queries[start:stop], *terms)
         np.sqrt(d, out=d)
         if k < references.shape[0]:
             d.partition(k - 1, axis=1)

@@ -2,25 +2,31 @@
 
 ``info_nce_loss(z, temperature)`` is the temperature-scaled contrastive
 objective over positive pairs with in-batch negatives;
-``mad_loss(z, labels, centers, eta, n_rows, eps_d)`` is the multi-center
+``mad_loss(z, labels, live, eta, n_rows, eps_d)`` is the multi-center
 semi-supervised detection objective (unlabeled attraction, labeled
-attraction/repulsion via the +-1 exponent). Both take plain arrays, check
-their arguments on every call, and return exact gradients w.r.t. the
-embedding rows so the network backward pass can chain onto them; both are
-checked against central finite differences in the tests.
+attraction/repulsion via the +-1 exponent) to a ``LiveCenters`` snapshot.
+Both take plain arrays, check their arguments on every call, and return
+exact gradients w.r.t. the embedding rows so the network backward pass can
+chain onto them; both are checked against central finite differences.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
 
 from .data import KNOWN_ABNORMAL, KNOWN_NORMAL, UNLABELED
 from .errors import DomainError, ShapeError
-from .spheres import nearest_live_center
 
 log = logging.getLogger(__name__)
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_index(n_rows: int):  # flat indices: diagonal, partner i XOR 1
+    rows = np.arange(n_rows)
+    return rows * (n_rows + 1), rows * n_rows + (rows ^ 1)
 
 
 def info_nce_loss(z, temperature: float):
@@ -46,24 +52,25 @@ def info_nce_loss(z, temperature: float):
         log.debug("contrastive batch with %d rows: denominators contain only "
                   "the positive", n_rows)
     norms = np.maximum(np.linalg.norm(z, axis=1), 1e-12)
+    diag, pos = _pair_index(n_rows)
 
     zh = z / norms[:, None]
-    sims = np.clip(zh @ zh.T, -1.0, 1.0)
-    logits = sims / temperature
-    np.fill_diagonal(logits, -np.inf)
+    logits = zh @ zh.T
+    np.clip(logits, -1.0, 1.0, out=logits)
+    logits /= temperature
+    logits.ravel()[diag] = -np.inf
 
-    pos = np.arange(n_rows) ^ 1  # partner of row i is i XOR 1
     row_max = logits.max(axis=1)
-    stable = np.exp(logits - row_max[:, None])
-    np.fill_diagonal(stable, 0.0)
+    stable = logits - row_max[:, None]
+    np.exp(stable, out=stable)
+    stable.ravel()[diag] = 0.0
     denom = stable.sum(axis=1)
     lse = row_max + np.log(denom)
-    loss = float(np.sum(lse - logits[np.arange(n_rows), pos]))
+    loss = float(np.sum(lse - logits.ravel()[pos]))
 
     # d(loss)/d(sims): softmax minus the positive indicator, per anchor row.
-    probs = stable / denom[:, None]
-    a = probs.copy()
-    a[np.arange(n_rows), pos] -= 1.0
+    a = stable / denom[:, None]
+    a.ravel()[pos] -= 1.0
     a /= temperature
 
     g_hat = (a + a.T) @ zh
@@ -72,17 +79,16 @@ def info_nce_loss(z, temperature: float):
     return loss, grad
 
 
-def mad_loss(z, labels, centers, eta: float, n_rows: int,
-             eps_d: float = 1e-6):
+def mad_loss(z, labels, live, eta: float, n_rows: int, eps_d: float = 1e-6):
     """Multi-center detection objective over one batch.
 
-    Each row is assigned to its nearest live center (ties -> lowest
-    index). Unlabeled rows add d^2/(n+m); labeled rows add
-    eta * (d^2)^(+-1) / (n+m), where n+m = ``n_rows`` is the dataset size,
-    so batch losses are partial sums of the epoch objective. The squared
-    distance is floored at ``eps_d`` inside the -1 branch so known
-    anomalies sitting on a center cannot blow up the loss. Returns (loss,
-    embedding_gradients, assignments).
+    Each row is assigned to its nearest center in the ``LiveCenters``
+    snapshot ``live`` (ties -> lowest index). Unlabeled rows add d^2/(n+m);
+    labeled rows add eta * (d^2)^(+-1) / (n+m), where n+m = ``n_rows`` is
+    the dataset size, so batch losses are partial sums of the epoch
+    objective. The squared distance is floored at ``eps_d`` inside the -1
+    branch so known anomalies sitting on a center cannot blow up the loss.
+    Returns (loss, embedding_gradients, assignments).
     """
     z = np.asarray(z, dtype=np.float64)
     labels = np.asarray(labels)
@@ -91,32 +97,28 @@ def mad_loss(z, labels, centers, eta: float, n_rows: int,
     if labels.shape != (z.shape[0],):
         raise ShapeError(
             f"labels shape {labels.shape} does not match {z.shape[0]} rows")
-    if not set(np.unique(labels)) <= {UNLABELED, KNOWN_NORMAL, KNOWN_ABNORMAL}:
+    unl, nrm, abn = (labels == c for c in (UNLABELED, KNOWN_NORMAL,
+                                           KNOWN_ABNORMAL))
+    n_unl, n_nrm, n_abn = (np.count_nonzero(m) for m in (unl, nrm, abn))
+    if n_unl + n_nrm + n_abn != labels.size:
         raise DomainError("labels must be in {0, +1, -1}")
     if eta < 0:
         raise DomainError(f"eta must be >= 0, got {eta}")
     if n_rows <= 0:
         raise DomainError(f"n_rows must be positive, got {n_rows}")
 
-    assignments = nearest_live_center(z, centers)
-    delta = z - centers.centers[assignments]
+    assignments = live.nearest(z)
+    delta = z - live.centers[assignments]
     d2 = np.einsum("rd,rd->r", delta, delta)
 
-    scale = 1.0 / n_rows
-
-    loss = 0.0
-    grad = np.zeros_like(z)
-    unl = labels == UNLABELED
-    nrm = labels == KNOWN_NORMAL
-    abn = labels == KNOWN_ABNORMAL
-
-    if np.any(unl):
+    scale, loss, grad = 1.0 / n_rows, 0.0, np.zeros_like(z)
+    if n_unl:
         loss += scale * float(d2[unl].sum())
         grad[unl] = 2.0 * scale * delta[unl]
-    if np.any(nrm):
+    if n_nrm:
         loss += eta * scale * float(d2[nrm].sum())
         grad[nrm] = 2.0 * eta * scale * delta[nrm]
-    if np.any(abn):
+    if n_abn:
         d2_floor = np.maximum(d2[abn], eps_d)
         loss += eta * scale * float((1.0 / d2_floor).sum())
         live_grad = d2[abn] > eps_d  # max() is flat below the floor

@@ -1,7 +1,8 @@
 """Hypersphere center lifecycle: k-means init, cardinality counts, pruning.
 
 Centers are tombstoned rather than deleted when pruned so the per-epoch
-trajectory (how many centers the model settles on) stays reportable.
+trajectory (how many centers the model settles on) stays reportable; a
+``LiveCenters`` snapshot serves the live set's distances between prunes.
 """
 
 from __future__ import annotations
@@ -49,19 +50,27 @@ class CenterSet:
 
 
 def squared_distances(points, refs) -> np.ndarray:
-    """(n, k) squared Euclidean distances, clamped at 0 against rounding.
-
+    """(n, k) squared Euclidean distances, clamped at 0 against rounding;
+    ``ref_terms`` is the refs' side, kept by callers that reuse the refs.
     Both sets are first moved by the refs' mean, so that a large common
     offset does not cancel the expansion |p|^2 + |r|^2 - 2 p.r.
     """
+    return distances_to(points, *ref_terms(refs))
+
+
+def ref_terms(refs):  # mean, (-2 r)^T and |r|^2 of the shifted refs r
+    r = refs - (mean := refs.mean(axis=0))
+    return mean, (-2.0 * r).T, np.einsum("kd,kd->k", r, r)
+
+
+def distances_to(points, mean, r_t, r2) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
-    if points.shape[1] != refs.shape[1]:
-        raise ShapeError(f"point dim {points.shape[1]} vs ref dim {refs.shape[1]}")
-    mean = refs.mean(axis=0)
-    p, r = points - mean, refs - mean
-    d2 = p @ (-2.0 * r).T
+    if points.shape[1] != r_t.shape[0]:
+        raise ShapeError(f"point dim {points.shape[1]} vs ref dim {r_t.shape[0]}")
+    p = points - mean
+    d2 = p @ r_t
     d2 += np.einsum("nd,nd->n", p, p)[:, None]
-    d2 += np.einsum("kd,kd->k", r, r)[None, :]
+    d2 += r2[None, :]
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -120,18 +129,26 @@ def kmeans(points, k: int, seed, max_iters: int = 100,
             break
         assign = new_assign
 
-    counts = np.bincount(assign, minlength=k)
     return CenterSet(centers=centers, live=np.ones(k, dtype=bool),
-                     counts=counts, gamma=gamma)
+                     counts=np.bincount(assign, minlength=k), gamma=gamma)
+
+
+class LiveCenters:
+    """The live centers between two prunes: indices and ``ref_terms``."""
+
+    def __init__(self, centers: CenterSet):
+        self.index, self.centers = np.flatnonzero(centers.live), centers.centers
+        if self.index.size == 0:
+            raise StateError("no live centers to assign to")
+        self._terms = ref_terms(self.centers[self.index])
+
+    def nearest(self, points) -> np.ndarray:
+        """Global index of the nearest live center per row (ties -> lowest)."""
+        return self.index[np.argmin(distances_to(points, *self._terms), axis=1)]
 
 
 def nearest_live_center(embeddings, centers: CenterSet) -> np.ndarray:
-    """Global index of the nearest live center per row (ties -> lowest)."""
-    live_idx = np.flatnonzero(centers.live)
-    if live_idx.size == 0:
-        raise StateError("no live centers to assign to")
-    d2 = squared_distances(embeddings, centers.centers[live_idx])
-    return live_idx[np.argmin(d2, axis=1)]
+    return LiveCenters(centers).nearest(embeddings)
 
 
 def assign_and_count(embeddings, centers: CenterSet) -> np.ndarray:
@@ -141,8 +158,8 @@ def assign_and_count(embeddings, centers: CenterSet) -> np.ndarray:
     centers always count 0. Updates ``centers.counts`` in place and returns
     the new counts.
     """
-    assigned = nearest_live_center(embeddings, centers)
-    counts = np.bincount(assigned, minlength=centers.centers.shape[0])
+    counts = np.bincount(nearest_live_center(embeddings, centers),
+                         minlength=centers.initial_count)
     centers.counts = counts.astype(np.int64)
     return centers.counts
 

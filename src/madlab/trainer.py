@@ -34,8 +34,8 @@ from .losses import info_nce_loss, mad_loss
 from .numcore import (IDENTITY, RELU, Arena, LayerSpec, Mlp, GradientTape,
                       OptimizerState, apply_lr_schedule, init_params,
                       mlp_backward, optimizer_step)
-from .spheres import (CenterSet, anomaly_scores, assign_and_count, kmeans,
-                      nearest_live_center, prune)
+from .spheres import (CenterSet, LiveCenters, anomaly_scores, assign_and_count,
+                      kmeans, nearest_live_center, prune)
 
 log = logging.getLogger(__name__)
 
@@ -171,16 +171,16 @@ def pretrain(cfg: ExperimentConfig, view: TrainingView, state: TrainerState,
         state.epoch = epoch + 1
 
 
-def _record_epoch(state: TrainerState, cfg, view, val_ds: Dataset):
-    """Append one row of the finetune history. The objective is the epoch
-    objective on frozen weights: data terms plus the L2 penalty that the
-    optimizer realizes as decoupled decay."""
+def _record_epoch(state: TrainerState, cfg, view, val_ds, emb, live):
+    """Append one row of the finetune history, ``emb`` the embedded ``view``.
+    The objective is the epoch objective on frozen weights: data terms plus
+    the L2 penalty that the optimizer realizes as decoupled decay."""
     fc = cfg.finetune
     model, centers, history = state.mad_model, state.centers, state.ft_history
     scores = anomaly_scores(model.embed(val_ds.features), centers)
     history["val_auc"].append(auc(scores, val_ds.ground_truth == GT_ABNORMAL))
-    data_term, _, _ = mad_loss(model.embed(view.features), view.labels,
-                               centers, fc.eta, len(view), fc.eps_d)
+    data_term, _, _ = mad_loss(emb, view.labels, live, fc.eta, len(view),
+                               fc.eps_d)
     history["objective"].append(data_term + 0.5 * fc.weight_decay * sum(
         float(np.sum(p * p)) for p in model.net.parameters()))
     history["live"].append(centers.n_live)
@@ -197,19 +197,19 @@ def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
     epoch; index 0 holds the pre-finetune baseline.
     """
     fc = cfg.finetune
-    model = state.mad_model
-    presumed = view.labels >= 0
+    model, presumed = state.mad_model, view.labels >= 0
+    emb = model.embed(view.features)
 
     if state.centers is None:
         if state.epoch != 0:
             raise StateError("resuming finetune requires the saved centers")
-        emb = model.embed(view.features[presumed])
-        state.centers = kmeans(emb, fc.n_s, seed=[cfg.seed, _T_KMEANS],
-                               gamma=fc.gamma)
+        state.centers = kmeans(emb[presumed], fc.n_s,
+                               seed=[cfg.seed, _T_KMEANS], gamma=fc.gamma)
+    live = LiveCenters(state.centers)  # rebuilt after every prune
     if state.ft_history is None:
         state.ft_history = {"val_auc": [], "objective": [], "live": [],
                             "counts": [], "train_loss": []}
-        _record_epoch(state, cfg, view, val_ds)
+        _record_epoch(state, cfg, view, val_ds, emb, live)
     if state.opt is None:
         state.opt = _make_optimizer(fc)
 
@@ -218,12 +218,13 @@ def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
         loss_sum = _run_epoch(
             "finetune", [cfg.seed, _T_SHUF_FT], epoch, fc, model, state.opt, n,
             lambda idx: view.features[idx],
-            lambda z, idx: mad_loss(z, view.labels[idx], centers, fc.eta, n,
+            lambda z, idx: mad_loss(z, view.labels[idx], live, fc.eta, n,
                                     fc.eps_d)[:2])
-        assign_and_count(model.embed(view.features[presumed]), centers)
-        prune(centers)
+        emb = model.embed(view.features)
+        assign_and_count(emb[presumed], centers)
+        live = LiveCenters(prune(centers))
         state.ft_history["train_loss"].append(loss_sum)
-        _record_epoch(state, cfg, view, val_ds)
+        _record_epoch(state, cfg, view, val_ds, emb, live)
         state.epoch = epoch + 1
 
 

@@ -4,9 +4,11 @@ Each function re-derives an expected value by a route that shares no code
 with the implementation under test: central finite differences for
 gradients, exhaustive pair counting for AUC, scipy for the t-distribution,
 a per-array loop for the whole-vector optimizer step, ``csv.writer`` for
-the split files. The exception is the kNN score, whose oracle is one
+the split files. The exceptions are the kNN score, whose oracle is one
 unblocked call of the same distance kernel: it pins the blocked scores to
-the bits of a single call.
+the bits of a single call; and the first-written expressions of
+``info_nce_loss``, the distance kernel and ``mad_loss``, which pin their
+trimmed, precomputing versions to the same bits.
 """
 
 import csv
@@ -145,3 +147,69 @@ def csv_writer_split_bytes(ds):
                          label_names[int(ds.labels[i])]]
                         + [format(v, ".9g") for v in ds.features[i]])
     return buf.getvalue().encode()
+
+
+def info_nce_reference(z, temperature):
+    """``info_nce_loss`` as first written, one fresh array per step: the
+    bits the trimmed version must reproduce."""
+    z = np.asarray(z, dtype=np.float64)
+    n_rows = z.shape[0]
+    norms = np.maximum(np.linalg.norm(z, axis=1), 1e-12)
+    zh = z / norms[:, None]
+    sims = np.clip(zh @ zh.T, -1.0, 1.0)
+    logits = sims / temperature
+    np.fill_diagonal(logits, -np.inf)
+    pos = np.arange(n_rows) ^ 1
+    row_max = logits.max(axis=1)
+    stable = np.exp(logits - row_max[:, None])
+    np.fill_diagonal(stable, 0.0)
+    denom = stable.sum(axis=1)
+    lse = row_max + np.log(denom)
+    loss = float(np.sum(lse - logits[np.arange(n_rows), pos]))
+    probs = stable / denom[:, None]
+    a = probs.copy()
+    a[np.arange(n_rows), pos] -= 1.0
+    a /= temperature
+    g_hat = (a + a.T) @ zh
+    grad = (g_hat - (np.sum(g_hat * zh, axis=1)[:, None]) * zh) / norms[:, None]
+    return loss, grad
+
+
+def reference_sq_distances(points, refs):
+    """The distance kernel as first written, in one piece: the bits that
+    ``squared_distances`` and ``LiveCenters`` must reproduce."""
+    points = np.asarray(points, dtype=np.float64)
+    mean = refs.mean(axis=0)
+    p, r = points - mean, refs - mean
+    d2 = p @ (-2.0 * r).T
+    d2 += np.einsum("nd,nd->n", p, p)[:, None]
+    d2 += np.einsum("kd,kd->k", r, r)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def mad_loss_reference(z, labels, centers, eta, n_rows, eps_d=1e-6):
+    """``mad_loss`` as first written, over a ``CenterSet`` whose live
+    centers it finds on every call: (loss, gradient, assignments)."""
+    z = np.asarray(z, dtype=np.float64)
+    live_idx = np.flatnonzero(centers.live)
+    d2_all = reference_sq_distances(z, centers.centers[live_idx])
+    assignments = live_idx[np.argmin(d2_all, axis=1)]
+    delta = z - centers.centers[assignments]
+    d2 = np.einsum("rd,rd->r", delta, delta)
+    scale = 1.0 / n_rows
+    loss = 0.0
+    grad = np.zeros_like(z)
+    unl, nrm, abn = labels == 0, labels == 1, labels == -1
+    if np.any(unl):
+        loss += scale * float(d2[unl].sum())
+        grad[unl] = 2.0 * scale * delta[unl]
+    if np.any(nrm):
+        loss += eta * scale * float(d2[nrm].sum())
+        grad[nrm] = 2.0 * eta * scale * delta[nrm]
+    if np.any(abn):
+        d2_floor = np.maximum(d2[abn], eps_d)
+        loss += eta * scale * float((1.0 / d2_floor).sum())
+        live_grad = d2[abn] > eps_d
+        coef = np.where(live_grad, -2.0 * eta * scale / d2_floor ** 2, 0.0)
+        grad[abn] = coef[:, None] * delta[abn]
+    return loss, grad, assignments

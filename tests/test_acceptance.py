@@ -21,7 +21,7 @@ from madlab.evaluation import (auc, replicate_ci, significance_code,
 from madlab.losses import (KNOWN_ABNORMAL, KNOWN_NORMAL, UNLABELED,
                            info_nce_loss, mad_loss)
 from madlab.numcore import GradientTape, mlp_backward
-from madlab.spheres import CenterSet, prune
+from madlab.spheres import CenterSet, LiveCenters, prune
 from madlab.trainer import run_replicate, save_checkpoint, load_checkpoint
 
 from _oracles import central_diff, grads_close, pair_count_auc, random_mlp
@@ -84,9 +84,10 @@ def test_criterion_01_gradient_suite():
         z = np.array(rows)
         labels = rng.choice([UNLABELED, KNOWN_NORMAL, KNOWN_ABNORMAL], size=6)
         eta = float(rng.uniform(0.3, 2.0))
-        _, grad, _ = mad_loss(z, labels, centers, eta, 10)
+        live = LiveCenters(centers)
+        _, grad, _ = mad_loss(z, labels, live, eta, 10)
         numeric = central_diff(
-            lambda arr: mad_loss(arr, labels, centers, eta, 10)[0], z.copy())
+            lambda arr: mad_loss(arr, labels, live, eta, 10)[0], z.copy())
         assert grads_close(grad, numeric), "mad"
         checked += 1
 
@@ -106,7 +107,7 @@ def test_criterion_02_loss_oracles():
     two_pair, _ = info_nce_loss(units, 1.0)
     expected = 4.0 * math.log(1.0 + 2.0 * math.exp(-1.0))
 
-    cs = make_centers([[0.0, 0.0]], [0], 0.05)
+    cs = LiveCenters(make_centers([[0.0, 0.0]], [0], 0.05))
     at_center, _, _ = mad_loss(np.zeros((1, 2)), np.array([UNLABELED]), cs,
                                1.0, 1)
     abnormal_one, _, _ = mad_loss(np.array([[1.0, 0.0]]),

@@ -476,6 +476,24 @@ def test_train_outputs_identical_at_1_and_2_workers(tmp_path):
     assert outputs[1] == outputs[2]
 
 
+# sha256 of replicate 0's checkpoint and centers trajectory from the same
+# run; the checkpoint's ft_history holds every fine-tuning epoch's objective
+# and the trajectory every epoch's per-center counts.
+SMALL_REPLICATE_0_SHA256 = {
+    "checkpoint_r0.npz":
+        "f66849e8b0af4a72d0c600c26232362fb43b8fb2db967c356da9b7684af6bd2c",
+    "centers_r0.jsonl":
+        "b508e01e47780968c023b4869d191ee0c9becdf6472f73191ce309b54b73208c",
+}
+
+
+def test_train_checkpoint_and_centers_bytes_pinned(tmp_path):
+    _train_in_subprocess(tmp_path, 1)
+    assert {name: hashlib.sha256((tmp_path / "run" / name).read_bytes())
+            .hexdigest() for name in SMALL_REPLICATE_0_SHA256} == \
+        SMALL_REPLICATE_0_SHA256
+
+
 @pytest.mark.parametrize("value", ["0", "x", "-1"])
 def test_train_bad_worker_count_exits_1(tmp_path, data_dir, capsys, value):
     code = main(["train", "--data", str(data_dir), "--out",
@@ -631,6 +649,29 @@ def test_eval_on_damaged_input_exits_documented_code(
 
     code, err = _eval_exit(case)
     _assert_documented_exit(code, err, (EXIT_OK, EXIT_SCHEMA, EXIT_CHECKPOINT))
+
+
+@pytest.mark.parametrize("target", ["train.csv", "val.csv", "test.csv"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**DAMAGE)
+# the header alone, and a first feature digit changed from 2 to 3 (trains)
+@example(damage="truncate", position=61, mask=1, replacement=b"")
+@example(damage="flip", position=86, mask=1, replacement=b"")
+def test_train_on_damaged_split_exits_documented_code(
+        eval_inputs, target, damage, position, mask, replacement):
+    root = eval_inputs
+    case = root / "train_case"
+    shutil.rmtree(case, ignore_errors=True)
+    case.mkdir()
+    for name in ("train.csv", "val.csv", "test.csv"):
+        blob = (root / "orig" / name).read_bytes()
+        (case / name).write_bytes(blob if name != target else _damaged(
+            blob, damage, position, mask, replacement))
+    code, err = _main_exit(
+        ["train", "--data", str(case), "--out", str(case / "run")] + SMALL_SETS
+        + ["--set", "pretrain.epochs=1", "--set", "finetune.epochs=1",
+           "--set", "run.replicates=1"])
+    _assert_documented_exit(code, err, (EXIT_OK, EXIT_SCHEMA, EXIT_NUMERIC))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

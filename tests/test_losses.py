@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from madlab.errors import DomainError, ShapeError, StateError
 from madlab.losses import (KNOWN_ABNORMAL, KNOWN_NORMAL, UNLABELED,
                            info_nce_loss, mad_loss)
-from madlab.spheres import CenterSet
+from madlab.spheres import CenterSet, LiveCenters
 
-from _oracles import central_diff, grads_close
+from _oracles import (central_diff, grads_close, info_nce_reference,
+                      mad_loss_reference)
 
 
 def make_centers(points, gamma=0.05):
@@ -79,13 +80,26 @@ def test_info_nce_rejects_zero_row_and_odd_count():
         info_nce_loss(np.ones((4, 2)), 0.0)
 
 
+def test_info_nce_matches_reference_expression_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n_rows = 2 * int(rng.integers(1, 33))
+        z = 10.0 ** rng.uniform(-2, 2) * rng.normal(
+            size=(n_rows, int(rng.integers(2, 17))))
+        tau = float(10.0 ** rng.uniform(-2, 2))
+        loss, grad = info_nce_loss(z, tau)
+        ref_loss, ref_grad = info_nce_reference(z, tau)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+
+
 # --- MAD loss -------------------------------------------------------------
 
 def test_unlabeled_row_at_center_contributes_zero():
     centers = make_centers([[1.0, 2.0], [5.0, 5.0]])
     loss, grad, assign = mad_loss(np.array([[1.0, 2.0]]),
-                                  np.array([UNLABELED]), centers, eta=1.0,
-                                  n_rows=1)
+                                  np.array([UNLABELED]), LiveCenters(centers),
+                                  eta=1.0, n_rows=1)
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros((1, 2)))
     assert assign[0] == 0
@@ -94,21 +108,21 @@ def test_unlabeled_row_at_center_contributes_zero():
 def test_known_abnormal_at_distance_one():
     centers = make_centers([[0.0, 0.0]])
     loss, _, _ = mad_loss(np.array([[1.0, 0.0]]), np.array([KNOWN_ABNORMAL]),
-                          centers, eta=1.0, n_rows=1)
+                          LiveCenters(centers), eta=1.0, n_rows=1)
     assert loss == 1.0  # (1^2)^(-1)
 
 
 def test_known_normal_at_distance_two():
     centers = make_centers([[0.0, 0.0]])
     loss, _, _ = mad_loss(np.array([[2.0, 0.0]]), np.array([KNOWN_NORMAL]),
-                          centers, eta=1.0, n_rows=1)
+                          LiveCenters(centers), eta=1.0, n_rows=1)
     assert loss == 4.0  # eta * (2^2)^(+1)
 
 
 def test_denominator_uses_full_counts():
     centers = make_centers([[0.0]])
-    loss, _, _ = mad_loss(np.array([[2.0]]), np.array([UNLABELED]), centers,
-                          eta=1.0, n_rows=10)
+    loss, _, _ = mad_loss(np.array([[2.0]]), np.array([UNLABELED]),
+                          LiveCenters(centers), eta=1.0, n_rows=10)
     assert math.isclose(loss, 4.0 / 10.0, rel_tol=1e-12)
 
 
@@ -131,10 +145,11 @@ def _random_mad_instance(rng, tie_margin=1e-3):
 def test_mad_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(300 + seed)
     centers, z0, labels, eta = _random_mad_instance(rng)
-    _, grad, _ = mad_loss(z0.copy(), labels, centers, eta, n_rows=10)
+    live = LiveCenters(centers)
+    _, grad, _ = mad_loss(z0.copy(), labels, live, eta, n_rows=10)
 
     def loss_at(arr):
-        return mad_loss(arr, labels, centers, eta, n_rows=10)[0]
+        return mad_loss(arr, labels, live, eta, n_rows=10)[0]
 
     numeric = central_diff(loss_at, z0)
     assert grads_close(grad, numeric)
@@ -144,8 +159,8 @@ def test_assignment_minimizes_distance_and_breaks_ties_low():
     centers = make_centers([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
     z = np.array([[1.5, 0.0],   # nearest is center 2 (distance .5)
                   [1.0, 5.0]])  # equidistant to 0 and 1 -> index 0... no: 2 is nearer
-    _, _, assign = mad_loss(z, np.array([UNLABELED, UNLABELED]), centers,
-                            1.0, 2)
+    _, _, assign = mad_loss(z, np.array([UNLABELED, UNLABELED]),
+                            LiveCenters(centers), 1.0, 2)
     live = centers.centers[assign]
     for i in range(len(z)):
         d_assigned = np.linalg.norm(z[i] - live[i])
@@ -156,7 +171,7 @@ def test_assignment_minimizes_distance_and_breaks_ties_low():
 def test_tie_breaks_to_lowest_index():
     centers = make_centers([[-1.0, 0.0], [1.0, 0.0]])
     _, _, assign = mad_loss(np.array([[0.0, 3.0]]), np.array([UNLABELED]),
-                            centers, 1.0, 1)
+                            LiveCenters(centers), 1.0, 1)
     assert assign[0] == 0
 
 
@@ -164,8 +179,8 @@ def test_abnormal_descent_step_pushes_away_from_center():
     rng = np.random.default_rng(9)
     centers = make_centers(rng.normal(size=(2, 4)))
     z = rng.normal(size=(6, 4))
-    _, grad, assign = mad_loss(z, np.full(6, KNOWN_ABNORMAL), centers,
-                               eta=1.0, n_rows=6)
+    _, grad, assign = mad_loss(z, np.full(6, KNOWN_ABNORMAL),
+                               LiveCenters(centers), eta=1.0, n_rows=6)
     toward = centers.centers[assign] - z
     # descent direction -grad must point away from the assigned center
     assert np.all(np.einsum("ij,ij->i", -grad, toward) < 0.0)
@@ -176,15 +191,15 @@ def test_abnormal_loss_decreases_with_distance():
     losses = []
     for d in (0.5, 1.0, 2.0, 4.0):
         losses.append(mad_loss(np.array([[d]]), np.array([KNOWN_ABNORMAL]),
-                               centers, 1.0, 1)[0])
+                               LiveCenters(centers), 1.0, 1)[0])
     assert all(a > b > 0.0 for a, b in zip(losses, losses[1:]))
 
 
 def test_eps_d_floor_bounds_loss_and_kills_gradient():
     centers = make_centers([[0.0, 0.0]])
     z = np.array([[1e-9, 0.0]])  # d^2 = 1e-18 < eps_d
-    loss, grad, _ = mad_loss(z, np.array([KNOWN_ABNORMAL]), centers, 1.0, 1,
-                             eps_d=1e-6)
+    loss, grad, _ = mad_loss(z, np.array([KNOWN_ABNORMAL]),
+                             LiveCenters(centers), 1.0, 1, eps_d=1e-6)
     assert loss == 1e6
     assert np.array_equal(grad, np.zeros_like(z))
 
@@ -194,7 +209,7 @@ def test_unlabeled_and_normal_terms_non_negative():
     centers = make_centers(rng.normal(size=(3, 3)))
     z = rng.normal(size=(10, 3))
     labels = rng.choice([UNLABELED, KNOWN_NORMAL], size=10)
-    loss, _, _ = mad_loss(z, labels, centers, 1.3, 10)
+    loss, _, _ = mad_loss(z, labels, LiveCenters(centers), 1.3, 10)
     assert loss >= 0.0
 
 
@@ -202,7 +217,34 @@ def test_all_pruned_raises_state_error():
     centers = make_centers([[0.0], [1.0]])
     centers.live[:] = False  # bypasses the constructor guard
     with pytest.raises(StateError):
-        mad_loss(np.array([[0.5]]), np.array([UNLABELED]), centers, 1.0, 1)
+        mad_loss(np.array([[0.5]]), np.array([UNLABELED]),
+                 LiveCenters(centers), 1.0, 1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mad_loss_matches_reference_through_prunes(seed):
+    # loss, gradient and assignments bit for bit, snapshot rebuilt per prune
+    rng = np.random.default_rng(500 + seed)
+    d = int(rng.integers(2, 17))
+    offset = 10.0 ** rng.uniform(-1, 4)
+    centers = make_centers(offset + rng.normal(size=(int(rng.integers(1, 60)), d)))
+    while True:
+        live = LiveCenters(centers)
+        for _ in range(5):
+            n = int(rng.integers(1, 40))
+            z = offset + rng.normal(size=(n, d))
+            labels = rng.choice([UNLABELED, KNOWN_NORMAL, KNOWN_ABNORMAL],
+                                size=n, p=rng.dirichlet(np.ones(3)))
+            eta, n_rows = float(rng.uniform(0.0, 3.0)), int(rng.integers(n, 5000))
+            eps_d = float(10.0 ** rng.uniform(-8, 1))
+            got = mad_loss(z, labels, live, eta, n_rows, eps_d)
+            want = mad_loss_reference(z, labels, centers, eta, n_rows, eps_d)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], want[2])
+        if centers.n_live == 1:
+            return
+        centers.live[rng.choice(np.flatnonzero(centers.live))] = False
 
 
 _ROW = np.array([[1.0, 0.0]])
@@ -216,13 +258,17 @@ _UNL = np.array([UNLABELED])
     (lambda c: mad_loss(np.ones(2), _UNL, c, 1.0, 1), ShapeError),
     (lambda c: mad_loss(_ROW, np.array([0, 0]), c, 1.0, 1), ShapeError),
     (lambda c: mad_loss(_ROW, np.array([2]), c, 1.0, 1), DomainError),
+    (lambda c: mad_loss(_ROW, np.array([0.5]), c, 1.0, 1), DomainError),
+    (lambda c: mad_loss(_ROW, np.array([2], dtype=np.int8), c, 1.0, 1),
+     DomainError),
     (lambda c: mad_loss(_ROW, _UNL, c, -0.5, 1), DomainError),
     (lambda c: mad_loss(_ROW, _UNL, c, 1.0, 0), DomainError),
 ], ids=["nce_not_2d", "nce_odd_rows", "nce_temperature", "mad_not_2d",
-        "mad_label_shape", "mad_label_value", "mad_eta", "mad_n_rows"])
+        "mad_label_shape", "mad_label_value", "mad_label_float",
+        "mad_label_int8", "mad_eta", "mad_n_rows"])
 def test_loss_argument_guards(call, error):
     with pytest.raises(error):
-        call(make_centers([[0.0, 0.0]]))
+        call(LiveCenters(make_centers([[0.0, 0.0]])))
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,10 +7,11 @@ import pytest
 from madlab.errors import DomainError, NumericsError, ShapeError, StateError
 from madlab.evaluation import knn_score
 from madlab.losses import UNLABELED, mad_loss
-from madlab.spheres import (CenterSet, anomaly_scores, assign_and_count,
-                            kmeans, nearest_live_center, prune)
+from madlab.spheres import (CenterSet, LiveCenters, anomaly_scores,
+                            assign_and_count, kmeans, nearest_live_center,
+                            prune, squared_distances)
 
-from _oracles import direct_sq_distances
+from _oracles import direct_sq_distances, reference_sq_distances
 
 
 def make_centers(points, counts=None, gamma=0.05):
@@ -230,13 +231,64 @@ def test_distances_match_direct_oracle_at_extreme_scale(offset, spread):
 
     assert np.array_equal(nearest_live_center(z, cs), nearest)
     assert np.array_equal(
-        mad_loss(z, np.full(len(z), UNLABELED), cs, 1.0, len(z))[2], nearest)
+        mad_loss(z, np.full(len(z), UNLABELED), LiveCenters(cs), 1.0,
+                 len(z))[2], nearest)
     assert np.allclose(anomaly_scores(z, cs), np.sqrt(d2.min(axis=1)),
                        rtol=1e-12, atol=0.0)
     k = 7
     knn = np.sort(np.sqrt(direct_sq_distances(z, refs)), axis=1)[:, :k]
     assert np.allclose(knn_score(z, refs, k), knn.mean(axis=1),
                        rtol=1e-9, atol=0.0)
+
+
+# --- the live-center snapshot ------------------------------------------------
+
+def _pruned_snapshots(rng, cs, points):
+    """(snapshot, live index) after each of a random sequence of prunes."""
+    while True:
+        live_idx = np.flatnonzero(cs.live)
+        yield LiveCenters(cs), live_idx
+        if live_idx.size == 1:
+            return
+        assign_and_count(points[rng.permutation(len(points))[:40]], cs)
+        before = cs.n_live
+        prune(cs)
+        if cs.n_live == before:  # counts that prune nothing: drop one at random
+            cs.live[rng.choice(live_idx)] = False
+
+
+@pytest.mark.parametrize("offset, spread",
+                         [(0.0, 1.0), (1e3, 1.0), (1e5, 1e-3), (1e8, 1.0)])
+def test_snapshot_nearest_is_the_kernel_argmin_bit_for_bit(offset, spread):
+    # the extreme-scale inputs above, through a random sequence of prunes
+    rng = np.random.default_rng(17)
+    refs = offset + spread * rng.normal(size=(100, 16))
+    z = offset + spread * rng.normal(size=(400, 16))
+    cs = make_centers(refs, gamma=0.3)
+    steps = 0
+    for live, live_idx in _pruned_snapshots(rng, cs, z):
+        kernel = squared_distances(z, refs[live_idx])
+        assert np.array_equal(kernel, reference_sq_distances(z, refs[live_idx]))
+        assert np.array_equal(live.nearest(z),
+                              live_idx[np.argmin(kernel, axis=1)])
+        assert np.array_equal(live.nearest(z), nearest_live_center(z, cs))
+        steps += 1
+    assert steps > 3
+
+
+def test_snapshot_is_unchanged_by_later_prunes():
+    cs = make_centers([[0.0], [1.0], [2.0]], counts=[5, 5, 0])
+    live = LiveCenters(cs)
+    prune(cs)
+    assert live.nearest(np.array([[2.1]])).tolist() == [2]
+    assert LiveCenters(cs).nearest(np.array([[2.1]])).tolist() == [1]
+
+
+def test_snapshot_over_no_live_center_raises_state_error():
+    cs = make_centers([[0.0], [1.0]])
+    cs.live[:] = False  # bypasses the constructor guard
+    with pytest.raises(StateError):
+        LiveCenters(cs)
 
 
 # --- structure ---------------------------------------------------------------
