@@ -77,9 +77,8 @@ def _write_json(path, obj):
 
 def cmd_generate(args) -> int:
     cfg = _load_cfg(args)
-    exp = to_experiment(cfg)
+    datasets = generate_synthetic(to_experiment(cfg).data)
     os.makedirs(args.out, exist_ok=True)
-    datasets = generate_synthetic(exp.data)
     paths = save_splits(datasets, args.out)
     for ds, p in zip(datasets, paths):
         log.info("wrote %s (%d rows)", p, len(ds))

@@ -10,6 +10,13 @@ value parsing and formatting (keyed on the default's type),
 fields, in declaration order. Fields without a doc (``data.seed``,
 ``dims.input_dim``) are derived by ``to_experiment``.
 
+Each key declares its domain beside its default and doc: an interval such
+as ``"[0, 1)"`` or ``"(0, inf)"`` (for a tuple key, the interval holds for
+each element; nan and +-inf lie outside every interval) or choices such as
+``"adam|sgd"``. ``_check_domains`` refuses any value outside its domain
+whenever a dataclass is built; only the rules that relate two fields are
+written out by hand in ``__post_init__``.
+
 Config files hold one dotted ``key=value`` per line with ``#`` comments;
 unknown keys are rejected, and ``parse(serialize(c)) == c`` holds for any
 config dict c.
@@ -26,10 +33,32 @@ from .errors import ConfigError
 from .numcore import ADAM, SGD
 
 
-def _key(default, doc: str, key: str | None = None):
-    """A user-settable field; ``key`` overrides the ``section.field`` name."""
-    meta = {"doc": doc} if key is None else {"doc": doc, "key": key}
-    return field(default=default, metadata=meta)
+def _key(default, doc: str, domain: str, key: str | None = None):
+    """A user-settable field with its domain; ``key`` overrides the
+    ``section.field`` name."""
+    return field(default=default,
+                  metadata={"doc": doc, "domain": domain, "key": key})
+
+
+def _in_domain(domain: str, value) -> bool:
+    if "|" in domain:
+        return value in domain.split("|")
+    lo, hi = (float(bound) for bound in domain[1:-1].split(","))
+    return all((lo < v if domain[0] == "(" else lo <= v)
+               and (v < hi if domain[-1] == ")" else v <= hi)
+               for v in (value if isinstance(value, tuple) else (value,)))
+
+
+def _check_domains(section: str, obj):
+    """Refuse the first field of ``obj`` whose value lies outside its domain."""
+    for f in fields(obj):
+        domain, value = f.metadata.get("domain"), getattr(obj, f.name)
+        if domain is None or _in_domain(domain, value):
+            continue
+        name = f.metadata.get("key") or f"{section}.{f.name}"
+        what = f"one of {domain}" if "|" in domain else f"finite and in {domain}"
+        each = " for each element" if isinstance(value, tuple) else ""
+        raise ConfigError(f"{name} must be {what}{each}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,58 +77,39 @@ class GeneratorConfig:
     them hard for raw geometry but learnable.
     """
 
-    dim: int = _key(32, "feature dimensionality D")
-    modes: int = _key(4, "number of normal modes M")
-    train_size: int = _key(2000, "train split size")
-    val_size: int = _key(1000, "validation split size")
-    test_size: int = _key(1000, "test split size")
-    contamination: float = _key(0.05, "abnormal fraction hidden in train")
-    labeled_ratio: float = _key(0.05,
-                                "fraction of train samples carrying labels")
-    labeled_normal_fraction: float = _key(
-        0.5, "share of the labeled subset that is known-normal")
-    eval_abnormal_ratio: float = _key(0.5, "abnormal fraction in val/test")
-    mode_sigma: float = _key(1.0, "the generator's sigma unit")
-    cloud_radius: float = _key(
-        5.0, "expected normal in-plane radial distance, sigma")
-    normal_rank: int = _key(26, "normal-subspace rank (clamped to dim)")
-    ambient_noise: float = _key(
-        0.1, "full-dimension noise std on normals, sigma")
-    shell_inner: float = _key(4.0, "anomaly shell inner radius, sigma")
-    shell_outer: float = _key(8.0, "anomaly shell outer radius, sigma")
-    center_spacing: float = _key(
-        9.0, "target mode-center spacing, sigma (min 8)")
-    midpoint_fraction: float = _key(
-        0.3, "share of anomaly groups placed at inter-mode midpoints")
-    group_size: int = _key(4, "samples per group (study analog)")
-    seed: int = 0
-
     MIN_CENTER_SEPARATION = 8.0  # in sigma units, per the generator contract
 
+    dim: int = _key(32, "feature dimensionality D", "[1, inf)")
+    modes: int = _key(4, "number of normal modes M", "[1, inf)")
+    train_size: int = _key(2000, "train split size", "[1, inf)")
+    val_size: int = _key(1000, "validation split size", "[1, inf)")
+    test_size: int = _key(1000, "test split size", "[1, inf)")
+    contamination: float = _key(0.05, "abnormal fraction hidden in train", "[0, 1)")
+    labeled_ratio: float = _key(
+        0.05, "fraction of train samples carrying labels", "[0, 1)")
+    labeled_normal_fraction: float = _key(
+        0.5, "share of the labeled subset that is known-normal", "[0, 1]")
+    eval_abnormal_ratio: float = _key(0.5, "abnormal fraction in val/test", "[0, 1)")
+    mode_sigma: float = _key(1.0, "the generator's sigma unit", "(0, inf)")
+    cloud_radius: float = _key(
+        5.0, "expected normal in-plane radial distance, sigma", "(0, inf)")
+    normal_rank: int = _key(26, "normal-subspace rank (clamped to dim)", "[1, inf)")
+    ambient_noise: float = _key(
+        0.1, "full-dimension noise std on normals, sigma", "[0, inf)")
+    shell_inner: float = _key(4.0, "anomaly shell inner radius, sigma", "(0, inf)")
+    shell_outer: float = _key(8.0, "anomaly shell outer radius, sigma", "(0, inf)")
+    center_spacing: float = _key(9.0, "target mode-center spacing, sigma (min 8)",
+                                 f"[{MIN_CENTER_SEPARATION:g}, inf)")
+    midpoint_fraction: float = _key(
+        0.3, "share of anomaly groups placed at inter-mode midpoints", "[0, 1]")
+    group_size: int = _key(4, "samples per group (study analog)", "[1, inf)")
+    seed: int = 0
+
     def __post_init__(self):
-        if self.dim < 1 or self.modes < 1 or self.group_size < 1:
-            raise ConfigError("dim, modes and group_size must be >= 1")
-        for name in ("train_size", "val_size", "test_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("contamination", "labeled_ratio", "eval_abnormal_ratio"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1)")
-        if not 0.0 <= self.labeled_normal_fraction <= 1.0:
-            raise ConfigError("labeled_normal_fraction must be in [0, 1]")
-        if not 0.0 <= self.midpoint_fraction <= 1.0:
-            raise ConfigError("midpoint_fraction must be in [0, 1]")
-        if self.mode_sigma <= 0 or self.cloud_radius <= 0:
-            raise ConfigError("mode_sigma and cloud_radius must be > 0")
-        if self.normal_rank < 1:
-            raise ConfigError(f"normal_rank must be >= 1, got {self.normal_rank}")
-        if self.ambient_noise < 0:
-            raise ConfigError("ambient_noise must be >= 0")
-        if not 0 < self.shell_inner < self.shell_outer:
-            raise ConfigError("need 0 < shell_inner < shell_outer")
-        if self.center_spacing < self.MIN_CENTER_SEPARATION:
-            raise ConfigError(
-                f"center_spacing must be >= {self.MIN_CENTER_SEPARATION}")
+        _check_domains("data", self)
+        if self.shell_inner >= self.shell_outer:
+            raise ConfigError(f"data.shell_inner must be < data.shell_outer, got "
+                              f"{self.shell_inner} and {self.shell_outer}")
 
     @property
     def rank(self) -> int:
@@ -118,95 +128,63 @@ class AugmentationConfig:
 
     Each view is (features * scale) + Gaussian noise with coordinates
     independently zeroed at ``dropout_prob``; the two views of a pair use
-    independent draws.
+    independent draws. A scale jitter above 1 could flip a view's sign.
     """
 
-    noise_sigma: float = _key(1.0, "additive noise std per view")
-    scale_jitter: float = _key(0.1, "multiplicative jitter range 1 +- value")
-    dropout_prob: float = _key(0.2, "per-coordinate zeroing probability")
+    noise_sigma: float = _key(1.0, "additive noise std per view", "[0, inf)")
+    scale_jitter: float = _key(0.1, "multiplicative jitter range 1 +- value", "[0, 1]")
+    dropout_prob: float = _key(0.2, "per-coordinate zeroing probability", "[0, 1)")
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise ConfigError(
-                f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
-        if self.scale_jitter < 0:
-            raise ConfigError(f"scale_jitter must be >= 0, got {self.scale_jitter}")
+        _check_domains("augment", self)
 
 
 @dataclass(frozen=True)
 class ModelDims:
-    input_dim: int = 32
-    body: tuple = _key((64, 32), "encoder body widths")
-    proj_dim: int = _key(16, "projection-head output dim")
-    mad_dim: int = _key(16, "detection-head output dim")
+    input_dim: int = field(default=32, metadata={"domain": "[1, inf)"})
+    body: tuple = _key((64, 32), "encoder body widths", "[1, inf)")
+    proj_dim: int = _key(16, "projection-head output dim", "[1, inf)")
+    mad_dim: int = _key(16, "detection-head output dim", "[1, inf)")
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.proj_dim < 1 or self.mad_dim < 1:
-            raise ConfigError("model dims must be >= 1")
-        if not self.body or any(w < 1 for w in self.body):
-            raise ConfigError("body widths must be >= 1 and non-empty")
-
-
-def _check_update(phase: str, pc):
-    """The update rule and the two decays that each phase configures."""
-    if pc.optimizer not in (ADAM, SGD):
-        raise ConfigError(
-            f"{phase}.optimizer must be {ADAM} or {SGD}, got {pc.optimizer!r}")
-    if pc.decay_factor <= 0:
-        raise ConfigError(
-            f"{phase}.decay_factor must be > 0, got {pc.decay_factor}")
-    if pc.weight_decay < 0:
-        raise ConfigError(
-            f"{phase}.weight_decay must be >= 0, got {pc.weight_decay}")
+        _check_domains("model", self)
+        if not self.body:
+            raise ConfigError("model.body must list at least one width")
 
 
 @dataclass(frozen=True)
 class PretrainConfig:
-    epochs: int = _key(100, "pretraining epochs")
-    batch: int = _key(24, "pretraining batch size (pairs)")
-    lr: float = _key(1e-3, "pretraining base learning rate")
-    milestones: tuple = _key((70, 90), "epochs after which the lr decays")
-    decay_factor: float = _key(0.1, "lr multiplier per milestone")
-    temperature: float = _key(0.2, "contrastive temperature")
-    optimizer: str = _key(ADAM, "update rule: adam or sgd")
-    weight_decay: float = _key(1e-6, "decoupled L2 strength")
+    epochs: int = _key(100, "pretraining epochs", "[0, inf)")
+    batch: int = _key(24, "pretraining batch size (pairs)", "[2, inf)")
+    lr: float = _key(1e-3, "pretraining base learning rate", "(0, inf)")
+    milestones: tuple = _key(
+        (70, 90), "epochs after which the lr decays", "(-inf, inf)")
+    decay_factor: float = _key(0.1, "lr multiplier per milestone", "(0, inf)")
+    temperature: float = _key(0.2, "contrastive temperature", "(0, inf)")
+    optimizer: str = _key(ADAM, "update rule: adam or sgd", f"{ADAM}|{SGD}")
+    weight_decay: float = _key(1e-6, "decoupled L2 strength", "[0, inf)")
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch < 2:
-            raise ConfigError("pretrain needs epochs >= 0 and batch >= 2")
-        if self.lr <= 0 or self.temperature <= 0:
-            raise ConfigError("pretrain lr and temperature must be > 0")
-        _check_update("pretrain", self)
+        _check_domains("pretrain", self)
 
 
 @dataclass(frozen=True)
 class FinetuneConfig:
-    epochs: int = _key(50, "fine-tuning epochs")
-    batch: int = _key(32, "fine-tuning batch size")
-    lr: float = _key(3e-3, "fine-tuning base learning rate")
-    milestones: tuple = _key((), "fine-tune lr decay epochs")
-    decay_factor: float = _key(0.1, "lr multiplier per milestone")
-    eta: float = _key(1.0, "labeled-term weight")
-    gamma: float = _key(0.05, "pruning fraction of max cardinality")
-    n_s: int = _key(100, "initial hypersphere center count")
-    weight_decay: float = _key(1e-6, "objective L2 term, applied as decay")
-    eps_d: float = _key(1e-6, "squared-distance floor in the abnormal branch")
-    optimizer: str = _key(ADAM, "update rule: adam or sgd")
+    epochs: int = _key(50, "fine-tuning epochs", "[0, inf)")
+    batch: int = _key(32, "fine-tuning batch size", "[1, inf)")
+    lr: float = _key(3e-3, "fine-tuning base learning rate", "(0, inf)")
+    milestones: tuple = _key((), "fine-tune lr decay epochs", "(-inf, inf)")
+    decay_factor: float = _key(0.1, "lr multiplier per milestone", "(0, inf)")
+    eta: float = _key(1.0, "labeled-term weight", "[0, inf)")
+    gamma: float = _key(0.05, "pruning fraction of max cardinality", "(0, 1)")
+    n_s: int = _key(100, "initial hypersphere center count", "[1, inf)")
+    weight_decay: float = _key(1e-6, "objective L2 term, applied as decay", "[0, inf)")
+    eps_d: float = _key(
+        1e-6, "squared-distance floor in the abnormal branch", "(0, inf)")
+    optimizer: str = _key(ADAM, "update rule: adam or sgd", f"{ADAM}|{SGD}")
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch < 1 or self.n_s < 1:
-            raise ConfigError("finetune needs epochs >= 0, batch >= 1, n_s >= 1")
-        if self.lr <= 0:
-            raise ConfigError("finetune lr must be > 0")
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
-        if self.eps_d <= 0:
-            raise ConfigError(f"finetune.eps_d must be > 0, got {self.eps_d}")
-        _check_update("finetune", self)
+        _check_domains("finetune", self)
 
 
 @dataclass(frozen=True)
@@ -217,17 +195,15 @@ class ExperimentConfig:
                             metadata={"key": "model"})
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
-    knn_k: int = _key(100, "neighbor count for the kNN score", "eval.knn_k")
-    seed: int = _key(0, "base seed; replicate r uses seed + r", "run.seed")
-    replicates: int = _key(4, "number of replicates", "run.replicates")
+    knn_k: int = _key(100, "neighbor count for the kNN score", "[1, inf)", "eval.knn_k")
+    seed: int = _key(0, "base seed; replicate r uses seed + r", "[0, inf)", "run.seed")
+    replicates: int = _key(4, "number of replicates", "[1, inf)", "run.replicates")
 
     def __post_init__(self):
-        if self.replicates < 1 or self.knn_k < 1:
-            raise ConfigError("replicates and knn_k must be >= 1")
+        _check_domains("run", self)
         if self.dims.input_dim != self.data.dim:
-            raise ConfigError(
-                f"model input_dim {self.dims.input_dim} must equal data dim "
-                f"{self.data.dim}")
+            raise ConfigError(f"model input_dim {self.dims.input_dim} must equal "
+                              f"data.dim {self.data.dim}")
 
 
 def experiment_from_dict(d: dict, cls=ExperimentConfig):
@@ -249,7 +225,8 @@ def experiment_hash(cfg: ExperimentConfig) -> str:
 
 
 def _schema() -> dict:
-    """Flat key -> (attribute path, default, doc), in declaration order."""
+    """Flat key -> (attribute path, default, field metadata), in declaration
+    order; the metadata holds the key's doc and domain."""
     table, base = {}, ExperimentConfig()
     for f in fields(ExperimentConfig):
         value = getattr(base, f.name)
@@ -259,9 +236,9 @@ def _schema() -> dict:
                 if "doc" in sub.metadata:
                     table[f"{section}.{sub.name}"] = (
                         (f.name, sub.name), getattr(value, sub.name),
-                        sub.metadata["doc"])
+                        sub.metadata)
         elif "doc" in f.metadata:
-            table[f.metadata["key"]] = ((f.name,), value, f.metadata["doc"])
+            table[f.metadata["key"]] = ((f.name,), value, f.metadata)
     return table
 
 
@@ -274,12 +251,9 @@ def _parse_value(key: str, text: str):
     try:
         if kind is tuple:
             return tuple(int(v) for v in text.split(",")) if text else ()
-        value = kind(text)
+        return kind(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from None
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"bad value for {key}: {text!r} (must be finite)")
-    return value
 
 
 def _format_value(key: str, value) -> str:
@@ -325,9 +299,9 @@ def serialize_config(cfg: dict) -> str:
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
     lines = []
-    for key, (_, default, doc) in _SCHEMA.items():
+    for key, (_, default, meta) in _SCHEMA.items():
         value = _format_value(key, cfg.get(key, default))
-        lines.append(f"{key}={value}  # {doc}")
+        lines.append(f"{key}={value}  # {meta['doc']}")
     return "\n".join(lines) + "\n"
 
 

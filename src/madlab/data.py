@@ -103,6 +103,12 @@ class TrainingView:
         return self.features.shape[0]
 
 
+def _huge_rows(features) -> np.ndarray:
+    """Rows whose squared norm is not finite: their distances overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ~np.isfinite(np.square(features).sum(axis=-1))
+
+
 def _draw_mode_centers(cfg: GeneratorConfig, rng) -> np.ndarray:
     if cfg.modes == 1:
         return rng.normal(0.0, cfg.mode_sigma, size=(1, cfg.dim))
@@ -199,6 +205,7 @@ def _draw_labels(ground_truth, ratio: float, normal_fraction: float,
     return labels
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the features are checked
 def generate_synthetic(cfg: GeneratorConfig):
     """Produce the (train, val, test) datasets for one seed.
 
@@ -206,6 +213,8 @@ def generate_synthetic(cfg: GeneratorConfig):
     (split ``labeled_normal_fraction`` : rest between known-normal and
     known-abnormal); val/test use ``eval_abnormal_ratio`` and stay fully
     unlabeled. Group ids are disjoint across splits by construction.
+    Scales so large that a split's features or their squared norms overflow
+    raise ``ConfigError``.
     """
     center_rng = np.random.default_rng([cfg.seed, 101])
     centers = _draw_mode_centers(cfg, center_rng)
@@ -232,6 +241,10 @@ def generate_synthetic(cfg: GeneratorConfig):
             parts.append((f, m, g, np.full(len(f), GT_ABNORMAL)))
 
         features = np.concatenate([p[0] for p in parts])
+        if _huge_rows(features).any():
+            raise ConfigError(
+                f"generated {split} features overflow float64 (non-finite "
+                "values or squared norms); reduce the generator's scales")
         mode_ids = np.concatenate([p[1] for p in parts])
         group_ids = np.concatenate([p[2] for p in parts])
         gt = np.concatenate([p[3] for p in parts])
@@ -258,8 +271,6 @@ def relabel(train_ds: Dataset, labeled_ratio: float,
     Generation-side operation (it reads ground truth, like the generator
     does); used for labeled-ratio sweeps over a fixed on-disk dataset.
     """
-    if not 0.0 <= labeled_ratio < 1.0:
-        raise ConfigError(f"labeled_ratio must be in [0, 1), got {labeled_ratio}")
     labels = _draw_labels(train_ds.ground_truth, labeled_ratio,
                           labeled_normal_fraction,
                           np.random.default_rng([seed, 301]))
@@ -356,8 +367,7 @@ def load_csv(path, split: str) -> Dataset:
     features = np.asarray(feats, dtype=np.float64)
     if features.size and not np.all(np.isfinite(features)):
         raise SchemaError(f"{path}: non-finite feature values")
-    with np.errstate(over="ignore"):  # distances need finite squared norms
-        huge = ~np.isfinite(np.square(features).sum(axis=-1))
+    huge = _huge_rows(features)
     if huge.any():
         raise SchemaError(f"{path}:{int(np.argmax(huge)) + 2}: feature values "
                           "too large (squared norm overflows)")

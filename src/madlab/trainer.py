@@ -121,25 +121,27 @@ def _run_epoch(phase: str, seed_key: list, epoch: int, pc, model, opt,
                n: int, batch_input, loss_fn) -> float:
     """One pass over ``n`` rows in ``seed_key + [epoch]`` order, batches of
     ``pc.batch``; returns the loss sum. ``batch_input(idx)`` is the network
-    input and ``loss_fn(z, idx)`` gives (loss, dloss/dz); a loss that raises
-    or is not finite aborts with a ``NumericsError`` naming epoch and batch."""
+    input and ``loss_fn(z, idx)`` gives (loss, dloss/dz). A step that raises
+    (a float overflow or invalid operation too, under ``_replicate_task``)
+    or whose loss is not finite aborts with a ``NumericsError`` naming
+    phase, epoch and batch."""
     opt.learning_rate = apply_lr_schedule(epoch, pc.lr, pc.milestones,
                                           pc.decay_factor)
     perm = np.random.default_rng([*seed_key, epoch]).permutation(n)
     loss_sum = 0.0
     for bi, start in enumerate(range(0, n, pc.batch)):
         idx = perm[start:start + pc.batch]
-        tape = GradientTape()
-        z = model.net.forward(batch_input(idx), tape)
         try:
+            tape = GradientTape()
+            z = model.net.forward(batch_input(idx), tape)
             loss, gz = loss_fn(z, idx)
             if not np.isfinite(loss):
                 raise NumericsError("non-finite loss")
-        except MadlabError as exc:
+            grads, _ = mlp_backward(tape, gz)
+            optimizer_step(opt, model.net.parameters(), grads)
+        except (MadlabError, FloatingPointError) as exc:
             raise NumericsError(
                 f"{phase} epoch {epoch} batch {bi}: {exc}") from exc
-        grads, _ = mlp_backward(tape, gz)
-        optimizer_step(opt, model.net.parameters(), grads)
         loss_sum += loss
     return loss_sum
 
@@ -366,13 +368,15 @@ def resolve_workers(replicates: int, workers=None) -> int:
 
 def _replicate_task(rcfg: ExperimentConfig, datasets):
     """One replicate, in this process or in a worker: (state, records, wall
-    seconds), or the text of the MadlabError that stopped it.
-    ``run_replicate`` is looked up when called, so a replacement installed
-    on this module before the workers fork runs in them too."""
+    seconds), or the text of the MadlabError, float overflow or invalid
+    float operation that stopped it. ``run_replicate`` is looked up when
+    called, so a replacement installed on this module before the workers
+    fork runs in them too."""
     t0 = time.monotonic()
     try:
-        state, records = run_replicate(rcfg, datasets)
-    except MadlabError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            state, records = run_replicate(rcfg, datasets)
+    except (MadlabError, FloatingPointError) as exc:
         return str(exc)
     return state, records, time.monotonic() - t0
 

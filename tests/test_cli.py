@@ -16,6 +16,7 @@ import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
 import madlab.cli as cli_mod
+import madlab.config as config_mod
 import madlab.trainer as trainer_mod
 from madlab.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                         EXIT_REPLICATES, EXIT_SCHEMA, main)
@@ -150,6 +151,105 @@ def test_out_of_domain_key_exits_1(tmp_path, capsys, key, value):
     assert err.startswith(f"error: {key} must be")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_negative_seed_exits_1(tmp_path, data_dir, capsys, command):
+    # used to end in a numpy traceback, after train had made its --out dir
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--seed", "-1", *SMALL_SETS]
+    code = main(argv + (["--data", str(data_dir)] if command == "train" else []))
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: run.seed must be finite and in [0, inf)")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# above 1 a view's scale 1 +- jitter can turn negative; 1e308 used to end
+# in an OverflowError traceback from rng.uniform
+@pytest.mark.parametrize("value", ["1.5", "1e308"])
+def test_train_scale_jitter_above_1_exits_1(tmp_path, data_dir, capsys, value):
+    code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+                 *SMALL_SETS, "--set", f"augment.scale_jitter={value}"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: augment.scale_jitter must be finite and in "
+                          "[0, 1], got")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+# used to exit 2 (mode_sigma, ambient_noise: "non-finite feature values")
+# or 0 with a RuntimeWarning and splits that train refused (center_spacing)
+@pytest.mark.parametrize("key", ["data.mode_sigma", "data.ambient_noise",
+                                 "data.center_spacing"])
+def test_generator_overflow_exits_1(tmp_path, capsys, key):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["generate", "--out", str(tmp_path / "data"),
+                     *SMALL_SETS, "--set", f"{key}=1e308"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: generated train features overflow")
+    assert err.count("\n") == 1 and not caught
+    assert not (tmp_path / "data").exists()
+
+
+# a train value of 1e150 fits float64 squared, so the split loads, but its
+# gradients overflow: this used to exit 0 with numpy RuntimeWarnings and
+# frozen weights
+@pytest.mark.parametrize("every", [False, True], ids=["one-value", "all"])
+def test_train_overflow_exits_3(tmp_path, data_dir, capsys, every):
+    path = data_dir / "train.csv"
+    header, *rows = path.read_text().splitlines()
+    for i, row in enumerate(rows if every else rows[:1]):
+        fields = row.split(",")
+        for j in range(4, len(fields) if every else 5):
+            fields[j] = "1e150"
+        rows[i] = ",".join(fields)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(data_dir), "--out",
+                     str(tmp_path / "run"), "--workers", "1", *SMALL_SETS])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        err.splitlines()[0]]
+    assert "overflow" in err and "Traceback" not in err
+    assert every or "replicate 0: finetune epoch 0 batch" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# every numeric key at extreme values, through generate and then train at
+# toy size: a documented exit code, no traceback, no numpy RuntimeWarning,
+# and a value outside the key's domain exits 1 naming the key
+TOY_SETS = SMALL_SETS + ["--set", "pretrain.epochs=1", "--set",
+                         "finetune.epochs=1", "--set", "run.replicates=1"]
+EXTREME_CASES = [(key, text) for key, default in default_config().items()
+                 if not isinstance(default, str)
+                 for text in (("0", "-1", "1e308", "5e-324")
+                              if isinstance(default, float) else ("0", "-1"))]
+
+
+@pytest.mark.parametrize("key, text", EXTREME_CASES)
+def test_extreme_value_exits_documented_code(tmp_path, capsys, key, text):
+    sets = TOY_SETS + ["--set", f"{key}={text}"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["generate", "--out", str(tmp_path / "data"), *sets])
+        if code == EXIT_OK:
+            code = main(["train", "--data", str(tmp_path / "data"), "--out",
+                         str(tmp_path / "run"), "--workers", "1", *sets])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SCHEMA, EXIT_NUMERIC)
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    domain = config_mod._SCHEMA[key][2]["domain"]
+    if not config_mod._in_domain(domain, config_mod._parse_value(key, text)):
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"error: {key} must be")
 
 
 def test_train_metrics_deterministic(tmp_path, data_dir):

@@ -1,8 +1,11 @@
 import hashlib
+import math
+import re
 from dataclasses import fields
 
 import pytest
 
+from madlab import config
 from madlab.config import (ExperimentConfig, apply_overrides, default_config,
                            experiment_hash, load_config, parse_config,
                            serialize_config, to_experiment)
@@ -105,3 +108,73 @@ def test_dim_mismatch_caught_in_typed_config():
     cfg = apply_overrides(default_config(), ["data.dim=16"])
     exp = to_experiment(cfg)  # model input follows data.dim
     assert exp.dims.input_dim == 16
+
+
+def test_every_key_declares_a_domain_holding_its_default():
+    # a new key cannot skip validation: numeric keys declare an interval
+    # whose infinite bounds are open (so nan and +-inf are always refused),
+    # str keys their choices
+    for key, (_, default, meta) in config._SCHEMA.items():
+        domain = meta.get("domain") or ""
+        if isinstance(default, str):
+            assert default in domain.split("|"), key
+            continue
+        m = re.fullmatch(r"([\[(])(\S+), (\S+)([\])])", domain)
+        assert m, f"{key} declares no interval"
+        lo, hi = float(m[2]), float(m[3])
+        assert lo < hi, key
+        assert m[1] == "(" or math.isfinite(lo), key
+        assert m[4] == ")" or math.isfinite(hi), key
+        assert config._in_domain(domain, default), key
+
+
+def _boundary_cases():
+    """Per finite bound of each interval domain: the nearest value outside
+    it (the bound itself when open) is refused, a closed bound accepted."""
+    for key, (_, default, meta) in config._SCHEMA.items():
+        domain = meta.get("domain")  # a missing one fails the test above
+        if not domain or "|" in domain:
+            continue
+        whole = not isinstance(default, float)
+        wrap = (lambda v: (v,)) if isinstance(default, tuple) else (lambda v: v)
+        for text, closed, out in zip(domain[1:-1].split(", "),
+                                     (domain[0] == "[", domain[-1] == "]"),
+                                     (-1, 1)):
+            bound = float(text)
+            if math.isinf(bound):
+                continue
+            if whole:
+                bound = int(bound)
+            outside = (bound if not closed else bound + out if whole
+                       else math.nextafter(bound, out * math.inf))
+            yield pytest.param(key, wrap(outside), False,
+                               id=f"{key}={outside!r}")
+            if closed:
+                yield pytest.param(key, wrap(bound), True, id=f"{key}={bound!r}")
+
+
+@pytest.mark.parametrize("key, value, accepted", list(_boundary_cases()))
+def test_domain_bounds(key, value, accepted):
+    cfg = default_config()
+    cfg[key] = value
+    if accepted:
+        to_experiment(cfg)
+    else:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be"):
+            to_experiment(cfg)
+
+
+def test_domain_error_names_key_domain_and_value():
+    cfg = apply_overrides(default_config(), ["finetune.gamma=1.5"])
+    with pytest.raises(ConfigError) as info:
+        to_experiment(cfg)
+    assert str(info.value) == (
+        "finetune.gamma must be finite and in (0, 1), got 1.5")
+
+
+def test_domains_pinned():
+    # the values each key accepts; widening or narrowing a domain fails here
+    text = "".join(f"{key} {meta['domain']}\n"
+                   for key, (_, _, meta) in config._SCHEMA.items())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2bec80e82180e929de65f166445a751e80f6509b7630409b6b52a49ef65121cd")
