@@ -285,6 +285,11 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, MadlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (MemoryError, ValueError) as exc:  # a size numpy or Python refuses
+        log.debug("%r", exc, exc_info=True)
+        text = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"error: {text}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -120,7 +120,9 @@ def _draw_mode_centers(cfg: GeneratorConfig, rng) -> np.ndarray:
         if d[np.triu_indices(cfg.modes, 1)].min() >= min_sep:
             return centers
         scale *= 1.05
-    raise ConfigError("could not place mode centers at the required separation")
+    raise ConfigError("could not place mode centers at the required separation "
+                      f"with data.mode_sigma={cfg.mode_sigma!r} and "
+                      f"data.center_spacing={cfg.center_spacing!r}")
 
 
 def _draw_mode_bases(cfg: GeneratorConfig, rng) -> np.ndarray:

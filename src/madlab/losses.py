@@ -119,10 +119,11 @@ def mad_loss(z, labels, live, eta: float, n_rows: int, eps_d: float = 1e-6):
         loss += eta * scale * float(d2[nrm].sum())
         grad[nrm] = 2.0 * eta * scale * delta[nrm]
     if n_abn:
-        d2_floor = np.maximum(d2[abn], eps_d)
-        loss += eta * scale * float((1.0 / d2_floor).sum())
-        live_grad = d2[abn] > eps_d  # max() is flat below the floor
-        coef = np.where(live_grad, -2.0 * eta * scale / d2_floor ** 2, 0.0)
+        d2_abn = d2[abn]
+        loss += eta * scale * float((1.0 / np.maximum(d2_abn, eps_d)).sum())
+        live_grad = d2_abn > eps_d  # max() is flat below the floor
+        coef = np.zeros(n_abn)  # squared only where live: it may overflow
+        coef[live_grad] = -2.0 * eta * scale / d2_abn[live_grad] ** 2
         grad[abn] = coef[:, None] * delta[abn]
 
     return loss, grad, assignments

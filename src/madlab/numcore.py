@@ -1,9 +1,11 @@
 """Dense MLP forward/backward passes and parameter-update rules.
 
-Everything is float64 numpy. A network is a plain sequence of
-fully-connected layers; gradients come from a manually recorded tape
-(reverse sweep over stored intermediates), so every derivative is an
-explicit formula that the finite-difference suite can audit.
+Everything is float64 numpy. A network is given by its layer widths
+(input, hidden..., output): fully-connected layers with ReLU after every
+layer but the last, which is linear. Gradients come from a manually
+recorded tape (reverse sweep over stored intermediates), so every
+derivative is an explicit formula that the finite-difference suite can
+audit.
 
 Parameters, gradients and Adam's moments each live in an ``Arena``: one
 float64 vector that is also the list of its views [W0, b0, W1, ...]. The
@@ -13,18 +15,11 @@ gradient arena, which the next backward pass on that model overwrites.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError, ShapeError, StateError
-
-log = logging.getLogger(__name__)
-
-RELU = "relu"
-IDENTITY = "identity"
-_ACTIVATIONS = (RELU, IDENTITY)
 
 SGD = "sgd"
 ADAM = "adam"
@@ -32,35 +27,18 @@ _RULES = (SGD, ADAM)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's default constants
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    """One fully-connected layer: in_dim -> out_dim, then activation."""
-
-    in_dim: int
-    out_dim: int
-    activation: str = RELU
-
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ShapeError(
-                f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}"
-            )
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-
-def init_params(layers, rng) -> list[np.ndarray]:
+def init_params(widths, rng) -> list[np.ndarray]:
     """Seeded uniform init: W ~ U(+-sqrt(6/(in+out))), b = 0.
 
-    Returns a flat list [W0, b0, W1, b1, ...] aligned with
-    ``Mlp.parameters()``.
+    Returns a flat list [W0, b0, W1, b1, ...], one (W, b) per consecutive
+    pair of ``widths``, aligned with ``Mlp.parameters()``.
     """
     rng = np.random.default_rng(rng)
     params: list[np.ndarray] = []
-    for spec in layers:
-        limit = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-        params.append(rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim)))
-        params.append(np.zeros(spec.out_dim))
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        params.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        params.append(np.zeros(fan_out))
     return params
 
 
@@ -106,23 +84,19 @@ class GradientTape:
 
 
 class Mlp:
-    """Sequential fully-connected net holding its own float64 parameters."""
+    """Fully-connected net of the given ``widths`` holding its own float64
+    parameters: ReLU after every layer but the last, which is linear."""
 
-    def __init__(self, layers, params=None, rng=None):
-        layers = tuple(layers)
-        if not layers:
-            raise ShapeError("network needs at least one layer")
-        for prev, nxt in zip(layers, layers[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ShapeError(
-                    f"layer chain mismatch: out_dim {prev.out_dim} feeds "
-                    f"in_dim {nxt.in_dim}"
-                )
-        self.layers = layers
+    def __init__(self, widths, params=None, rng=None):
+        widths = tuple(widths)
+        if len(widths) < 2 or min(widths) < 1:
+            raise ShapeError(f"a network needs at least 2 widths, each >= 1, "
+                             f"got {widths}")
+        self.widths = widths
         if params is None:
-            params = init_params(layers, rng)
-        expected = [shape for s in layers
-                    for shape in ((s.in_dim, s.out_dim), (s.out_dim,))]
+            params = init_params(widths, rng)
+        expected = [shape for fan_in, fan_out in zip(widths, widths[1:])
+                    for shape in ((fan_in, fan_out), (fan_out,))]
         if [np.shape(p) for p in params] != expected:
             raise ShapeError(f"parameter shapes {[np.shape(p) for p in params]} "
                              f"do not match the layers' {expected}")
@@ -141,12 +115,8 @@ class Mlp:
         return self._params
 
     @property
-    def in_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
     def out_dim(self) -> int:
-        return self.layers[-1].out_dim
+        return self.widths[-1]
 
     def forward(self, x: np.ndarray, tape: GradientTape | None = None,
                 n_layers: int | None = None) -> np.ndarray:
@@ -158,16 +128,17 @@ class Mlp:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ShapeError(f"input must be 2-d (batch, features), got {x.shape}")
-        if x.shape[1] != self.in_dim:
+        if x.shape[1] != self.widths[0]:
             raise ShapeError(
                 f"input has {x.shape[1]} columns but first layer expects "
-                f"{self.in_dim}"
+                f"{self.widths[0]}"
             )
-        depth = len(self.layers) if n_layers is None else n_layers
-        if not 1 <= depth <= len(self.layers):
-            raise ShapeError(f"n_layers {n_layers} outside 1..{len(self.layers)}")
+        last = len(self.widths) - 2  # index of the linear output layer
+        depth = last + 1 if n_layers is None else n_layers
+        if not 1 <= depth <= last + 1:
+            raise ShapeError(f"n_layers {n_layers} outside 1..{last + 1}")
         if tape is not None:
-            if depth != len(self.layers):
+            if depth != last + 1:
                 raise StateError("partial-depth forward cannot be taped")
             tape.reset()
             tape.model = self
@@ -179,7 +150,7 @@ class Mlp:
             if tape is not None:
                 tape.inputs.append(h)
                 tape.preacts.append(z)
-            h = np.maximum(z, 0.0) if self.layers[i].activation == RELU else z
+            h = z if i == last else np.maximum(z, 0.0)
         if not np.all(np.isfinite(h)):
             raise NumericsError("non-finite values in forward output")
         return h
@@ -199,9 +170,9 @@ def mlp_backward(tape: GradientTape, output_gradient: np.ndarray):
     if g.shape != tape.preacts[-1].shape:
         raise ShapeError(f"output gradient shape {g.shape} does not match "
                          f"forward output {tape.preacts[-1].shape}")
-    grads = model._grads
-    for i in range(len(model.layers) - 1, -1, -1):
-        if model.layers[i].activation == RELU:
+    grads, last = model._grads, len(model.widths) - 2
+    for i in range(last, -1, -1):
+        if i != last:
             g = g * (tape.preacts[i] > 0.0)
         np.matmul(tape.inputs[i].T, g, out=grads[2 * i])
         g.sum(axis=0, out=grads[2 * i + 1])

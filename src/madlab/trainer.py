@@ -31,11 +31,12 @@ from .data import (Dataset, TrainingView, GT_ABNORMAL,
 from .errors import ConfigError, MadlabError, NumericsError, StateError
 from .evaluation import auc, knn_score, replicate_ci
 from .losses import info_nce_loss, mad_loss
-from .numcore import (IDENTITY, RELU, Arena, LayerSpec, Mlp, GradientTape,
-                      OptimizerState, apply_lr_schedule, init_params,
-                      mlp_backward, optimizer_step)
+from .numcore import (Arena, Mlp, GradientTape, OptimizerState,
+                      apply_lr_schedule, init_params, mlp_backward,
+                      optimizer_step)
 from .spheres import (CenterSet, LiveCenters, anomaly_scores, assign_and_count,
-                      kmeans, nearest_live_center, prune)
+                      kmeans, prune)
+from .spheres import nearest_live_center  # noqa: F401 -- a perfbench/tracer.py patch point
 
 log = logging.getLogger(__name__)
 
@@ -67,18 +68,11 @@ class EncoderModel:
         return self.net.parameters()[:2 * self.body_layers]
 
 
-def _layer_specs(dims: ModelDims, head_dim: int):
-    widths = [dims.input_dim, *dims.body]
-    body = [LayerSpec(widths[i], widths[i + 1], RELU)
-            for i in range(len(widths) - 1)]
-    head = [LayerSpec(widths[-1], head_dim, IDENTITY)]
-    return body + head, len(body)
-
-
 def build_pretext_model(cfg: ExperimentConfig) -> EncoderModel:
-    specs, n_body = _layer_specs(cfg.dims, cfg.dims.proj_dim)
+    dims = cfg.dims
     rng = np.random.default_rng([cfg.seed, _T_INIT_PRETEXT])
-    return EncoderModel(Mlp(specs, rng=rng), n_body)
+    return EncoderModel(Mlp((dims.input_dim, *dims.body, dims.proj_dim),
+                            rng=rng), len(dims.body))
 
 
 def transfer_weights(pretext: EncoderModel, cfg: ExperimentConfig) -> EncoderModel:
@@ -87,14 +81,16 @@ def transfer_weights(pretext: EncoderModel, cfg: ExperimentConfig) -> EncoderMod
     The projection head is discarded. Idempotent: same pretext body and
     seed always produce the same detection encoder.
     """
-    specs, n_body = _layer_specs(cfg.dims, cfg.dims.mad_dim)
-    if pretext.body_layers != n_body:
+    dims = cfg.dims
+    if pretext.body_layers != len(dims.body):
         raise ConfigError(
             f"body depth mismatch: pretext has {pretext.body_layers} layers, "
-            f"config wants {n_body}")
+            f"config wants {len(dims.body)}")
     head_rng = np.random.default_rng([cfg.seed, _T_INIT_HEAD])
-    params = pretext.body_params() + init_params(specs[n_body:], head_rng)
-    return EncoderModel(Mlp(specs, params=params), n_body)  # Mlp copies
+    params = pretext.body_params() + init_params(
+        (dims.body[-1], dims.mad_dim), head_rng)
+    return EncoderModel(Mlp((dims.input_dim, *dims.body, dims.mad_dim),
+                            params=params), len(dims.body))  # Mlp copies
 
 
 @dataclass
@@ -200,18 +196,21 @@ def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
     """
     fc = cfg.finetune
     model, presumed = state.mad_model, view.labels >= 0
-    emb = model.embed(view.features)
-
-    if state.centers is None:
-        if state.epoch != 0:
-            raise StateError("resuming finetune requires the saved centers")
-        state.centers = kmeans(emb[presumed], fc.n_s,
-                               seed=[cfg.seed, _T_KMEANS], gamma=fc.gamma)
-    live = LiveCenters(state.centers)  # rebuilt after every prune
-    if state.ft_history is None:
-        state.ft_history = {"val_auc": [], "objective": [], "live": [],
-                            "counts": [], "train_loss": []}
-        _record_epoch(state, cfg, view, val_ds, emb, live)
+    if state.centers is None and state.epoch != 0:
+        raise StateError("resuming finetune requires the saved centers")
+    try:  # a float fault in the bookkeeping names its epoch, as a step's does
+        emb = model.embed(view.features)
+        if state.centers is None:
+            state.centers = kmeans(emb[presumed], fc.n_s,
+                                   seed=[cfg.seed, _T_KMEANS], gamma=fc.gamma)
+        live = LiveCenters(state.centers)  # rebuilt after every prune
+        if state.ft_history is None:
+            state.ft_history = {"val_auc": [], "objective": [], "live": [],
+                                "counts": [], "train_loss": []}
+            _record_epoch(state, cfg, view, val_ds, emb, live)
+    except FloatingPointError as exc:
+        raise NumericsError(
+            f"finetune epoch {state.epoch} bookkeeping: {exc}") from exc
     if state.opt is None:
         state.opt = _make_optimizer(fc)
 
@@ -222,11 +221,15 @@ def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
             lambda idx: view.features[idx],
             lambda z, idx: mad_loss(z, view.labels[idx], live, fc.eta, n,
                                     fc.eps_d)[:2])
-        emb = model.embed(view.features)
-        assign_and_count(emb[presumed], centers)
-        live = LiveCenters(prune(centers))
         state.ft_history["train_loss"].append(loss_sum)
-        _record_epoch(state, cfg, view, val_ds, emb, live)
+        try:
+            emb = model.embed(view.features)
+            assign_and_count(emb[presumed], centers)
+            live = LiveCenters(prune(centers))
+            _record_epoch(state, cfg, view, val_ds, emb, live)
+        except FloatingPointError as exc:
+            raise NumericsError(
+                f"finetune epoch {epoch} bookkeeping: {exc}") from exc
         state.epoch = epoch + 1
 
 

@@ -60,20 +60,17 @@ def pair_count_auc(scores, positives):
 
 
 def random_mlp(rng, max_layers=3, max_dim=16, kink_margin=1e-4):
-    """A random small net plus a random batch, for gradient audits.
+    """A random small net (1 to ``max_layers`` layers, ReLU after all but
+    the linear output) plus a random batch, for gradient audits.
 
     Biases are randomized (zero-init would park pre-activations exactly on
     the ReLU kink, where finite differences are meaningless) and batches
     are redrawn until every pre-activation clears ``kink_margin``.
     """
-    from madlab.numcore import LayerSpec, Mlp, RELU, IDENTITY, GradientTape
+    from madlab.numcore import Mlp, GradientTape
     n_layers = int(rng.integers(1, max_layers + 1))
     dims = [int(rng.integers(1, max_dim + 1)) for _ in range(n_layers + 1)]
-    specs = []
-    for i in range(n_layers):
-        act = RELU if (i < n_layers - 1 or rng.random() < 0.5) else IDENTITY
-        specs.append(LayerSpec(dims[i], dims[i + 1], act))
-    model = Mlp(specs, rng=rng)
+    model = Mlp(dims, rng=rng)
     for p in model.parameters():
         if p.ndim == 1:
             p += rng.normal(0.0, 0.3, size=p.shape)

@@ -218,8 +218,69 @@ def test_train_overflow_exits_3(tmp_path, data_dir, capsys, every):
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         err.splitlines()[0]]
     assert "overflow" in err and "Traceback" not in err
+    assert "replicate 0: finetune epoch 0" in err
     assert every or "replicate 0: finetune epoch 0 batch" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# eps_d ** 2 overflows; it used to abort every replicate (exit 3) although
+# no row below the floor has a gradient to scale
+def test_train_huge_eps_d_exits_0(tmp_path, data_dir, capsys):
+    code = main(["train", "--data", str(data_dir), "--out",
+                 str(tmp_path / "run"), "--workers", "1", *SMALL_SETS,
+                 "--set", "finetune.eps_d=1e308"])
+    assert code == EXIT_OK, capsys.readouterr().err
+
+
+# the default config's modes cannot be placed apart: distances underflow
+# to 0, or the required separation is inf
+def test_unplaceable_mode_centers_name_their_keys(tmp_path, capsys):
+    for value in ("1e308", "5e-324"):
+        code = main(["generate", "--out", str(tmp_path / "data"),
+                     "--set", f"data.mode_sigma={value}"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: could not place mode centers")
+        assert "data.mode_sigma" in err and "data.center_spacing" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "data").exists()
+
+
+def _child_env(blas_threads: int) -> dict:
+    """This process's environment for a child that imports this tree's
+    madlab at the given BLAS thread count and the default log level."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env.pop("MADLAB_LOG", None)
+    return env
+
+
+# sizes whose arrays numpy or Python refuses at once (8 EB and more); the
+# child's address space is capped, so no attempt can fill memory
+HUGE = str(10 ** 18)
+
+
+@pytest.mark.parametrize("command, key", [
+    ("generate", "data.train_size"), ("generate", "data.test_size"),
+    ("generate", "data.dim"), ("generate", "data.modes"),
+    ("train", "model.body"), ("train", "model.mad_dim")])
+def test_huge_size_exits_1(tmp_path, data_dir, command, key):
+    argv = ([command, "--out", str(tmp_path / "out"), *TOY_SETS]
+            + (["--data", str(data_dir), "--workers", "1"]
+               if command == "train" else [])
+            + ["--set", f"{key}={HUGE}"])
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS,\n"
+            "                   (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from madlab.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(1),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and line[len("error: "):].strip()
 
 
 # every numeric key at extreme values, through generate and then train at
@@ -537,11 +598,7 @@ SMALL_METRICS_SHA256 = (
 
 def _train_in_subprocess(out: Path, blas_threads: int,
                          train_args=()) -> bytes:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env.pop("MADLAB_LOG", None)
+    env = _child_env(blas_threads)
     for argv in (["generate", "--out", str(out / "data")],
                  ["train", "--data", str(out / "data"), "--out",
                   str(out / "run"), *train_args]):

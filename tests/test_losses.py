@@ -204,6 +204,17 @@ def test_eps_d_floor_bounds_loss_and_kills_gradient():
     assert np.array_equal(grad, np.zeros_like(z))
 
 
+def test_huge_eps_d_squares_no_floored_distance():
+    # eps_d ** 2 overflows; a row below the floor has no gradient to scale
+    z = np.array([[3.0, 0.0]])
+    with np.errstate(over="raise"):
+        loss, grad, _ = mad_loss(z, np.array([KNOWN_ABNORMAL]),
+                                 LiveCenters(make_centers([[0.0, 0.0]])),
+                                 1.0, 1, eps_d=1e300)
+    assert loss == 1e-300
+    assert np.array_equal(grad, np.zeros_like(z))
+
+
 def test_unlabeled_and_normal_terms_non_negative():
     rng = np.random.default_rng(10)
     centers = make_centers(rng.normal(size=(3, 3)))

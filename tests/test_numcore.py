@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from madlab.errors import NumericsError, ShapeError, StateError
-from madlab.numcore import (ADAM, IDENTITY, RELU, SGD, Arena, GradientTape,
-                            LayerSpec, Mlp, OptimizerState, apply_lr_schedule,
-                            init_params, mlp_backward, optimizer_step)
+from madlab.numcore import (ADAM, SGD, Arena, GradientTape, Mlp,
+                            OptimizerState, apply_lr_schedule, init_params,
+                            mlp_backward, optimizer_step)
 
 from _oracles import central_diff, grads_close, per_array_step, random_mlp
 
 
 def identity_layer_model(dim):
-    specs = [LayerSpec(dim, dim, IDENTITY)]
-    params = [np.eye(dim), np.zeros(dim)]
-    return Mlp(specs, params=params)
+    return Mlp((dim, dim), params=[np.eye(dim), np.zeros(dim)])
 
 
 def test_identity_layer_passthrough():
@@ -24,17 +22,18 @@ def test_identity_layer_passthrough():
 
 
 def test_zero_weights_relu_all_zero():
-    model = Mlp([LayerSpec(3, 4, RELU)], params=[np.zeros((3, 4)), np.zeros(4)])
-    out = model.forward(np.array([[1.0, -2.0, 5.0], [0.1, 0.2, 0.3]]))
+    # the hidden layer's pre-activation is its bias; ReLU clips it to 0
+    model = Mlp((3, 4, 1), params=[np.zeros((3, 4)), np.array([0.0, -1, 0, -2]),
+                                   np.ones((4, 1)), np.ones(1)])
+    out = model.forward(np.array([[1.0, -2.0, 5.0], [0.1, 0.2, 0.3]]),
+                        n_layers=1)
     assert np.array_equal(out, np.zeros((2, 4)))
 
 
 def test_two_layer_hand_computed():
     # x=[1,2]; W1=I, b1=[1,-3] -> pre [2,-1] -> relu [2,0]; W2=[[1],[1]] -> [2]
-    model = Mlp(
-        [LayerSpec(2, 2, RELU), LayerSpec(2, 1, IDENTITY)],
-        params=[np.eye(2), np.array([1.0, -3.0]),
-                np.array([[1.0], [1.0]]), np.zeros(1)])
+    model = Mlp((2, 2, 1), params=[np.eye(2), np.array([1.0, -3.0]),
+                                   np.array([[1.0], [1.0]]), np.zeros(1)])
     out = model.forward(np.array([[1.0, 2.0]]))
     assert np.array_equal(out, [[2.0]])
 
@@ -46,7 +45,7 @@ def test_forward_shape_error_names_both_dims():
 
 
 def test_partial_depth_forward():
-    model = Mlp([LayerSpec(2, 3, RELU), LayerSpec(3, 1, IDENTITY)], rng=0)
+    model = Mlp((2, 3, 1), rng=0)
     h = model.forward(np.ones((4, 2)), n_layers=1)
     assert h.shape == (4, 3)
     with pytest.raises(StateError):
@@ -54,7 +53,7 @@ def test_partial_depth_forward():
 
 
 def test_linear_layer_weight_gradient_is_outer_product():
-    model = Mlp([LayerSpec(3, 2, IDENTITY)], rng=1)
+    model = Mlp((3, 2), rng=1)
     x = np.random.default_rng(2).normal(size=(5, 3))
     g = np.random.default_rng(3).normal(size=(5, 2))
     tape = GradientTape()
@@ -106,11 +105,13 @@ def test_gradients_match_finite_differences(seed):
 
 
 def test_relu_subgradient_zero_at_zero():
-    # pre-activation exactly 0 must propagate no gradient
-    model = Mlp([LayerSpec(1, 1, RELU)], params=[np.zeros((1, 1)), np.zeros(1)])
+    # a hidden pre-activation of exactly 0 must propagate no gradient
+    model = Mlp((1, 1, 1), params=[np.zeros((1, 1)), np.zeros(1),
+                                   np.ones((1, 1)), np.zeros(1)])
     tape = GradientTape()
     model.forward(np.array([[5.0]]), tape)
     grads, _ = mlp_backward(tape, np.array([[1.0]]))
+    assert grads[3][0] == 1.0  # the linear output layer passes it on
     assert grads[0][0, 0] == 0.0 and grads[1][0] == 0.0
 
 
@@ -226,7 +227,7 @@ def test_in_place_edit_of_a_view_changes_forward():
 
 def test_mlp_copies_the_callers_arrays():
     arrays = [np.eye(2), np.zeros(2)]
-    model = Mlp([LayerSpec(2, 2, IDENTITY)], params=arrays)
+    model = Mlp((2, 2), params=arrays)
     assert not any(np.shares_memory(a, model.parameters().flat) for a in arrays)
     arrays[0][0, 0] = 5.0
     model.parameters()[1][0] = 7.0
@@ -272,13 +273,13 @@ def test_shape_closure_forward_backward():
 
 
 def test_init_bounds_and_zero_bias():
-    specs = [LayerSpec(6, 10, RELU)]
-    params = init_params(specs, np.random.default_rng(0))
+    params = init_params((6, 10), np.random.default_rng(0))
     limit = np.sqrt(6.0 / 16.0)
     assert np.all(np.abs(params[0]) <= limit)
     assert np.array_equal(params[1], np.zeros(10))
 
 
-def test_layer_chain_mismatch_rejected():
-    with pytest.raises(ShapeError):
-        Mlp([LayerSpec(2, 3, RELU), LayerSpec(4, 1, IDENTITY)], rng=0)
+@pytest.mark.parametrize("widths", [(), (3,), (3, 0, 1), (0, 2)])
+def test_widths_guard(widths):
+    with pytest.raises(ShapeError, match="at least 2 widths, each >= 1"):
+        Mlp(widths, rng=0)
