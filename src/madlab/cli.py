@@ -95,11 +95,9 @@ def _train_once(cfg: dict, data_dir: str, out_dir: str, workers) -> int:
     def persist(r, state):
         save_checkpoint(os.path.join(out_dir, f"checkpoint_r{r}.npz"), state)
         with atomic_write(os.path.join(out_dir, f"centers_r{r}.jsonl")) as fh:
-            hist = state.ft_history or {"live": [], "counts": []}
-            for epoch, (live, counts) in enumerate(
-                    zip(hist["live"], hist["counts"])):
-                fh.write(json.dumps({"epoch": epoch, "live": live,
-                                     "counts": counts}) + "\n")
+            fh.writelines(json.dumps({key: rec[key] for key in (
+                "epoch", "live", "counts")}) + "\n" for rec in state.epochs
+                if rec["phase"] == "finetune")
 
     result = run_experiment(exp, datasets, on_replicate=persist,
                             workers=workers)

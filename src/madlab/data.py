@@ -298,15 +298,18 @@ def augment_pairs(features: np.ndarray, cfg: AugmentationConfig, rng):
 @contextlib.contextmanager
 def atomic_write(path, mode: str = "w", **open_kw):
     """Write through a temp file beside ``path`` that replaces it on success,
-    so a failure part way leaves any previous file intact."""
+    so a failure part way leaves any previous file intact. An ``OSError``
+    that names no file is raised again naming ``path``."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, mode, **open_kw)
     try:
         with fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno and exc.filename is None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

@@ -3,7 +3,7 @@ center initialization, fine-tuning with per-epoch cardinality pruning.
 Both phases run their epochs through one batch loop, ``_run_epoch``; each
 supplies only its batch input, its loss and its per-epoch work. A phase
 reads and advances one ``TrainerState``: it runs from ``state.epoch`` to a
-given end epoch and writes the optimizer, losses, centers and history it
+given end epoch and writes the optimizer, centers and epoch records it
 creates or updates back into the state.
 
 All randomness is derived from (seed, phase tag, epoch) so a run can be
@@ -40,7 +40,7 @@ from .spheres import nearest_live_center  # noqa: F401 -- a perfbench/tracer.py 
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # rng stream tags
 _T_INIT_PRETEXT = 11
@@ -95,7 +95,10 @@ def transfer_weights(pretext: EncoderModel, cfg: ExperimentConfig) -> EncoderMod
 
 @dataclass
 class TrainerState:
-    """Everything needed to resume a run at an epoch boundary."""
+    """Everything needed to resume a run at an epoch boundary. ``epochs`` has
+    one dict per recorded epoch, in order: ``phase``, ``epoch`` (completed
+    in the phase), ``loss`` and, for finetune, ``val_auc``, ``objective``,
+    ``live`` and ``counts``; the finetune baseline has epoch 0, loss None."""
 
     config: ExperimentConfig
     phase: str                      # "pretrain" | "finetune" | "done"
@@ -104,8 +107,16 @@ class TrainerState:
     mad_model: EncoderModel | None = None
     opt: OptimizerState | None = None
     centers: CenterSet | None = None
-    pre_losses: list = field(default_factory=list)
-    ft_history: dict | None = None
+    epochs: list = field(default_factory=list)
+
+    @property
+    def ft_history(self) -> dict | None:
+        """Finetune records as parallel lists, index 0 the baseline (no loss)."""
+        ft = [rec for rec in self.epochs if rec["phase"] == "finetune"]
+        names = {"val_auc": "val_auc", "objective": "objective", "live": "live",
+                 "counts": "counts", "train_loss": "loss"}
+        return {name: [rec[key] for rec in ft if rec.get(key) is not None]
+                for name, key in names.items()} if ft else None
 
 
 def _make_optimizer(phase_cfg) -> OptimizerState:
@@ -145,8 +156,8 @@ def _run_epoch(phase: str, seed_key: list, epoch: int, pc, model, opt,
 def pretrain(cfg: ExperimentConfig, view: TrainingView, state: TrainerState,
              end_epoch: int):
     """Contrastive pretraining of ``state.pretext_model`` over ALL train
-    samples, labels ignored, from ``state.epoch`` to ``end_epoch``; appends
-    each epoch's mean anchor loss to ``state.pre_losses``."""
+    samples, labels ignored, from ``state.epoch`` to ``end_epoch``; records
+    each epoch's mean anchor loss in ``state.epochs``."""
     n = len(view)
     if n == 0:
         raise ConfigError("pretraining needs a non-empty dataset")
@@ -165,71 +176,62 @@ def pretrain(cfg: ExperimentConfig, view: TrainingView, state: TrainerState,
         loss_sum = _run_epoch("pretext", [cfg.seed, _T_SHUF_PRE], epoch, pc,
                               state.pretext_model, state.opt, n, pairs,
                               lambda z, idx: info_nce_loss(z, pc.temperature))
-        state.pre_losses.append(loss_sum / (2 * n))  # mean over the 2n anchors
         state.epoch = epoch + 1
+        state.epochs.append({"phase": "pretrain", "epoch": state.epoch,
+                             "loss": loss_sum / (2 * n)})  # mean over 2n anchors
 
 
-def _record_epoch(state: TrainerState, cfg, view, val_ds, emb, live):
-    """Append one row of the finetune history, ``emb`` the embedded ``view``.
-    The objective is the epoch objective on frozen weights: data terms plus
-    the L2 penalty that the optimizer realizes as decoupled decay."""
-    fc = cfg.finetune
-    model, centers, history = state.mad_model, state.centers, state.ft_history
-    scores = anomaly_scores(model.embed(val_ds.features), centers)
-    history["val_auc"].append(auc(scores, val_ds.ground_truth == GT_ABNORMAL))
-    data_term, _, _ = mad_loss(emb, view.labels, live, fc.eta, len(view),
-                               fc.eps_d)
-    history["objective"].append(data_term + 0.5 * fc.weight_decay * sum(
-        float(np.sum(p * p)) for p in model.net.parameters()))
-    history["live"].append(centers.n_live)
-    history["counts"].append([int(c) for c in centers.counts])
+def _record_epoch(state: TrainerState, cfg, view, val_ds, epoch, loss=None):
+    """Fine-tuning's bookkeeping after training ``epoch`` to ``loss``, or
+    before any step if ``loss`` is None: embed the train view, fit k-means
+    centers to its presumed-normal rows or count and prune them, and record
+    the objective on frozen weights (data terms plus the L2 penalty that
+    the optimizer realizes as decoupled decay). Returns the live centers."""
+    fc, model = cfg.finetune, state.mad_model
+    try:  # a float fault names its epoch, as a step's does
+        emb = model.embed(view.features)
+        if state.centers is None:
+            state.centers = kmeans(emb[view.labels >= 0], fc.n_s,
+                                   seed=[cfg.seed, _T_KMEANS], gamma=fc.gamma)
+        else:
+            assign_and_count(emb[view.labels >= 0], state.centers)
+            prune(state.centers)
+        centers, live = state.centers, LiveCenters(state.centers)
+        scores = anomaly_scores(model.embed(val_ds.features), centers)
+        data_term, _, _ = mad_loss(emb, view.labels, live, fc.eta, len(view),
+                                   fc.eps_d)
+        state.epochs.append({
+            "phase": "finetune", "epoch": 0 if loss is None else epoch + 1,
+            "loss": loss,
+            "val_auc": auc(scores, val_ds.ground_truth == GT_ABNORMAL),
+            "objective": data_term + 0.5 * fc.weight_decay * sum(
+                float(np.sum(p * p)) for p in model.net.parameters()),
+            "live": centers.n_live, "counts": [int(c) for c in centers.counts]})
+    except FloatingPointError as exc:
+        raise NumericsError(
+            f"finetune epoch {epoch} bookkeeping: {exc}") from exc
+    return live
 
 
 def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
              state: TrainerState, end_epoch: int):
-    """Fine-tune ``state.mad_model`` from ``state.epoch`` to ``end_epoch``.
-
-    Initializes missing centers by k-means over the embedded presumed-normal
-    samples (unlabeled + known-normal), then runs batched updates with
-    per-epoch cardinality pruning. ``state.ft_history`` rows are indexed by
-    epoch; index 0 holds the pre-finetune baseline.
-    """
-    fc = cfg.finetune
-    model, presumed = state.mad_model, view.labels >= 0
+    """Fine-tune ``state.mad_model`` from ``state.epoch`` to ``end_epoch``,
+    recording the baseline first and then each epoch (``_record_epoch``)."""
+    fc, n = cfg.finetune, len(view)
     if state.centers is None and state.epoch != 0:
         raise StateError("resuming finetune requires the saved centers")
-    try:  # a float fault in the bookkeeping names its epoch, as a step's does
-        emb = model.embed(view.features)
-        if state.centers is None:
-            state.centers = kmeans(emb[presumed], fc.n_s,
-                                   seed=[cfg.seed, _T_KMEANS], gamma=fc.gamma)
-        live = LiveCenters(state.centers)  # rebuilt after every prune
-        if state.ft_history is None:
-            state.ft_history = {"val_auc": [], "objective": [], "live": [],
-                                "counts": [], "train_loss": []}
-            _record_epoch(state, cfg, view, val_ds, emb, live)
-    except FloatingPointError as exc:
-        raise NumericsError(
-            f"finetune epoch {state.epoch} bookkeeping: {exc}") from exc
+    live = (LiveCenters(state.centers) if state.centers is not None
+            else _record_epoch(state, cfg, view, val_ds, 0))
     if state.opt is None:
         state.opt = _make_optimizer(fc)
 
-    n, centers = len(view), state.centers
     for epoch in range(state.epoch, end_epoch):
         loss_sum = _run_epoch(
-            "finetune", [cfg.seed, _T_SHUF_FT], epoch, fc, model, state.opt, n,
-            lambda idx: view.features[idx],
+            "finetune", [cfg.seed, _T_SHUF_FT], epoch, fc, state.mad_model,
+            state.opt, n, lambda idx: view.features[idx],
             lambda z, idx: mad_loss(z, view.labels[idx], live, fc.eta, n,
                                     fc.eps_d)[:2])
-        state.ft_history["train_loss"].append(loss_sum)
-        try:
-            emb = model.embed(view.features)
-            assign_and_count(emb[presumed], centers)
-            live = LiveCenters(prune(centers))
-            _record_epoch(state, cfg, view, val_ds, emb, live)
-        except FloatingPointError as exc:
-            raise NumericsError(
-                f"finetune epoch {epoch} bookkeeping: {exc}") from exc
+        live = _record_epoch(state, cfg, view, val_ds, epoch, loss_sum)
         state.epoch = epoch + 1
 
 
@@ -438,6 +440,13 @@ def run_experiment(cfg: ExperimentConfig, datasets=None, on_replicate=None,
     """
     t0 = time.monotonic()
     workers = resolve_workers(cfg.replicates, workers)
+    width, mad_dim = cfg.dims.body[-1], cfg.dims.mad_dim
+    try:  # lay the detection head out now: a size numpy refuses fails first
+        np.empty((width, mad_dim))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"model.body's last width {width} and model.mad_dim "
+                          f"{mad_dim} give a detection head that cannot be "
+                          f"allocated: {exc}") from exc
     rcfgs = [replace(cfg, seed=cfg.seed + r) for r in range(cfg.replicates)]
     records, errors, seconds = [], [], []
     with closing(_replicate_outcomes(rcfgs, datasets, workers)) as outcomes:
@@ -473,12 +482,13 @@ def save_checkpoint(path, state: TrainerState):
             "config": asdict(state.config),
             "config_hash": experiment_hash(state.config),
             "phase": state.phase, "epoch": state.epoch,
-            "pre_losses": state.pre_losses,
-            "ft_history": state.ft_history,
+            "epochs": state.epochs if state.phase != "done" else [
+                {k: v for k, v in rec.items() if k != "counts"}
+                for rec in state.epochs],  # centers_r*.jsonl keeps the counts
             "opt": None if opt is None else {
                 "learning_rate": opt.learning_rate, "step_count": opt.step_count}}
-    arrays = {"meta_json": np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
+    arrays = {"meta_json": np.frombuffer(json.dumps(
+        meta, sort_keys=True, separators=(",", ":")).encode(), dtype=np.uint8),
         "pretext": state.pretext_model.net.parameters().flat}
     if state.mad_model is not None:
         arrays["mad"] = state.mad_model.net.parameters().flat
@@ -550,5 +560,4 @@ def _read_checkpoint(path) -> TrainerState:
 
     return TrainerState(config=cfg, phase=meta["phase"], epoch=meta["epoch"],
                         pretext_model=pretext, mad_model=mad, opt=opt,
-                        centers=centers, pre_losses=meta["pre_losses"],
-                        ft_history=meta["ft_history"])
+                        centers=centers, epochs=meta["epochs"])

@@ -310,7 +310,8 @@ def test_invariant_pretrain_loss_regression(benchmark_default):
     # among comparisons ending after epoch 5
     _, states = benchmark_default
     for r, s in states.items():
-        losses = np.asarray(s.pre_losses)
+        losses = np.asarray([rec["loss"] for rec in s.epochs
+                             if rec["phase"] == "pretrain"])
         smooth = np.convolve(losses, np.ones(10) / 10.0, mode="valid")
         tol = 0.01 * (losses.max() - losses.min())
         start = max(1, 5 - 10 + 1)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -281,6 +282,54 @@ def test_huge_size_exits_1(tmp_path, data_dir, command, key):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: ") and line[len("error: "):].strip()
+    if key == "model.mad_dim":
+        assert key in line
+
+
+def test_huge_mad_dim_fails_before_pretraining(tmp_path, data_dir, capsys,
+                                               monkeypatch):
+    def pretrain(*args):
+        raise AssertionError("pretraining started")
+
+    monkeypatch.setattr(trainer_mod, "pretrain", pretrain)
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data_dir), "--out", str(out),
+                 "--workers", "1", *TOY_SETS, "--set", f"model.mad_dim={HUGE}"])
+    [line] = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert line.startswith(f"error: model.body's last width 8 and "
+                           f"model.mad_dim {HUGE} give a detection head that "
+                           f"cannot be allocated: ")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, target", [
+    ("generate", "train.csv"), ("train", "checkpoint_r0.npz"),
+    ("eval", "scores.csv")])
+def test_write_error_names_the_file(tmp_path, request, data_dir, command,
+                                    target):
+    out = tmp_path / "out"
+    argv = {"generate": ["generate", "--out", str(out), *SMALL_SETS],
+            "train": ["train", "--data", str(data_dir), "--out", str(out),
+                      "--workers", "1", *TOY_SETS],
+            "eval": ["eval", "--data", str(data_dir), "--out", str(out),
+                     "--checkpoint", str(tmp_path / "run" / "checkpoint_r0.npz")],
+            }[command]
+    if command == "eval":
+        request.getfixturevalue("trained_dir")
+    code = ("import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE,\n"
+            "                   (2000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+            "from madlab.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(1),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line == (f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: "
+                    f"'{out / target}'")
+    assert list(out.iterdir()) == []  # neither the file nor its temp file
 
 
 # every numeric key at extreme values, through generate and then train at
@@ -634,11 +683,12 @@ def test_train_outputs_identical_at_1_and_2_workers(tmp_path):
 
 
 # sha256 of replicate 0's checkpoint and centers trajectory from the same
-# run; the checkpoint's ft_history holds every fine-tuning epoch's objective
-# and the trajectory every epoch's per-center counts.
+# run; the checkpoint's epoch records hold every epoch's loss and every
+# fine-tuning epoch's objective, and the trajectory every fine-tuning
+# epoch's per-center counts.
 SMALL_REPLICATE_0_SHA256 = {
     "checkpoint_r0.npz":
-        "f66849e8b0af4a72d0c600c26232362fb43b8fb2db967c356da9b7684af6bd2c",
+        "38f6519ad06e3a65c4222adfccbea64a5a1abef0e61f177ce4e0e6cf3190cc4d",
     "centers_r0.jsonl":
         "b508e01e47780968c023b4869d191ee0c9becdf6472f73191ce309b54b73208c",
 }

@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -59,6 +60,11 @@ def finetune_start(cfg, mad_model):
                         mad_model=mad_model)
 
 
+def pre_losses(state):
+    """Pretraining's mean loss per epoch, from the state's epoch records."""
+    return [rec["loss"] for rec in state.epochs if rec["phase"] == "pretrain"]
+
+
 def params_equal(a, b):
     pa, pb = a.net.parameters(), b.net.parameters()
     return len(pa) == len(pb) and all(np.array_equal(x, y)
@@ -69,7 +75,7 @@ def test_zero_epochs_leaves_initialization(small_cfg, small_data):
     view = small_data[0].training_view()
     cfg = replace(small_cfg, pretrain=replace(small_cfg.pretrain, epochs=0))
     state = pretrained(cfg, view)
-    assert state.pre_losses == []
+    assert pre_losses(state) == []
     assert params_equal(state.pretext_model, build_pretext_model(cfg))
 
 
@@ -77,7 +83,7 @@ def test_pretrain_deterministic(small_cfg, small_data):
     view = small_data[0].training_view()
     s1, s2 = pretrained(small_cfg, view), pretrained(small_cfg, view)
     assert params_equal(s1.pretext_model, s2.pretext_model)
-    assert s1.pre_losses == s2.pre_losses
+    assert pre_losses(s1) == pre_losses(s2)
 
 
 def test_pretrain_empty_dataset_rejected(small_cfg, small_data):
@@ -291,6 +297,41 @@ def test_checkpoint_round_trip_resumes_bit_exact(small_cfg, small_data,
     assert records == ref_records
 
 
+# sha256 of json.dumps({"pre_losses": ..., "ft_history": ...}, sort_keys=True)
+# for one small replicate, computed when a state kept its pretraining losses
+# as a list and its fine-tuning history as five parallel lists: the epoch
+# records hold the same values
+SMALL_HISTORY_SHA256 = (
+    "24293ec814385a3da555ae14126d448b05670eaa2df840c238b485b94cee4d0a")
+
+
+def test_epoch_records_keep_the_history_pinned(small_cfg, small_data):
+    state, _ = run_replicate(small_cfg, small_data)
+    blob = json.dumps({"pre_losses": pre_losses(state),
+                       "ft_history": state.ft_history}, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == SMALL_HISTORY_SHA256
+    assert [(rec["phase"], rec["epoch"]) for rec in state.epochs] == [
+        ("pretrain", 1), ("pretrain", 2), ("finetune", 0), ("finetune", 1),
+        ("finetune", 2), ("finetune", 3)]
+    assert state.epochs[2]["loss"] is None  # the baseline trained nothing
+
+
+@pytest.mark.parametrize("stop, keeps_counts", [(None, False),
+                                                (("finetune", 1), True)],
+                         ids=["done", "mid_finetune"])
+def test_only_a_resumable_checkpoint_keeps_the_counts(small_cfg, small_data,
+                                                     tmp_path, stop,
+                                                     keeps_counts):
+    state, _ = run_replicate(small_cfg, small_data, stop=stop)
+    save_checkpoint(tmp_path / "ckpt.npz", state)
+    back = load_checkpoint(tmp_path / "ckpt.npz")
+    assert back.epochs == [
+        {k: v for k, v in rec.items() if keeps_counts or k != "counts"}
+        for rec in state.epochs]
+    assert any("counts" in rec for rec in back.epochs) == keeps_counts
+    assert state.ft_history["counts"]  # the state itself keeps them
+
+
 def test_checkpoint_mid_pretrain_resume(small_cfg, small_data, tmp_path):
     ref_state, _ = run_replicate(small_cfg, small_data)
     mid, _ = run_replicate(small_cfg, small_data, stop=("pretrain", 1))
@@ -299,7 +340,7 @@ def test_checkpoint_mid_pretrain_resume(small_cfg, small_data, tmp_path):
     final, _ = run_replicate(small_cfg, small_data,
                              state=load_checkpoint(path))
     assert params_equal(final.pretext_model, ref_state.pretext_model)
-    assert final.pre_losses == ref_state.pre_losses
+    assert pre_losses(final) == pre_losses(ref_state)
 
 
 def test_checkpoint_missing_file(tmp_path):
@@ -344,7 +385,8 @@ def _damage(path, damage):
         ("missing_moments", "ckpt.npz: KeyError: .*opt_m"),
         ("misshaped_moment", "ckpt.npz: opt_v holds"),
         ("version_1", "ckpt.npz: unsupported checkpoint version 1"),
-        ("version_2", "ckpt.npz: unsupported checkpoint version 2")]])
+        ("version_2", "ckpt.npz: unsupported checkpoint version 2"),
+        ("version_3", "ckpt.npz: unsupported checkpoint version 3")]])
 def test_corrupt_checkpoint_raises_state_error(small_cfg, small_data,
                                                tmp_path, damage, match):
     mid, _ = run_replicate(small_cfg, small_data, stop=("pretrain", 1))
