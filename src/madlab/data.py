@@ -17,6 +17,7 @@ import csv
 import logging
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,50 +340,60 @@ def save_csv(dataset: Dataset, path):
                     dataset.features[block].tolist()))
 
 
+def _codes(column, values: dict, path) -> np.ndarray:
+    """Map a column of names to their codes; an unknown name raises
+    SchemaError naming the line of its first row."""
+    names, inverse = np.unique(column, return_inverse=True)
+    unknown = ~np.isin(names, list(values))[inverse]
+    if unknown.any():
+        row = int(np.argmax(unknown))
+        raise SchemaError(f"{path}:{row + 2}: unknown value {str(column[row])!r}")
+    return np.array([values[n] for n in names.tolist()], dtype=np.int8)[inverse]
+
+
 def load_csv(path, split: str) -> Dataset:
-    """Read one split back; schema violations raise SchemaError."""
+    """Read one split back; schema violations raise SchemaError.
+
+    ``csv`` reads the header; numpy's C parser reads the body, unquoted
+    fields and ``\\n``, ``\\r\\n`` or ``\\r`` line ends, in one ``np.loadtxt``
+    call, skipping blank lines. A line number in an error counts the lines
+    up to the row, blank lines excepted.
+    """
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file") from None
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
             if len(header) < 5 or header[:4] != _header(0)[:4]:
                 raise SchemaError(f"{path}: unexpected header {header[:4]}")
             dim = len(header) - 4
             if header != _header(dim):
                 raise SchemaError(f"{path}: feature columns must be f0..f{dim - 1}")
-
-            groups, modes, gts, labels, feats = [], [], [], [], []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 4 + dim:
-                    raise SchemaError(f"{path}:{lineno}: expected {4 + dim} fields")
-                try:
-                    groups.append(int(row[0]))
-                    modes.append(int(row[1]))
-                    gts.append(_GT_VALUES[row[2]])
-                    labels.append(_LABEL_VALUES[row[3]])
-                    feats.append([float(v) for v in row[4:]])
-                except (ValueError, KeyError) as exc:
-                    raise SchemaError(f"{path}:{lineno}: {exc}") from None
-    except UnicodeDecodeError as exc:  # not a text file
+            # name fields one char wider than any name: none is cut to fit
+            row = [("g", np.int64), ("m", np.int64),
+                   ("gt", f"U{max(map(len, _GT_VALUES)) + 1}"),
+                   ("label", f"U{max(map(len, _LABEL_VALUES)) + 1}"),
+                   ("f", np.float64, (dim,))]
+            with warnings.catch_warnings():  # a header-only file has no rows
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, dtype=row, delimiter=",", comments=None,
+                                  ndmin=1)
+    except SchemaError:
+        raise
+    except ValueError as exc:  # undecodable bytes, a bad number, a bad row
         raise SchemaError(f"{path}: {exc}") from None
 
-    features = np.asarray(feats, dtype=np.float64)
+    gts = _codes(rows["gt"], _GT_VALUES, path)
+    labels = _codes(rows["label"], _LABEL_VALUES, path)
+    features = rows["f"].copy()  # a field is a strided view, maybe unaligned
     if features.size and not np.all(np.isfinite(features)):
         raise SchemaError(f"{path}: non-finite feature values")
     huge = _huge_rows(features)
     if huge.any():
         raise SchemaError(f"{path}:{int(np.argmax(huge)) + 2}: feature values "
                           "too large (squared norm overflows)")
-    try:
-        return Dataset(features.reshape(len(groups), dim), np.array(labels),
-                       np.array(gts), np.array(modes), np.array(groups), split)
-    except SchemaError:
-        raise
-    except Exception as exc:  # invariant violations surface as schema errors
-        raise SchemaError(f"{path}: {exc}") from exc
+    return Dataset(features, labels, gts, rows["m"].copy(), rows["g"].copy(),
+                   split)
 
 
 def save_splits(datasets, out_dir):

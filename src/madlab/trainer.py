@@ -440,13 +440,21 @@ def run_experiment(cfg: ExperimentConfig, datasets=None, on_replicate=None,
     """
     t0 = time.monotonic()
     workers = resolve_workers(cfg.replicates, workers)
-    width, mad_dim = cfg.dims.body[-1], cfg.dims.mad_dim
-    try:  # lay the detection head out now: a size numpy refuses fails first
-        np.empty((width, mad_dim))
-    except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"model.body's last width {width} and model.mad_dim "
-                          f"{mad_dim} give a detection head that cannot be "
-                          f"allocated: {exc}") from exc
+    # lay out every weight matrix of both networks now, so that a size numpy
+    # refuses fails before any replicate starts, naming its config keys
+    d = cfg.dims
+    body = [("model.body width", w) for w in d.body]
+    body[-1] = ("model.body's last width", d.body[-1])
+    matrices = [(a, b, "an encoder layer")
+                for a, b in zip([("data.dim", d.input_dim), *body], body)]
+    matrices += [(body[-1], ("model.proj_dim", d.proj_dim), "a projection head"),
+                 (body[-1], ("model.mad_dim", d.mad_dim), "a detection head")]
+    for (a_key, a), (b_key, b), what in matrices:
+        try:
+            np.empty((a, b))
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"{a_key} {a} and {b_key} {b} give {what} that "
+                              f"cannot be allocated: {exc}") from exc
     rcfgs = [replace(cfg, seed=cfg.seed + r) for r in range(cfg.replicates)]
     records, errors, seconds = [], [], []
     with closing(_replicate_outcomes(rcfgs, datasets, workers)) as outcomes:

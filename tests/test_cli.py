@@ -263,15 +263,20 @@ def _child_env(blas_threads: int) -> dict:
 HUGE = str(10 ** 18)
 
 
-@pytest.mark.parametrize("command, key", [
-    ("generate", "data.train_size"), ("generate", "data.test_size"),
-    ("generate", "data.dim"), ("generate", "data.modes"),
-    ("train", "model.body"), ("train", "model.mad_dim")])
-def test_huge_size_exits_1(tmp_path, data_dir, command, key):
+HUGE_SIZES = [
+    ("generate", "data.train_size", HUGE), ("generate", "data.test_size", HUGE),
+    ("generate", "data.dim", HUGE), ("generate", "data.modes", HUGE),
+    ("train", "model.body", HUGE), ("train", "model.mad_dim", HUGE),
+    ("train", "model.body", f"{HUGE},32"), ("train", "model.proj_dim", HUGE)]
+
+
+@pytest.mark.parametrize("command, key, value", HUGE_SIZES, ids=[
+    f"{c}-{k}" + ("-first_width" if "," in v else "") for c, k, v in HUGE_SIZES])
+def test_huge_size_exits_1(tmp_path, data_dir, command, key, value):
     argv = ([command, "--out", str(tmp_path / "out"), *TOY_SETS]
             + (["--data", str(data_dir), "--workers", "1"]
                if command == "train" else [])
-            + ["--set", f"{key}={HUGE}"])
+            + ["--set", f"{key}={value}"])
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS,\n"
             "                   (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
@@ -282,7 +287,7 @@ def test_huge_size_exits_1(tmp_path, data_dir, command, key):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: ") and line[len("error: "):].strip()
-    if key == "model.mad_dim":
+    if command == "train":
         assert key in line
 
 

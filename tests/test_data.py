@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -192,7 +193,12 @@ def test_load_splits_relabels_train_as_configured(tmp_path):
 # --- CSV schema --------------------------------------------------------------------
 
 def test_csv_round_trip_bit_exact(tmp_path):
-    datasets = generate_synthetic(SMALL)
+    datasets = list(generate_synthetic(SMALL))
+    feats = datasets[0].features.copy()
+    # the extreme row of the byte test below, with 1e154 for its 1e308, whose
+    # square overflows: load_csv refuses that row (see the malformed rows)
+    feats[0] = [-0.0, 5e-324, 1e154, 1 / 3, -1e-308, 2.0 / 3, 1e-5, 1e16]
+    datasets[0] = replace(datasets[0], features=feats)
     paths = save_splits(datasets, tmp_path)
     first = [open(p, "rb").read() for p in paths]
     loaded = load_splits(tmp_path, SMALL)
@@ -200,9 +206,18 @@ def test_csv_round_trip_bit_exact(tmp_path):
     second = [open(p, "rb").read() for p in paths]
     assert first == second
     for a, b in zip(datasets, loaded):
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.group_ids, b.group_ids)
-        assert np.allclose(a.features, b.features, atol=1e-7)
+        written = np.array([[float("%.9g" % x) for x in row]
+                            for row in a.features.tolist()])
+        assert b.features.shape == written.shape
+        assert b.features.tobytes() == written.tobytes()  # -0.0 included
+        for name, dtype in (("features", np.float64), ("labels", np.int8),
+                            ("ground_truth", np.int8), ("mode_ids", np.int64),
+                            ("group_ids", np.int64)):
+            array = getattr(b, name)
+            assert array.dtype == dtype
+            assert array.flags.c_contiguous and array.flags.aligned
+            if name != "features":
+                assert np.array_equal(array, getattr(a, name))
 
 
 def test_csv_header_schema(tmp_path):
@@ -254,6 +269,89 @@ def test_csv_label_gt_disagreement_rejected(tmp_path):
                  "1,0,abnormal,normal,0.5\n")
     with pytest.raises(SchemaError):
         load_csv(p, "train")
+
+
+# one header and enough good rows that a bad row after them is read past the
+# first 8 KiB the header read decodes
+HEADER = b"group_id,mode_id,ground_truth,label,f0,f1\r\n"
+GOOD_ROWS = b"1,0,normal,unlabeled,0.5,-1.5\r\n" * 400
+BAD_LINE = len(GOOD_ROWS.splitlines()) + 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row, names_line", [
+    (b'1,0,"normal",unlabeled,0.5,-1.5', True),
+    (b'1,0,normal,unlabeled,"0.5",-1.5', False),
+    (b"1,0,normal,unlabeled,0.5,-1.5,", False),
+    (b"1,0,normal,unlabeled,0.5", False),
+    (b"1e3,0,normal,unlabeled,0.5,-1.5", False),
+    (b"1,99999999999999999999,normal,unlabeled,0.5,-1.5", False),
+    (b"1,0,abnormalx,unlabeled,0.5,-1.5", True),
+    (b"1,0,normal,unlabeledx,0.5,-1.5", True),
+    (b"1,0,normal,unlabeled,0.\x005,-1.5", False),
+    (b"1,0,normal,unlabeled,0.\xff5,-1.5", False),
+    (b"1,0,normal,unlabeled,1_0,-1.5", False),
+    (b"1,0,normal,unlabeled,1e308,-1.5", True),
+], ids=["quoted_name", "quoted_number", "trailing_comma", "short_row",
+        "float_in_int_column", "int64_overflow", "abnormalx", "unlabeledx",
+        "nul_byte", "non_utf8_byte", "digit_separator", "squared_norm_overflow"])
+def test_csv_malformed_row_rejected(tmp_path, row, names_line):
+    p = tmp_path / "train.csv"
+    p.write_bytes(HEADER + GOOD_ROWS + row + b"\r\n")
+    where = f"{p}:{BAD_LINE}:" if names_line else f"{p}: "
+    with pytest.raises(SchemaError) as info:
+        load_csv(p, "train")
+    assert str(info.value).startswith(where)
+
+
+@pytest.mark.filterwarnings("error")
+def test_csv_header_only_loads_zero_rows(tmp_path):
+    p = tmp_path / "train.csv"
+    p.write_bytes(HEADER)
+    ds = load_csv(p, "train")
+    assert (len(ds), ds.dim) == (0, 2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_csv_line_ends_and_blank_lines(tmp_path, end):
+    # documented: every line end reads alike, and a blank line is skipped
+    rows = [b"group_id,mode_id,ground_truth,label,f0,f1",
+            b"1,0,normal,unlabeled,0.5,-1.5", b"",
+            b"2,1,abnormal,abnormal,-0.0,1e-5", b""]
+    p = tmp_path / "train.csv"
+    p.write_bytes(end.join(rows))
+    ds = load_csv(p, "train")
+    assert ds.group_ids.tolist() == [1, 2]
+    assert ds.mode_ids.tolist() == [0, 1]
+    assert ds.ground_truth.tolist() == [GT_NORMAL, GT_ABNORMAL]
+    assert ds.labels.tolist() == [UNLABELED, KNOWN_ABNORMAL]
+    assert ds.features.tobytes() == np.array([[0.5, -1.5],
+                                              [-0.0, 1e-5]]).tobytes()
+
+
+def test_load_csv_python_calls_do_not_grow_with_rows(tmp_path):
+    """Counted cost, independent of host speed: the Python-level calls that
+    reading a 4 000-row split makes. Parsing row by row made one or more per
+    row (4 240); one ``np.loadtxt`` makes about 290, most of them the UTF-8
+    decoder, once per 8 KiB chunk."""
+    train = generate_synthetic(GeneratorConfig(train_size=4000, val_size=100,
+                                               test_size=100, seed=0))[0]
+    p = tmp_path / "train.csv"
+    save_csv(train, p)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        ds = load_csv(p, "train")
+    finally:
+        sys.setprofile(None)
+    assert (len(ds), ds.dim) == (4000, 32)
+    assert calls < 400
 
 
 def test_load_splits_missing_file(tmp_path):
