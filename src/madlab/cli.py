@@ -21,8 +21,8 @@ from .config import (apply_overrides, default_config, load_config,
                      serialize_config, to_experiment)
 from .data import (GT_ABNORMAL, _GT_NAMES, atomic_write, generate_synthetic,
                    load_splits, save_splits)
-from .errors import (ConfigError, DomainError, MadlabError, NumericsError,
-                     SchemaError, StateError)
+from .errors import (ConfigError, MadlabError, NumericsError, SchemaError,
+                     StateError)
 from .evaluation import (  # noqa: F401 -- knn_score: a perfbench/tracer.py patch point
     auc, knn_score, replicate_ci, significance_code, welch_t_test)
 from .spheres import anomaly_scores  # noqa: F401 -- perfbench/tracer.py patches it here
@@ -37,6 +37,11 @@ EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
 EXIT_CHECKPOINT = 4
 EXIT_REPLICATES = 5
+
+# the exit code of each error kind; any other error exits EXIT_CONFIG
+_EXIT_CODES = ((SchemaError, EXIT_SCHEMA), (NumericsError, EXIT_NUMERIC),
+               (StateError, EXIT_CHECKPOINT))
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for schema
@@ -87,8 +92,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _train_once(cfg: dict, data_dir: str, out_dir: str, workers) -> int:
-    exp = to_experiment(cfg)
+def _train_once(cfg: dict, exp, data_dir: str, out_dir: str, workers) -> int:
     datasets = load_splits(data_dir, exp.data)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -129,14 +133,17 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     ratios = args.labeled_ratio
     if not ratios:
-        return _train_once(cfg, args.data, args.out, args.workers)
+        return _train_once(cfg, to_experiment(cfg), args.data, args.out,
+                           args.workers)
+    # every ratio's config is checked before any ratio trains
+    subs = [apply_overrides(cfg, [f"data.labeled_ratio={r}"]) for r in ratios]
+    exps = [to_experiment(sub) for sub in subs]
     status = EXIT_OK
-    for ratio in ratios:
-        sub = apply_overrides(cfg, [f"data.labeled_ratio={ratio}"])
+    for ratio, sub, exp in zip(ratios, subs, exps):
         out_dir = (args.out if len(ratios) == 1
                    else os.path.join(args.out, f"labeled_{ratio:g}"))
         print(f"== labeled ratio {ratio:g} -> {out_dir}")
-        status = max(status, _train_once(sub, args.data, out_dir,
+        status = max(status, _train_once(sub, exp, args.data, out_dir,
                                          args.workers))
     return status
 
@@ -271,18 +278,10 @@ def main(argv=None) -> int:
         _setup_logging()
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SchemaError as exc:
+    except (MadlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except NumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except StateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
-    except (ConfigError, DomainError, MadlabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next((code for kind, code in _EXIT_CODES
+                     if isinstance(exc, kind)), EXIT_CONFIG)
     except (MemoryError, ValueError) as exc:  # a size numpy or Python refuses
         log.debug("%r", exc, exc_info=True)
         text = "out of memory" if isinstance(exc, MemoryError) else exc

@@ -110,6 +110,17 @@ def _huge_rows(features) -> np.ndarray:
         return ~np.isfinite(np.square(features).sum(axis=-1))
 
 
+def check_layout(rows, cols, what: str) -> None:
+    """Lay out an array of ``rows`` by ``cols``, each a (config key, size)
+    pair; a size numpy refuses raises ConfigError naming both keys."""
+    (r_key, r), (c_key, c) = rows, cols
+    try:
+        np.empty((r, c))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{r_key} {r} and {c_key} {c} give {what} that "
+                          f"cannot be allocated: {exc}") from exc
+
+
 def _draw_mode_centers(cfg: GeneratorConfig, rng) -> np.ndarray:
     if cfg.modes == 1:
         return rng.normal(0.0, cfg.mode_sigma, size=(1, cfg.dim))
@@ -135,58 +146,17 @@ def _draw_mode_bases(cfg: GeneratorConfig, rng) -> np.ndarray:
     return bases
 
 
-def _spread_counts(total: int, n_bins: int) -> list[int]:
-    base, extra = divmod(total, n_bins)
-    return [base + (1 if i < extra else 0) for i in range(n_bins)]
-
-
-def _normal_groups(cfg, centers, bases, n_samples, rng, next_group):
-    """Homogeneous groups of normal samples, modes balanced then shuffled."""
-    n_groups = max(1, math.ceil(n_samples / cfg.group_size))
-    modes = np.resize(np.arange(cfg.modes), n_groups)
-    rng.shuffle(modes)
-    feats, mode_col, group_col = [], [], []
-    for g, count in enumerate(_spread_counts(n_samples, n_groups)):
-        if count == 0:
-            continue
-        m = int(modes[g])
-        in_plane = rng.normal(size=(count, cfg.rank)) @ (
-            cfg.plane_sigma * bases[m].T)
-        ambient = cfg.ambient_noise * cfg.mode_sigma * rng.normal(
-            size=(count, cfg.dim))
-        feats.append(centers[m] + in_plane + ambient)
-        mode_col.append(np.full(count, m))
-        group_col.append(np.full(count, next_group + g))
-    return (np.concatenate(feats), np.concatenate(mode_col),
-            np.concatenate(group_col), next_group + n_groups)
-
-
-def _abnormal_groups(cfg, centers, n_samples, rng, next_group):
-    """Shell and inter-mode midpoint anomaly groups."""
-    n_groups = max(1, math.ceil(n_samples / cfg.group_size))
-    n_mid = round(cfg.midpoint_fraction * n_groups) if cfg.modes >= 2 else 0
-    kinds = np.array(["mid"] * n_mid + ["shell"] * (n_groups - n_mid))
-    rng.shuffle(kinds)
-    feats, mode_col, group_col = [], [], []
-    for g, count in enumerate(_spread_counts(n_samples, n_groups)):
-        if count == 0:
-            continue
-        if kinds[g] == "mid":
-            i, j = rng.choice(cfg.modes, size=2, replace=False)
-            base = 0.5 * (centers[i] + centers[j])
-            x = base + cfg.plane_sigma * rng.normal(size=(count, cfg.dim))
-            mode = int(min(i, j))
-        else:
-            mode = int(rng.integers(cfg.modes))
-            u = rng.normal(size=(count, cfg.dim))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            r = rng.uniform(cfg.shell_inner, cfg.shell_outer, size=(count, 1))
-            x = centers[mode] + cfg.mode_sigma * r * u
-        feats.append(x)
-        mode_col.append(np.full(count, mode))
-        group_col.append(np.full(count, next_group + g))
-    return (np.concatenate(feats), np.concatenate(mode_col),
-            np.concatenate(group_col), next_group + n_groups)
+def _draw_groups(n_rows, plan, draw, rng, next_group):
+    """``n_rows`` rows of one class in ``len(plan)`` groups whose sizes differ
+    by at most one. The plan holds one entry per group and is shuffled; then
+    ``draw(rng, count, entry)`` gives each group's features and mode id."""
+    rng.shuffle(plan)
+    counts = np.full(len(plan), n_rows // len(plan))
+    counts[:n_rows % len(plan)] += 1
+    feats, modes = zip(*[draw(rng, int(c), e) for c, e in zip(counts, plan)])
+    group_ids = np.arange(next_group, next_group + len(plan))
+    return (np.concatenate(feats), np.repeat(modes, counts),
+            np.repeat(group_ids, counts), next_group + len(plan))
 
 
 def _draw_labels(ground_truth, ratio: float, normal_fraction: float,
@@ -217,40 +187,62 @@ def generate_synthetic(cfg: GeneratorConfig):
     known-abnormal); val/test use ``eval_abnormal_ratio`` and stay fully
     unlabeled. Group ids are disjoint across splits by construction.
     Scales so large that a split's features or their squared norms overflow
-    raise ``ConfigError``.
+    raise ``ConfigError``, and so do sizes numpy refuses, before any draw.
     """
+    splits = [("train", cfg.train_size, cfg.contamination),
+              ("val", cfg.val_size, cfg.eval_abnormal_ratio),
+              ("test", cfg.test_size, cfg.eval_abnormal_ratio)]
+    dim = ("data.dim", cfg.dim)
+    check_layout(("data.modes", cfg.modes), dim, "mode centers")
+    for split, size, _ in splits:
+        check_layout((f"data.{split}_size", size), dim, f"a {split} split")
     center_rng = np.random.default_rng([cfg.seed, 101])
     centers = _draw_mode_centers(cfg, center_rng)
     bases = _draw_mode_bases(cfg, np.random.default_rng([cfg.seed, 102]))
 
+    def normal(rng, count, m):  # a homogeneous group on mode m's subspace
+        in_plane = rng.normal(size=(count, cfg.rank)) @ (
+            cfg.plane_sigma * bases[m].T)
+        ambient = cfg.ambient_noise * cfg.mode_sigma * rng.normal(
+            size=(count, cfg.dim))
+        return centers[m] + in_plane + ambient, int(m)
+
+    def abnormal(rng, count, midpoint):  # an inter-mode midpoint or a shell
+        if midpoint:
+            i, j = rng.choice(cfg.modes, size=2, replace=False)
+            base = 0.5 * (centers[i] + centers[j])
+            return (base + cfg.plane_sigma * rng.normal(size=(count, cfg.dim)),
+                    int(min(i, j)))
+        mode = int(rng.integers(cfg.modes))
+        u = rng.normal(size=(count, cfg.dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        r = rng.uniform(cfg.shell_inner, cfg.shell_outer, size=(count, 1))
+        return centers[mode] + cfg.mode_sigma * r * u, mode
+
     datasets = []
     next_group = 0
-    plans = [("train", cfg.train_size, cfg.contamination),
-             ("val", cfg.val_size, cfg.eval_abnormal_ratio),
-             ("test", cfg.test_size, cfg.eval_abnormal_ratio)]
-    for split_idx, (split, size, ab_ratio) in enumerate(plans):
+    for split_idx, (split, size, ab_ratio) in enumerate(splits):
         rng = np.random.default_rng([cfg.seed, 200 + split_idx])
         n_ab = round(size * ab_ratio)
         n_norm = size - n_ab
-
+        g_norm, g_ab = (math.ceil(n / cfg.group_size) for n in (n_norm, n_ab))
+        n_mid = round(cfg.midpoint_fraction * g_ab) if cfg.modes >= 2 else 0
+        # normal groups take the modes in turn and n_mid anomaly groups are
+        # midpoints; _draw_groups shuffles each plan
+        plans = [(GT_NORMAL, n_norm, np.resize(np.arange(cfg.modes), g_norm),
+                  normal), (GT_ABNORMAL, n_ab, np.arange(g_ab) < n_mid, abnormal)]
         parts = []
-        if n_norm > 0:
-            f, m, g, next_group = _normal_groups(cfg, centers, bases, n_norm,
-                                                 rng, next_group)
-            parts.append((f, m, g, np.full(len(f), GT_NORMAL)))
-        if n_ab > 0:
-            f, m, g, next_group = _abnormal_groups(cfg, centers, n_ab, rng,
+        for gt, n, plan, draw in plans:
+            if n > 0:
+                f, m, g, next_group = _draw_groups(n, plan, draw, rng,
                                                    next_group)
-            parts.append((f, m, g, np.full(len(f), GT_ABNORMAL)))
+                parts.append((f, m, g, np.full(n, gt)))
 
-        features = np.concatenate([p[0] for p in parts])
+        features, mode_ids, group_ids, gt = map(np.concatenate, zip(*parts))
         if _huge_rows(features).any():
             raise ConfigError(
                 f"generated {split} features overflow float64 (non-finite "
                 "values or squared norms); reduce the generator's scales")
-        mode_ids = np.concatenate([p[1] for p in parts])
-        group_ids = np.concatenate([p[2] for p in parts])
-        gt = np.concatenate([p[3] for p in parts])
 
         perm = rng.permutation(size)
         features, mode_ids = features[perm], mode_ids[perm]
@@ -357,9 +349,14 @@ def load_csv(path, split: str) -> Dataset:
     ``csv`` reads the header; numpy's C parser reads the body, unquoted
     fields and ``\\n``, ``\\r\\n`` or ``\\r`` line ends, in one ``np.loadtxt``
     call, skipping blank lines. A line number in an error counts the lines
-    up to the row, blank lines excepted.
+    up to the row, blank lines excepted. A NUL byte anywhere is refused
+    first: numpy's fixed-width strings would drop one that ends a name.
     """
     try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                if b"\0" in chunk:
+                    raise SchemaError(f"{path}: NUL byte in the file")
         with open(path, newline="") as fh:
             header = next(csv.reader(fh), None)
             if header is None:

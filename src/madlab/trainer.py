@@ -27,7 +27,8 @@ from .config import (  # noqa: F401 -- the config classes resolve here too
     AugmentationConfig, ExperimentConfig, FinetuneConfig, GeneratorConfig,
     ModelDims, PretrainConfig, experiment_from_dict, experiment_hash)
 from .data import (Dataset, TrainingView, GT_ABNORMAL,
-                   atomic_write, augment_pairs, generate_synthetic)
+                   atomic_write, augment_pairs, check_layout,
+                   generate_synthetic)
 from .errors import ConfigError, MadlabError, NumericsError, StateError
 from .evaluation import auc, knn_score, replicate_ci
 from .losses import info_nce_loss, mad_loss
@@ -449,12 +450,8 @@ def run_experiment(cfg: ExperimentConfig, datasets=None, on_replicate=None,
                 for a, b in zip([("data.dim", d.input_dim), *body], body)]
     matrices += [(body[-1], ("model.proj_dim", d.proj_dim), "a projection head"),
                  (body[-1], ("model.mad_dim", d.mad_dim), "a detection head")]
-    for (a_key, a), (b_key, b), what in matrices:
-        try:
-            np.empty((a, b))
-        except (ValueError, MemoryError) as exc:
-            raise ConfigError(f"{a_key} {a} and {b_key} {b} give {what} that "
-                              f"cannot be allocated: {exc}") from exc
+    for matrix in matrices:
+        check_layout(*matrix)
     rcfgs = [replace(cfg, seed=cfg.seed + r) for r in range(cfg.replicates)]
     records, errors, seconds = [], [], []
     with closing(_replicate_outcomes(rcfgs, datasets, workers)) as outcomes:

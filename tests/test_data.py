@@ -289,12 +289,15 @@ BAD_LINE = len(GOOD_ROWS.splitlines()) + 2
     (b"1,0,abnormalx,unlabeled,0.5,-1.5", True),
     (b"1,0,normal,unlabeledx,0.5,-1.5", True),
     (b"1,0,normal,unlabeled,0.\x005,-1.5", False),
+    (b"1,0,normal\x00,unlabeled,0.5,-1.5", False),
+    (b"1,0,normal,unlabeled\x00,0.5,-1.5", False),
     (b"1,0,normal,unlabeled,0.\xff5,-1.5", False),
     (b"1,0,normal,unlabeled,1_0,-1.5", False),
     (b"1,0,normal,unlabeled,1e308,-1.5", True),
 ], ids=["quoted_name", "quoted_number", "trailing_comma", "short_row",
         "float_in_int_column", "int64_overflow", "abnormalx", "unlabeledx",
-        "nul_byte", "non_utf8_byte", "digit_separator", "squared_norm_overflow"])
+        "nul_byte", "nul_after_gt", "nul_after_label", "non_utf8_byte",
+        "digit_separator", "squared_norm_overflow"])
 def test_csv_malformed_row_rejected(tmp_path, row, names_line):
     p = tmp_path / "train.csv"
     p.write_bytes(HEADER + GOOD_ROWS + row + b"\r\n")
