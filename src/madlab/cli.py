@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 invalid configuration or usage, 2 data-file or
 metrics-file schema violation, 3 numeric abort during training, 4
 checkpoint missing, corrupt or not restorable, 5 too few replicates to
-compare. MADLAB_LOG selects
+compare, 128 + signal number on SIGINT or SIGTERM. MADLAB_LOG selects
 the log level (error|info|debug).
 """
 
@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import signal
 import sys
 
 from . import __version__
@@ -273,7 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum, frame):  # SIGTERM takes SIGINT's path
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None) -> int:
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         _setup_logging()
         args = build_parser().parse_args(argv)
@@ -287,6 +293,11 @@ def main(argv=None) -> int:
         text = "out of memory" if isinstance(exc, MemoryError) else exc
         print(f"error: {text}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt as exc:  # a worker pool shuts down on the way
+        print("error: interrupted", file=sys.stderr)
+        return 128 + (exc.args[0] if exc.args else signal.SIGINT)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

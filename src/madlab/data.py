@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import AugmentationConfig, GeneratorConfig
 from .errors import ConfigError, SchemaError
+from .spheres import squared_distances
 
 log = logging.getLogger(__name__)
 
@@ -128,8 +129,14 @@ def _draw_mode_centers(cfg: GeneratorConfig, rng) -> np.ndarray:
     scale = cfg.center_spacing * cfg.mode_sigma / math.sqrt(2 * cfg.dim)
     for _ in range(500):
         centers = rng.normal(0.0, scale, size=(cfg.modes, cfg.dim))
-        d = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
-        if d[np.triu_indices(cfg.modes, 1)].min() >= min_sep:
+        d2 = squared_distances(centers, centers)
+        if np.isfinite(d2).all():  # 0 where tiny differences underflow
+            np.fill_diagonal(d2, np.inf)
+            d_min = math.sqrt(d2.min())
+        else:  # the expansion overflowed: tell inf from inf - inf directly
+            d_min = np.min([np.linalg.norm(centers[i + 1:] - centers[i], axis=1)
+                            .min() for i in range(cfg.modes - 1)])
+        if d_min >= min_sep:
             return centers
         scale *= 1.05
     raise ConfigError("could not place mode centers at the required separation "
@@ -194,6 +201,8 @@ def generate_synthetic(cfg: GeneratorConfig):
               ("test", cfg.test_size, cfg.eval_abnormal_ratio)]
     dim = ("data.dim", cfg.dim)
     check_layout(("data.modes", cfg.modes), dim, "mode centers")
+    check_layout(("data.modes", cfg.modes), ("data.modes", cfg.modes),
+                 "mode-center distances")
     for split, size, _ in splits:
         check_layout((f"data.{split}_size", size), dim, f"a {split} split")
     center_rng = np.random.default_rng([cfg.seed, 101])

@@ -23,7 +23,6 @@ from .errors import NumericsError, ShapeError, StateError
 
 SGD = "sgd"
 ADAM = "adam"
-_RULES = (SGD, ADAM)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's default constants
 
 
@@ -114,10 +113,6 @@ class Mlp:
         """Parameter list [W0, b0, W1, b1, ...]: live views into one vector."""
         return self._params
 
-    @property
-    def out_dim(self) -> int:
-        return self.widths[-1]
-
     def forward(self, x: np.ndarray, tape: GradientTape | None = None,
                 n_layers: int | None = None) -> np.ndarray:
         """Run the batch through the first ``n_layers`` layers (default all).
@@ -182,33 +177,23 @@ def mlp_backward(tape: GradientTape, output_gradient: np.ndarray):
 
 @dataclass
 class OptimizerState:
-    """Update rule plus its running buffers.
+    """Adam's step count and moments (None until its first step); SGD keeps
+    none of them."""
 
-    ``weight_decay`` is decoupled: p <- p - lr * weight_decay * p on every
-    step, for both rules (this realizes the L2 penalty on the weights
-    without polluting the reported loss values).
-    """
-
-    rule: str
-    learning_rate: float
-    weight_decay: float = 0.0
     step_count: int = 0
     m: Arena | None = None
     v: Arena | None = None
 
-    def __post_init__(self):
-        if self.rule not in _RULES:
-            raise ValueError(f"unknown optimizer rule {self.rule!r}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
-
-def optimizer_step(state: OptimizerState, params: Arena, grads: Arena) -> Arena:
+def optimizer_step(state: OptimizerState, params: Arena, grads: Arena,
+                   rule: str, lr: float, weight_decay: float) -> Arena:
     """One in-place update of the whole parameter vector; returns ``params``.
 
     SGD:  p <- p - lr * g
     Adam: bias-corrected first/second moments with the default constants.
-    Both subtract lr * weight_decay * p (pre-step value) afterwards.
+    Both then subtract lr * weight_decay * p (pre-step value): decoupled
+    decay, which realizes the L2 penalty on the weights without polluting
+    the reported loss values.
     """
     p, g = params.flat, grads.flat
     if p.shape != g.shape:
@@ -217,9 +202,8 @@ def optimizer_step(state: OptimizerState, params: Arena, grads: Arena) -> Arena:
         raise NumericsError(f"non-finite gradient at step {state.step_count + 1}; "
                             "aborting update")
 
-    lr = state.learning_rate
-    decay = lr * state.weight_decay * p if state.weight_decay else None
-    if state.rule == SGD:
+    decay = lr * weight_decay * p if weight_decay else None
+    if rule == SGD:
         p -= lr * g
     else:
         if state.m is None:

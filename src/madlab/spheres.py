@@ -24,7 +24,6 @@ class CenterSet:
     centers: np.ndarray          # (n_s, d)
     live: np.ndarray             # (n_s,) bool
     counts: np.ndarray           # (n_s,) int, refreshed each epoch
-    gamma: float = 0.05
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
@@ -37,8 +36,6 @@ class CenterSet:
             raise ShapeError("live/counts length must match center count")
         if not self.live.any():
             raise StateError("a CenterSet needs at least one live center")
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError(f"gamma must be in (0, 1), got {self.gamma}")
 
     @property
     def initial_count(self) -> int:
@@ -92,8 +89,7 @@ def _kmeans_pp_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
-def kmeans(points, k: int, seed, max_iters: int = 100,
-           gamma: float = 0.05) -> CenterSet:
+def kmeans(points, k: int, seed, max_iters: int = 100) -> CenterSet:
     """Lloyd's algorithm with k-means++ seeding.
 
     Stops when assignments are stable or after ``max_iters`` sweeps. An
@@ -130,7 +126,7 @@ def kmeans(points, k: int, seed, max_iters: int = 100,
         assign = new_assign
 
     return CenterSet(centers=centers, live=np.ones(k, dtype=bool),
-                     counts=np.bincount(assign, minlength=k), gamma=gamma)
+                     counts=np.bincount(assign, minlength=k))
 
 
 class LiveCenters:
@@ -164,7 +160,7 @@ def assign_and_count(embeddings, centers: CenterSet) -> np.ndarray:
     return centers.counts
 
 
-def prune(centers: CenterSet) -> CenterSet:
+def prune(centers: CenterSet, gamma: float) -> CenterSet:
     """Tombstone every live center whose count falls under gamma * max.
 
     The threshold uses the pre-prune maximum over live centers, evaluated
@@ -173,7 +169,7 @@ def prune(centers: CenterSet) -> CenterSet:
     """
     live_idx = np.flatnonzero(centers.live)
     live_counts = centers.counts[live_idx]
-    threshold = centers.gamma * live_counts.max()
+    threshold = gamma * live_counts.max()
     doomed = live_counts < threshold
     if doomed.all():
         log.warning("prune would remove all centers; keeping the largest")

@@ -57,7 +57,10 @@ class EncoderModel:
     """Body layers shared between the two phases plus one task head."""
 
     net: Mlp
-    body_layers: int
+
+    @property
+    def body_layers(self) -> int:
+        return len(self.net.widths) - 2
 
     def embed(self, x) -> np.ndarray:
         return self.net.forward(x)
@@ -72,8 +75,7 @@ class EncoderModel:
 def build_pretext_model(cfg: ExperimentConfig) -> EncoderModel:
     dims = cfg.dims
     rng = np.random.default_rng([cfg.seed, _T_INIT_PRETEXT])
-    return EncoderModel(Mlp((dims.input_dim, *dims.body, dims.proj_dim),
-                            rng=rng), len(dims.body))
+    return EncoderModel(Mlp((dims.input_dim, *dims.body, dims.proj_dim), rng=rng))
 
 
 def transfer_weights(pretext: EncoderModel, cfg: ExperimentConfig) -> EncoderModel:
@@ -83,15 +85,11 @@ def transfer_weights(pretext: EncoderModel, cfg: ExperimentConfig) -> EncoderMod
     seed always produce the same detection encoder.
     """
     dims = cfg.dims
-    if pretext.body_layers != len(dims.body):
-        raise ConfigError(
-            f"body depth mismatch: pretext has {pretext.body_layers} layers, "
-            f"config wants {len(dims.body)}")
     head_rng = np.random.default_rng([cfg.seed, _T_INIT_HEAD])
     params = pretext.body_params() + init_params(
         (dims.body[-1], dims.mad_dim), head_rng)
     return EncoderModel(Mlp((dims.input_dim, *dims.body, dims.mad_dim),
-                            params=params), len(dims.body))  # Mlp copies
+                            params=params))  # Mlp copies
 
 
 @dataclass
@@ -120,11 +118,6 @@ class TrainerState:
                 for name, key in names.items()} if ft else None
 
 
-def _make_optimizer(phase_cfg) -> OptimizerState:
-    return OptimizerState(rule=phase_cfg.optimizer, learning_rate=phase_cfg.lr,
-                          weight_decay=phase_cfg.weight_decay)
-
-
 def _run_epoch(phase: str, seed_key: list, epoch: int, pc, model, opt,
                n: int, batch_input, loss_fn) -> float:
     """One pass over ``n`` rows in ``seed_key + [epoch]`` order, batches of
@@ -133,8 +126,7 @@ def _run_epoch(phase: str, seed_key: list, epoch: int, pc, model, opt,
     (a float overflow or invalid operation too, under ``_replicate_task``)
     or whose loss is not finite aborts with a ``NumericsError`` naming
     phase, epoch and batch."""
-    opt.learning_rate = apply_lr_schedule(epoch, pc.lr, pc.milestones,
-                                          pc.decay_factor)
+    lr = apply_lr_schedule(epoch, pc.lr, pc.milestones, pc.decay_factor)
     perm = np.random.default_rng([*seed_key, epoch]).permutation(n)
     loss_sum = 0.0
     for bi, start in enumerate(range(0, n, pc.batch)):
@@ -146,7 +138,8 @@ def _run_epoch(phase: str, seed_key: list, epoch: int, pc, model, opt,
             if not np.isfinite(loss):
                 raise NumericsError("non-finite loss")
             grads, _ = mlp_backward(tape, gz)
-            optimizer_step(opt, model.net.parameters(), grads)
+            optimizer_step(opt, model.net.parameters(), grads, pc.optimizer,
+                           lr, pc.weight_decay)
         except (MadlabError, FloatingPointError) as exc:
             raise NumericsError(
                 f"{phase} epoch {epoch} batch {bi}: {exc}") from exc
@@ -164,7 +157,7 @@ def pretrain(cfg: ExperimentConfig, view: TrainingView, state: TrainerState,
         raise ConfigError("pretraining needs a non-empty dataset")
     pc = cfg.pretrain
     if state.opt is None:
-        state.opt = _make_optimizer(pc)
+        state.opt = OptimizerState()
 
     def pairs(idx):  # rows (2i, 2i+1): two views of row idx[i] from aug_rng
         out = np.empty((2 * len(idx), view.features.shape[1]))
@@ -193,10 +186,10 @@ def _record_epoch(state: TrainerState, cfg, view, val_ds, epoch, loss=None):
         emb = model.embed(view.features)
         if state.centers is None:
             state.centers = kmeans(emb[view.labels >= 0], fc.n_s,
-                                   seed=[cfg.seed, _T_KMEANS], gamma=fc.gamma)
+                                   seed=[cfg.seed, _T_KMEANS])
         else:
             assign_and_count(emb[view.labels >= 0], state.centers)
-            prune(state.centers)
+            prune(state.centers, fc.gamma)
         centers, live = state.centers, LiveCenters(state.centers)
         scores = anomaly_scores(model.embed(val_ds.features), centers)
         data_term, _, _ = mad_loss(emb, view.labels, live, fc.eta, len(view),
@@ -224,7 +217,7 @@ def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
     live = (LiveCenters(state.centers) if state.centers is not None
             else _record_epoch(state, cfg, view, val_ds, 0))
     if state.opt is None:
-        state.opt = _make_optimizer(fc)
+        state.opt = OptimizerState()
 
     for epoch in range(state.epoch, end_epoch):
         loss_sum = _run_epoch(
@@ -490,8 +483,7 @@ def save_checkpoint(path, state: TrainerState):
             "epochs": state.epochs if state.phase != "done" else [
                 {k: v for k, v in rec.items() if k != "counts"}
                 for rec in state.epochs],  # centers_r*.jsonl keeps the counts
-            "opt": None if opt is None else {
-                "learning_rate": opt.learning_rate, "step_count": opt.step_count}}
+            "opt": None if opt is None else {"step_count": opt.step_count}}
     arrays = {"meta_json": np.frombuffer(json.dumps(
         meta, sort_keys=True, separators=(",", ":")).encode(), dtype=np.uint8),
         "pretext": state.pretext_model.net.parameters().flat}
@@ -546,18 +538,16 @@ def _read_checkpoint(path) -> TrainerState:
             _fill(mad.net.parameters(), z, "mad")
 
         opt = None
-        if meta["opt"] is not None:  # the phase's config gives rule and decay
-            pre = meta["phase"] == "pretrain"
-            opt = replace(_make_optimizer(cfg.pretrain if pre else cfg.finetune),
-                          learning_rate=meta["opt"]["learning_rate"],
-                          step_count=meta["opt"]["step_count"])
+        if meta["opt"] is not None:  # the config gives rule, lr and decay
+            opt = OptimizerState(step_count=meta["opt"]["step_count"])
             if opt.step_count > 0:  # Adam made its moments on its first step
-                params = (pretext if pre else mad).net.parameters()
+                params = (pretext if meta["phase"] == "pretrain" else mad
+                          ).net.parameters()
                 opt.m = _fill(params.zeros_like(), z, "opt_m")
                 opt.v = _fill(params.zeros_like(), z, "opt_v")
 
-        centers = (CenterSet(z["centers"], z["centers_live"], z["centers_counts"],
-                             cfg.finetune.gamma) if "centers" in z else None)
+        centers = (CenterSet(z["centers"], z["centers_live"], z["centers_counts"])
+                   if "centers" in z else None)
         if centers is not None and (centers.centers.shape[1] != cfg.dims.mad_dim
                                     or not np.isfinite(centers.centers).all()):
             raise StateError(f"centers must be finite and {cfg.dims.mad_dim} "

@@ -89,15 +89,13 @@ def direct_sq_distances(points, refs):
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def per_array_step(state, params, grads):
+def per_array_step(state, params, grads, rule, lr, weight_decay):
     """The optimizer update one parameter array at a time, with Adam's
-    default constants written out: ``state`` carries rule, learning_rate,
-    weight_decay, step_count and plain-list moments m/v (None before the
-    first Adam step). Updates ``params`` in place."""
-    lr = state.learning_rate
-    decay = ([lr * state.weight_decay * p for p in params]
-             if state.weight_decay else None)
-    if state.rule == "sgd":
+    default constants written out: ``state`` carries step_count and
+    plain-list moments m/v (None before the first Adam step). Updates
+    ``params`` in place."""
+    decay = [lr * weight_decay * p for p in params] if weight_decay else None
+    if rule == "sgd":
         for p, g in zip(params, grads):
             p -= lr * g
     else:

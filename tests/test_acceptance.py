@@ -38,10 +38,10 @@ def report(criterion: int, desc: str, passed: bool, detail: str = ""):
     assert passed, line
 
 
-def make_centers(points, counts, gamma):
+def make_centers(points, counts):
     points = np.asarray(points, dtype=np.float64)
     return CenterSet(points, np.ones(len(points), dtype=bool),
-                     np.asarray(counts), gamma)
+                     np.asarray(counts))
 
 
 # --- 1: gradient suite ------------------------------------------------------
@@ -53,7 +53,7 @@ def test_criterion_01_gradient_suite():
 
     for _ in range(40):  # MLP parameter gradients
         model, batch = random_mlp(rng)
-        direction = rng.normal(size=(batch.shape[0], model.out_dim))
+        direction = rng.normal(size=(batch.shape[0], model.widths[-1]))
         tape = GradientTape()
         model.forward(batch, tape)
         grads, _ = mlp_backward(tape, direction)
@@ -74,7 +74,7 @@ def test_criterion_01_gradient_suite():
 
     for _ in range(30):  # MAD embedding gradients, tie-adjacent rows excluded
         d = int(rng.integers(2, 9))
-        centers = make_centers(rng.normal(size=(3, d)), np.zeros(3), 0.05)
+        centers = make_centers(rng.normal(size=(3, d)), np.zeros(3))
         rows = []
         while len(rows) < 6:
             z = rng.normal(size=d)
@@ -107,7 +107,7 @@ def test_criterion_02_loss_oracles():
     two_pair, _ = info_nce_loss(units, 1.0)
     expected = 4.0 * math.log(1.0 + 2.0 * math.exp(-1.0))
 
-    cs = LiveCenters(make_centers([[0.0, 0.0]], [0], 0.05))
+    cs = LiveCenters(make_centers([[0.0, 0.0]], [0]))
     at_center, _, _ = mad_loss(np.zeros((1, 2)), np.array([UNLABELED]), cs,
                                1.0, 1)
     abnormal_one, _, _ = mad_loss(np.array([[1.0, 0.0]]),
@@ -143,18 +143,18 @@ def test_criterion_03_auc_oracle_equivalence():
 # --- 4: pruning rule --------------------------------------------------------------
 
 def test_criterion_04_pruning_rule():
-    cs = make_centers([[0.0], [1.0], [2.0]], [100, 4, 50], 0.05)
-    prune(cs)
+    cs = make_centers([[0.0], [1.0], [2.0]], [100, 4, 50])
+    prune(cs, 0.05)
     rule_ok = cs.live.tolist() == [True, False, True]
 
-    zeros = make_centers([[0.0], [1.0]], [0, 0], 0.05)
-    prune(zeros)
+    zeros = make_centers([[0.0], [1.0]], [0, 0])
+    prune(zeros, 0.05)
     survivor_ok = zeros.n_live >= 1
 
-    again = make_centers([[0.0], [1.0], [2.0]], [100, 4, 50], 0.05)
-    prune(again)
+    again = make_centers([[0.0], [1.0], [2.0]], [100, 4, 50])
+    prune(again, 0.05)
     live_once = again.live.copy()
-    prune(again)
+    prune(again, 0.05)
     idempotent = np.array_equal(live_once, again.live)
 
     report(4, "gamma pruning rule, survivor guarantee, idempotence",

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -267,12 +269,15 @@ HUGE_SIZES = [
     ("generate", "data.train_size", HUGE), ("generate", "data.val_size", HUGE),
     ("generate", "data.test_size", HUGE), ("generate", "data.dim", HUGE),
     ("generate", "data.modes", HUGE),
+    # the centers fit, but their (modes, modes) distance matrix does not
+    ("generate", "data.modes", "100000"),
     ("train", "model.body", HUGE), ("train", "model.mad_dim", HUGE),
     ("train", "model.body", f"{HUGE},32"), ("train", "model.proj_dim", HUGE)]
 
 
 @pytest.mark.parametrize("command, key, value", HUGE_SIZES, ids=[
-    f"{c}-{k}" + ("-first_width" if "," in v else "") for c, k, v in HUGE_SIZES])
+    f"{c}-{k}" + ("-first_width" if "," in v else "")
+    + ("" if v.startswith(HUGE) else f"-{v}") for c, k, v in HUGE_SIZES])
 def test_huge_size_exits_1(tmp_path, data_dir, command, key, value):
     argv = ([command, "--out", str(tmp_path / "out"), *TOY_SETS]
             + (["--data", str(data_dir), "--workers", "1"]
@@ -334,6 +339,67 @@ def test_write_error_names_the_file(tmp_path, request, data_dir, command,
     assert line == (f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: "
                     f"'{out / target}'")
     assert list(out.iterdir()) == []  # neither the file nor its temp file
+
+
+def test_main_restores_the_sigterm_handler():
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["generate"]) == EXIT_CONFIG  # no --out
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+# a signal to the parent alone, while 2 forked workers run a slow replicate:
+# one error line, 128 + the signal number, and no worker left behind
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM],
+                         ids=lambda s: s.name)
+def test_signal_exits_128_plus_signal_and_stops_the_workers(tmp_path, data_dir,
+                                                            sig):
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    argv = ["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
+            *TOY_SETS, "--replicates", "2", "--workers", "2"]
+    code = ("import os, signal, sys, time\n"
+            "from madlab import trainer\n"
+            "run_replicate = trainer.run_replicate\n"
+            "def slow(*args, **kwargs):\n"
+            f"    open(os.path.join({str(pids)!r}, str(os.getpid())), 'w').close()\n"
+            "    time.sleep(2)\n"
+            "    return run_replicate(*args, **kwargs)\n"
+            "trainer.run_replicate = slow\n"
+            # a job a shell starts in the background ignores SIGINT
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "from madlab.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+    stderr = tmp_path / "stderr"
+    with open(stderr, "w") as err:  # a file: an orphan would hold a pipe open
+        proc = subprocess.Popen([sys.executable, "-c", code], env=_child_env(1),
+                                stdout=subprocess.DEVNULL, stderr=err)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = [int(p.name) for p in pids.iterdir()]
+        assert len(workers) == 2, stderr.read_text()
+        proc.send_signal(sig)
+        assert proc.wait(timeout=60) == 128 + sig, stderr.read_text()
+        assert stderr.read_text().splitlines() == ["error: interrupted"]
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
 
 
 # every numeric key at extreme values, through generate and then train at

@@ -1,13 +1,17 @@
 """Every name imported in ``src/madlab/*.py`` is used in its module, unless
-the import's first line says why it stays: ``# noqa: F401 -- <reason>``."""
+the import's first line says why it stays: ``# noqa: F401 -- <reason>``.
+Every function, class, method and property that ``src/madlab`` defines is
+named by ``src/`` or ``perfbench/`` code outside its own definition."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "madlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "madlab"
 _REASONED_NOQA = re.compile(r"#\s*noqa:\s*F401\W+\w")
 
 
@@ -45,3 +49,56 @@ def test_checker_flags_unused_names_and_keeps_reasoned_ones():
                          ids=lambda p: p.name)
 def test_every_import_is_used_or_annotated(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names(node) -> list:
+    """Each identifier ``node`` reads: names, attributes and the strings
+    that ``perfbench/tracer.py`` patches by."""
+    return [n.id if isinstance(n, ast.Name) else
+            n.attr if isinstance(n, ast.Attribute) else n.value
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            or isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def _definitions(body, owner=""):
+    """(qualified name, node) of each def and class at this level and in
+    the classes below it; nested functions and dunders are left out."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and not node.name.startswith("__"):
+            yield owner + node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from _definitions(node.body, f"{owner}{node.name}.")
+
+
+def unnamed_definitions(src_texts, other_texts=()) -> list:
+    """Qualified names of the definitions in ``src_texts`` that no code in
+    ``src_texts`` or ``other_texts`` names outside the definition itself."""
+    src = [ast.parse(t) for t in src_texts]
+    named = Counter(name for tree in src + [ast.parse(t) for t in other_texts]
+                    for name in _names(tree))
+    return [qualname for tree in src
+            for qualname, node in _definitions(tree.body)
+            if named[node.name] == _names(node).count(node.name)]
+
+
+def test_definition_checker_flags_only_self_named_definitions():
+    src = ("class A:\n"
+           "    def used(self): return self.used()\n"
+           "    def __len__(self): return 0\n"
+           "    @property\n"
+           "    def patched(self): return 1\n"
+           "def helper(): return helper()\n"
+           "def caller(a):\n"
+           "    def inner(): pass\n"
+           "    return A, a.used()\n")
+    assert unnamed_definitions([src]) == ["A.patched", "helper", "caller"]
+    assert unnamed_definitions([src], ['patch(A, "patched")']) == [
+        "helper", "caller"]
+
+
+def test_every_definition_is_named_outside_itself():
+    texts = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    others = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unnamed_definitions(texts, others) == []

@@ -13,10 +13,10 @@ from _oracles import (central_diff, grads_close, info_nce_reference,
                       mad_loss_reference)
 
 
-def make_centers(points, gamma=0.05):
+def make_centers(points):
     points = np.asarray(points, dtype=np.float64)
     return CenterSet(points, np.ones(len(points), dtype=bool),
-                     np.zeros(len(points), dtype=np.int64), gamma)
+                     np.zeros(len(points), dtype=np.int64))
 
 
 # --- InfoNCE --------------------------------------------------------------

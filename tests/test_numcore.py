@@ -90,7 +90,7 @@ def test_zero_output_gradient_gives_zero_parameter_gradients():
 def test_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(100 + seed)
     model, batch = random_mlp(rng)
-    direction = rng.normal(size=(batch.shape[0], model.out_dim))
+    direction = rng.normal(size=(batch.shape[0], model.widths[-1]))
 
     tape = GradientTape()
     model.forward(batch, tape)
@@ -117,8 +117,7 @@ def test_relu_subgradient_zero_at_zero():
 
 def test_sgd_direct_rule():
     p = Arena([np.array([1.0])])
-    state = OptimizerState(rule=SGD, learning_rate=0.1)
-    optimizer_step(state, p, Arena([np.array([0.5])]))
+    optimizer_step(OptimizerState(), p, Arena([np.array([0.5])]), SGD, 0.1, 0.0)
     assert np.allclose(p[0], 0.95)
 
 
@@ -126,16 +125,14 @@ def test_sgd_direct_rule():
 def test_zero_gradient_zero_decay_leaves_parameters(rule):
     p = Arena([np.array([1.5, -2.0])])
     before = p[0].copy()
-    state = OptimizerState(rule=rule, learning_rate=0.1, weight_decay=0.0)
-    optimizer_step(state, p, Arena([np.zeros(2)]))
+    optimizer_step(OptimizerState(), p, Arena([np.zeros(2)]), rule, 0.1, 0.0)
     assert np.array_equal(p[0], before)
 
 
 def test_adam_first_step_closed_form():
     # bias correction makes the first step ~ -lr * sign(g)
     p = Arena([np.zeros(1)])
-    state = OptimizerState(rule=ADAM, learning_rate=1e-3)
-    optimizer_step(state, p, Arena([np.ones(1)]))
+    optimizer_step(OptimizerState(), p, Arena([np.ones(1)]), ADAM, 1e-3, 0.0)
     expected = -1e-3 * 1.0 / (1.0 + 1e-8)
     assert np.allclose(p[0], expected, atol=1e-15)
     assert abs(p[0][0] + 1e-3) < 1e-6
@@ -144,38 +141,36 @@ def test_adam_first_step_closed_form():
 def test_decoupled_weight_decay_both_rules():
     for rule in (SGD, ADAM):
         p = Arena([np.array([1.0])])
-        state = OptimizerState(rule=rule, learning_rate=0.1, weight_decay=0.1)
-        optimizer_step(state, p, Arena([np.zeros(1)]))
+        optimizer_step(OptimizerState(), p, Arena([np.zeros(1)]), rule, 0.1, 0.1)
         assert np.allclose(p[0], 1.0 - 0.1 * 0.1 * 1.0)
 
 
 def test_non_finite_gradient_aborts():
-    state = OptimizerState(rule=SGD, learning_rate=0.1)
     with pytest.raises(NumericsError):
-        optimizer_step(state, Arena([np.zeros(1)]), Arena([np.array([np.nan])]))
+        optimizer_step(OptimizerState(), Arena([np.zeros(1)]),
+                       Arena([np.array([np.nan])]), SGD, 0.1, 0.0)
 
 
 def test_optimizer_shape_mismatch():
-    state = OptimizerState(rule=SGD, learning_rate=0.1)
     with pytest.raises(ShapeError):
-        optimizer_step(state, Arena([np.zeros(2)]), Arena([np.zeros(3)]))
+        optimizer_step(OptimizerState(), Arena([np.zeros(2)]),
+                       Arena([np.zeros(3)]), SGD, 0.1, 0.0)
 
 
 @pytest.mark.parametrize("rule", [SGD, ADAM])
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
 def test_fused_step_matches_per_array_oracle_bit_for_bit(rule, weight_decay):
     model, batch = random_mlp(np.random.default_rng(21), max_layers=3)
-    state = OptimizerState(rule=rule, learning_rate=1e-2,
-                           weight_decay=weight_decay)
-    ref = OptimizerState(rule=rule, learning_rate=1e-2,
-                         weight_decay=weight_decay)
+    state, ref = OptimizerState(), OptimizerState()
     ref_params = [p.copy() for p in model.parameters()]
     for _ in range(50):
         tape = GradientTape()
         out = model.forward(batch, tape)
         grads, _ = mlp_backward(tape, out)  # d/dp of 0.5*sum(out^2)
-        per_array_step(ref, ref_params, [g.copy() for g in grads])
-        optimizer_step(state, model.parameters(), grads)
+        per_array_step(ref, ref_params, [g.copy() for g in grads], rule, 1e-2,
+                       weight_decay)
+        optimizer_step(state, model.parameters(), grads, rule, 1e-2,
+                       weight_decay)
     assert all(np.array_equal(p, q)
                for p, q in zip(model.parameters(), ref_params))
     if rule == ADAM:
@@ -188,10 +183,10 @@ def test_fused_step_matches_per_array_oracle_bit_for_bit(rule, weight_decay):
 
 def test_parameters_and_moments_are_views_of_one_vector():
     model, batch = random_mlp(np.random.default_rng(22))
-    state = OptimizerState(rule=ADAM, learning_rate=1e-3)
+    state = OptimizerState()
     tape = GradientTape()
     grads, _ = mlp_backward(tape, model.forward(batch, tape))
-    optimizer_step(state, model.parameters(), grads)
+    optimizer_step(state, model.parameters(), grads, ADAM, 1e-3, 0.0)
     for arena in (model.parameters(), grads, state.m, state.v,
                   pickle.loads(pickle.dumps(model.parameters()))):
         assert isinstance(arena, list)
@@ -211,7 +206,7 @@ def test_pickled_mlp_rebuilds_a_zero_gradient_arena():
     assert not grads.flat.any()
     assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
     assert all(np.shares_memory(g, grads.flat) for g in grads)
-    want, _ = mlp_backward(tape, np.ones((batch.shape[0], model.out_dim)))
+    want, _ = mlp_backward(tape, np.ones((batch.shape[0], model.widths[-1])))
     copy_tape = GradientTape()
     got, _ = mlp_backward(copy_tape, np.ones_like(copy.forward(batch, copy_tape)))
     assert got is grads
@@ -247,12 +242,12 @@ def test_determinism_bit_identical_runs():
     def run():
         rng = np.random.default_rng(7)
         model, batch = random_mlp(rng, max_layers=2, max_dim=8)
-        state = OptimizerState(rule=ADAM, learning_rate=1e-3, weight_decay=1e-6)
+        state = OptimizerState()
         for _ in range(20):
             tape = GradientTape()
             out = model.forward(batch, tape)
             grads, _ = mlp_backward(tape, out)  # d/dp of 0.5*sum(out^2)
-            optimizer_step(state, model.parameters(), grads)
+            optimizer_step(state, model.parameters(), grads, ADAM, 1e-3, 1e-6)
         return [p.copy() for p in model.parameters()]
 
     a, b = run(), run()
@@ -265,7 +260,7 @@ def test_shape_closure_forward_backward():
         model, batch = random_mlp(rng)
         tape = GradientTape()
         out = model.forward(batch, tape)
-        assert out.shape == (batch.shape[0], model.out_dim)
+        assert out.shape == (batch.shape[0], model.widths[-1])
         grads, gin = mlp_backward(tape, np.ones_like(out))
         for g, p in zip(grads, model.parameters()):
             assert g.shape == p.shape

@@ -14,10 +14,10 @@ from madlab.spheres import (CenterSet, LiveCenters, anomaly_scores,
 from _oracles import direct_sq_distances, reference_sq_distances
 
 
-def make_centers(points, counts=None, gamma=0.05):
+def make_centers(points, counts=None):
     points = np.asarray(points, dtype=np.float64)
     counts = np.zeros(len(points)) if counts is None else np.asarray(counts)
-    return CenterSet(points, np.ones(len(points), dtype=bool), counts, gamma)
+    return CenterSet(points, np.ones(len(points), dtype=bool), counts)
 
 
 # --- kmeans ----------------------------------------------------------------
@@ -118,41 +118,40 @@ def test_nearest_live_center_skips_pruned():
 # --- prune -------------------------------------------------------------------
 
 def test_prune_rule_direct_application():
-    cs = make_centers([[0.0], [1.0], [2.0]], counts=[100, 4, 50], gamma=0.05)
-    prune(cs)  # threshold 5
+    cs = make_centers([[0.0], [1.0], [2.0]], counts=[100, 4, 50])
+    prune(cs, 0.05)  # threshold 5
     assert cs.live.tolist() == [True, False, True]
 
 
 def test_prune_all_at_max_keeps_everything():
-    cs = make_centers([[0.0], [1.0]], counts=[10, 10], gamma=0.05)
-    prune(cs)
+    cs = make_centers([[0.0], [1.0]], counts=[10, 10])
+    prune(cs, 0.05)
     assert cs.live.tolist() == [True, True]
 
 
 def test_prune_zero_count_centers():
-    cs = make_centers([[0.0], [1.0], [2.0]], counts=[0, 0, 7], gamma=0.05)
-    prune(cs)
+    cs = make_centers([[0.0], [1.0], [2.0]], counts=[0, 0, 7])
+    prune(cs, 0.05)
     assert cs.live.tolist() == [False, False, True]
 
 
 def test_prune_all_zero_counts_keeps_all():
-    cs = make_centers([[0.0], [1.0]], counts=[0, 0], gamma=0.05)
-    prune(cs)
+    cs = make_centers([[0.0], [1.0]], counts=[0, 0])
+    prune(cs, 0.05)
     assert cs.live.tolist() == [True, True]
 
 
 def test_prune_idempotent_with_unchanged_counts():
     cs = make_centers([[0.0], [1.0], [2.0], [3.0]],
-                      counts=[50, 2, 30, 1], gamma=0.1)
-    once = copy.deepcopy(prune(cs))
-    twice = prune(cs)
+                      counts=[50, 2, 30, 1])
+    once = copy.deepcopy(prune(cs, 0.1))
+    twice = prune(cs, 0.1)
     assert np.array_equal(once.live, twice.live)
 
 
 def test_prune_survivor_guard():
-    cs = make_centers([[0.0], [1.0]], counts=[3, 7], gamma=0.5)
-    cs.gamma = 1.5  # force the (otherwise unreachable) all-pruned branch
-    prune(cs)
+    cs = make_centers([[0.0], [1.0]], counts=[3, 7])
+    prune(cs, 1.5)  # force the (otherwise unreachable) all-pruned branch
     assert cs.live.tolist() == [False, True]
 
 
@@ -163,7 +162,7 @@ def test_monotone_live_shrinkage():
     live_history = [cs.n_live]
     for _ in range(4):
         assign_and_count(emb, cs)
-        prune(cs)
+        prune(cs, 0.05)
         live_history.append(cs.n_live)
     assert all(a >= b for a, b in zip(live_history, live_history[1:]))
     assert live_history[-1] >= 1
@@ -243,7 +242,7 @@ def test_distances_match_direct_oracle_at_extreme_scale(offset, spread):
 
 # --- the live-center snapshot ------------------------------------------------
 
-def _pruned_snapshots(rng, cs, points):
+def _pruned_snapshots(rng, cs, points, gamma):
     """(snapshot, live index) after each of a random sequence of prunes."""
     while True:
         live_idx = np.flatnonzero(cs.live)
@@ -252,7 +251,7 @@ def _pruned_snapshots(rng, cs, points):
             return
         assign_and_count(points[rng.permutation(len(points))[:40]], cs)
         before = cs.n_live
-        prune(cs)
+        prune(cs, gamma)
         if cs.n_live == before:  # counts that prune nothing: drop one at random
             cs.live[rng.choice(live_idx)] = False
 
@@ -264,9 +263,9 @@ def test_snapshot_nearest_is_the_kernel_argmin_bit_for_bit(offset, spread):
     rng = np.random.default_rng(17)
     refs = offset + spread * rng.normal(size=(100, 16))
     z = offset + spread * rng.normal(size=(400, 16))
-    cs = make_centers(refs, gamma=0.3)
+    cs = make_centers(refs)
     steps = 0
-    for live, live_idx in _pruned_snapshots(rng, cs, z):
+    for live, live_idx in _pruned_snapshots(rng, cs, z, 0.3):
         kernel = squared_distances(z, refs[live_idx])
         assert np.array_equal(kernel, reference_sq_distances(z, refs[live_idx]))
         assert np.array_equal(live.nearest(z),
@@ -279,7 +278,7 @@ def test_snapshot_nearest_is_the_kernel_argmin_bit_for_bit(offset, spread):
 def test_snapshot_is_unchanged_by_later_prunes():
     cs = make_centers([[0.0], [1.0], [2.0]], counts=[5, 5, 0])
     live = LiveCenters(cs)
-    prune(cs)
+    prune(cs, 0.05)
     assert live.nearest(np.array([[2.1]])).tolist() == [2]
     assert LiveCenters(cs).nearest(np.array([[2.1]])).tolist() == [1]
 
@@ -295,8 +294,6 @@ def test_snapshot_over_no_live_center_raises_state_error():
 
 def test_centerset_invariants():
     with pytest.raises(StateError):
-        CenterSet(np.zeros((2, 2)), np.zeros(2, dtype=bool), np.zeros(2), 0.05)
-    with pytest.raises(DomainError):
-        make_centers([[0.0]], gamma=1.5)
+        CenterSet(np.zeros((2, 2)), np.zeros(2, dtype=bool), np.zeros(2))
     with pytest.raises(ShapeError):
-        CenterSet(np.zeros((2, 2)), np.ones(3, dtype=bool), np.zeros(2), 0.05)
+        CenterSet(np.zeros((2, 2)), np.ones(3, dtype=bool), np.zeros(2))

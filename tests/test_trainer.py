@@ -343,6 +343,38 @@ def test_checkpoint_mid_pretrain_resume(small_cfg, small_data, tmp_path):
     assert pre_losses(final) == pre_losses(ref_state)
 
 
+# the first resumed epoch lies past a milestone, so its lr comes from the
+# schedule; the lr a checkpoint used to store (the epoch before, undecayed)
+# is written back in and must be ignored
+@pytest.mark.parametrize("phase", ["pretrain", "finetune"])
+def test_resume_across_an_lr_milestone_is_bit_exact(small_data, tmp_path,
+                                                    phase):
+    cfg = to_experiment(apply_overrides(
+        default_config(), SMALL_OVERRIDES + [f"{phase}.milestones=1"]))
+    end = (phase, getattr(cfg, phase).epochs)
+    ref, _ = run_replicate(cfg, small_data, stop=end)
+    mid, _ = run_replicate(cfg, small_data, stop=(phase, 1))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, mid)
+    blob = dict(np.load(path, allow_pickle=False))
+    meta = json.loads(bytes(blob["meta_json"]).decode())
+    meta["opt"]["learning_rate"] = getattr(cfg, phase).lr
+    blob["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **blob)
+    final, _ = run_replicate(cfg, small_data, state=load_checkpoint(path),
+                             stop=end)
+    assert params_equal(final.pretext_model, ref.pretext_model)
+    assert (final.mad_model is None) == (phase == "pretrain")
+    if final.mad_model is not None:
+        assert params_equal(final.mad_model, ref.mad_model)
+        for name in ("centers", "live", "counts"):
+            assert np.array_equal(getattr(final.centers, name),
+                                  getattr(ref.centers, name))
+    assert np.array_equal(final.opt.m.flat, ref.opt.m.flat)
+    assert np.array_equal(final.opt.v.flat, ref.opt.v.flat)
+    assert final.epochs == ref.epochs
+
+
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(StateError, match="not found"):
         load_checkpoint(tmp_path / "nope.npz")
