@@ -130,14 +130,10 @@ def _draw_mode_centers(cfg: GeneratorConfig, rng) -> np.ndarray:
     for _ in range(500):
         centers = rng.normal(0.0, scale, size=(cfg.modes, cfg.dim))
         d2 = squared_distances(centers, centers)
-        if np.isfinite(d2).all():  # 0 where tiny differences underflow
-            np.fill_diagonal(d2, np.inf)
-            d_min = math.sqrt(d2.min())
-        else:  # the expansion overflowed: tell inf from inf - inf directly
-            d_min = np.min([np.linalg.norm(centers[i + 1:] - centers[i], axis=1)
-                            .min() for i in range(cfg.modes - 1)])
-        if d_min >= min_sep:
-            return centers
+        if np.isfinite(d2).all():  # an overflowing draw counts as too close
+            np.fill_diagonal(d2, np.inf)  # 0 where tiny differences underflow
+            if math.sqrt(d2.min()) >= min_sep:
+                return centers
         scale *= 1.05
     raise ConfigError("could not place mode centers at the required separation "
                       f"with data.mode_sigma={cfg.mode_sigma!r} and "
@@ -341,6 +337,18 @@ def save_csv(dataset: Dataset, path):
                     dataset.features[block].tolist()))
 
 
+def _file_line(path, row: int) -> int:
+    """The line of body row ``row`` in the file, the header being line 1 and
+    every line counted, blank ones too; read again only to name a bad row."""
+    with open(path) as fh:  # universal newlines: \n, \r\n and \r end a line
+        next(fh)
+        for number, line in enumerate(fh, 2):
+            if line != "\n":  # numpy skips only empty lines
+                if row == 0:
+                    return number
+                row -= 1
+
+
 def _codes(column, values: dict, path) -> np.ndarray:
     """Map a column of names to their codes; an unknown name raises
     SchemaError naming the line of its first row."""
@@ -348,7 +356,8 @@ def _codes(column, values: dict, path) -> np.ndarray:
     unknown = ~np.isin(names, list(values))[inverse]
     if unknown.any():
         row = int(np.argmax(unknown))
-        raise SchemaError(f"{path}:{row + 2}: unknown value {str(column[row])!r}")
+        raise SchemaError(f"{path}:{_file_line(path, row)}: unknown value "
+                          f"{str(column[row])!r}")
     return np.array([values[n] for n in names.tolist()], dtype=np.int8)[inverse]
 
 
@@ -357,9 +366,9 @@ def load_csv(path, split: str) -> Dataset:
 
     ``csv`` reads the header; numpy's C parser reads the body, unquoted
     fields and ``\\n``, ``\\r\\n`` or ``\\r`` line ends, in one ``np.loadtxt``
-    call, skipping blank lines. A line number in an error counts the lines
-    up to the row, blank lines excepted. A NUL byte anywhere is refused
-    first: numpy's fixed-width strings would drop one that ends a name.
+    call, skipping blank lines. A line number in an error is the file's,
+    the header being line 1. A NUL byte anywhere is refused first: numpy's
+    fixed-width strings would drop one that ends a name.
     """
     try:
         with open(path, "rb") as fh:
@@ -396,8 +405,8 @@ def load_csv(path, split: str) -> Dataset:
         raise SchemaError(f"{path}: non-finite feature values")
     huge = _huge_rows(features)
     if huge.any():
-        raise SchemaError(f"{path}:{int(np.argmax(huge)) + 2}: feature values "
-                          "too large (squared norm overflows)")
+        raise SchemaError(f"{path}:{_file_line(path, int(np.argmax(huge)))}: "
+                          "feature values too large (squared norm overflows)")
     return Dataset(features, labels, gts, rows["m"].copy(), rows["g"].copy(),
                    split)
 

@@ -2,10 +2,10 @@
 
 Everything is float64 numpy. A network is given by its layer widths
 (input, hidden..., output): fully-connected layers with ReLU after every
-layer but the last, which is linear. Gradients come from a manually
-recorded tape (reverse sweep over stored intermediates), so every
-derivative is an explicit formula that the finite-difference suite can
-audit.
+layer but the last, which is linear. A taped forward pass appends each
+layer's input to a plain list; ``mlp_backward`` sweeps that list in
+reverse, so every derivative is an explicit formula that the
+finite-difference suite can audit.
 
 Parameters, gradients and Adam's moments each live in an ``Arena``: one
 float64 vector that is also the list of its views [W0, b0, W1, ...]. The
@@ -59,29 +59,6 @@ class Arena(list):
         return Arena(np.zeros_like(a) for a in self)
 
 
-class GradientTape:
-    """Forward intermediates for one recorded pass, consumed by backward.
-
-    ``inputs[i]`` is the activation fed into layer i, ``preacts[i]`` the
-    pre-activation output of layer i. A tape records exactly one forward
-    pass; backward without a recorded pass raises StateError.
-    """
-
-    def __init__(self):
-        self.model: Mlp | None = None
-        self.inputs: list[np.ndarray] = []
-        self.preacts: list[np.ndarray] = []
-
-    @property
-    def primed(self) -> bool:
-        return self.model is not None and len(self.preacts) > 0
-
-    def reset(self):
-        self.model = None
-        self.inputs = []
-        self.preacts = []
-
-
 class Mlp:
     """Fully-connected net of the given ``widths`` holding its own float64
     parameters: ReLU after every layer but the last, which is linear."""
@@ -113,12 +90,12 @@ class Mlp:
         """Parameter list [W0, b0, W1, b1, ...]: live views into one vector."""
         return self._params
 
-    def forward(self, x: np.ndarray, tape: GradientTape | None = None,
+    def forward(self, x: np.ndarray, tape: list | None = None,
                 n_layers: int | None = None) -> np.ndarray:
         """Run the batch through the first ``n_layers`` layers (default all).
 
-        With a tape, intermediates are recorded for a later backward pass;
-        partial-depth passes cannot be taped.
+        A ``tape`` list is cleared and given each layer's input, the record
+        ``mlp_backward`` reads; partial-depth passes cannot be taped.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
@@ -135,44 +112,41 @@ class Mlp:
         if tape is not None:
             if depth != last + 1:
                 raise StateError("partial-depth forward cannot be taped")
-            tape.reset()
-            tape.model = self
+            tape.clear()
 
         h = x
         for i in range(depth):
-            w, b = self._params[2 * i], self._params[2 * i + 1]
-            z = h @ w + b
             if tape is not None:
-                tape.inputs.append(h)
-                tape.preacts.append(z)
-            h = z if i == last else np.maximum(z, 0.0)
+                tape.append(h)
+            h = h @ self._params[2 * i] + self._params[2 * i + 1]
+            if i != last:
+                h = np.maximum(h, 0.0)
         if not np.all(np.isfinite(h)):
             raise NumericsError("non-finite values in forward output")
         return h
 
 
-def mlp_backward(tape: GradientTape, output_gradient: np.ndarray):
-    """Reverse sweep over a recorded forward pass.
-
-    Returns ``(param_grads, input_grad)`` where param_grads is the model's
-    gradient arena, aligned 1:1 with ``model.parameters()`` and rewritten by
-    the next backward pass. ReLU uses subgradient 0 at exactly 0.
-    """
-    if not tape.primed:
-        raise StateError("backward requires a recorded forward pass")
-    model = tape.model
+def mlp_backward(model: Mlp, tape: list, output_gradient: np.ndarray) -> Arena:
+    """Reverse sweep over the layer inputs ``model.forward`` put on ``tape``;
+    returns the model's gradient arena, aligned 1:1 with its parameters and
+    rewritten by the next backward pass. Layer i's ReLU mask is
+    ``tape[i + 1] > 0``, true exactly where its pre-activation is > 0
+    (subgradient 0 at 0). No input gradient is formed."""
+    last = len(model.widths) - 2
+    if len(tape) != last + 1:
+        raise StateError("backward requires a taped forward pass of this model")
     g = np.asarray(output_gradient, dtype=np.float64)
-    if g.shape != tape.preacts[-1].shape:
+    expected = (tape[0].shape[0], model.widths[-1])
+    if g.shape != expected:
         raise ShapeError(f"output gradient shape {g.shape} does not match "
-                         f"forward output {tape.preacts[-1].shape}")
-    grads, last = model._grads, len(model.widths) - 2
+                         f"forward output {expected}")
+    grads = model._grads
     for i in range(last, -1, -1):
-        if i != last:
-            g = g * (tape.preacts[i] > 0.0)
-        np.matmul(tape.inputs[i].T, g, out=grads[2 * i])
+        np.matmul(tape[i].T, g, out=grads[2 * i])
         g.sum(axis=0, out=grads[2 * i + 1])
-        g = g @ model._params[2 * i].T
-    return grads, g
+        if i:
+            g = (g @ model._params[2 * i].T) * (tape[i] > 0.0)
+    return grads
 
 
 @dataclass

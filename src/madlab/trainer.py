@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
 import time
 from contextlib import closing
 from dataclasses import dataclass, field, asdict, replace
@@ -32,9 +33,8 @@ from .data import (Dataset, TrainingView, GT_ABNORMAL,
 from .errors import ConfigError, MadlabError, NumericsError, StateError
 from .evaluation import auc, knn_score, replicate_ci
 from .losses import info_nce_loss, mad_loss
-from .numcore import (Arena, Mlp, GradientTape, OptimizerState,
-                      apply_lr_schedule, init_params, mlp_backward,
-                      optimizer_step)
+from .numcore import (Arena, Mlp, OptimizerState, apply_lr_schedule,
+                      init_params, mlp_backward, optimizer_step)
 from .spheres import (CenterSet, LiveCenters, anomaly_scores, assign_and_count,
                       kmeans, prune)
 from .spheres import nearest_live_center  # noqa: F401 -- a perfbench/tracer.py patch point
@@ -132,12 +132,12 @@ def _run_epoch(phase: str, seed_key: list, epoch: int, pc, model, opt,
     for bi, start in enumerate(range(0, n, pc.batch)):
         idx = perm[start:start + pc.batch]
         try:
-            tape = GradientTape()
+            tape = []
             z = model.net.forward(batch_input(idx), tape)
             loss, gz = loss_fn(z, idx)
             if not np.isfinite(loss):
                 raise NumericsError("non-finite loss")
-            grads, _ = mlp_backward(tape, gz)
+            grads = mlp_backward(model.net, tape, gz)
             optimizer_step(opt, model.net.parameters(), grads, pc.optimizer,
                            lr, pc.weight_decay)
         except (MadlabError, FloatingPointError) as exc:
@@ -383,9 +383,18 @@ def _replicate_task(rcfg: ExperimentConfig, datasets):
 _worker_datasets = None  # set in each worker process by _init_worker
 
 
-def _init_worker(datasets):
+def _init_worker(datasets, parent: int):
     global _worker_datasets
     _worker_datasets = datasets
+    threading.Thread(target=_exit_when_orphaned, args=(parent,),
+                     daemon=True).start()
+
+
+def _exit_when_orphaned(parent: int):
+    """Exit once ``parent`` is gone, not to wait on its queue for good."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
 
 
 def _worker_task(rcfg: ExperimentConfig):
@@ -397,7 +406,7 @@ def _replicate_outcomes(rcfgs, datasets, workers: int):
     another with 1 worker, else in a pool of forked workers. Fork, not
     spawn: workers inherit the loaded modules, any patches on them and the
     datasets, so only configs and results are pickled. A replicate whose
-    worker died yields its error text."""
+    worker died yields its error text; a worker whose parent dies exits."""
     if workers == 1:
         yield from (_replicate_task(rcfg, datasets) for rcfg in rcfgs)
         return
@@ -407,7 +416,8 @@ def _replicate_outcomes(rcfgs, datasets, workers: int):
     from concurrent.futures.process import BrokenProcessPool
     pool = ProcessPoolExecutor(workers,
                                mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_worker, initargs=(datasets,))
+                               initializer=_init_worker,
+                               initargs=(datasets, os.getpid()))
     try:
         futures = [pool.submit(_worker_task, rcfg) for rcfg in rcfgs]
         for fut in futures:

@@ -7,8 +7,9 @@ a per-array loop for the whole-vector optimizer step, ``csv.writer`` for
 the split files. The exceptions are the kNN score, whose oracle is one
 unblocked call of the same distance kernel: it pins the blocked scores to
 the bits of a single call; and the first-written expressions of
-``info_nce_loss``, the distance kernel and ``mad_loss``, which pin their
-trimmed, precomputing versions to the same bits.
+``info_nce_loss``, the distance kernel, ``mad_loss`` and the reverse
+sweep of ``mlp_backward``, which pin their trimmed, precomputing versions
+to the same bits.
 """
 
 import csv
@@ -67,7 +68,7 @@ def random_mlp(rng, max_layers=3, max_dim=16, kink_margin=1e-4):
     the ReLU kink, where finite differences are meaningless) and batches
     are redrawn until every pre-activation clears ``kink_margin``.
     """
-    from madlab.numcore import Mlp, GradientTape
+    from madlab.numcore import Mlp
     n_layers = int(rng.integers(1, max_layers + 1))
     dims = [int(rng.integers(1, max_dim + 1)) for _ in range(n_layers + 1)]
     model = Mlp(dims, rng=rng)
@@ -76,11 +77,39 @@ def random_mlp(rng, max_layers=3, max_dim=16, kink_margin=1e-4):
             p += rng.normal(0.0, 0.3, size=p.shape)
     for _ in range(50):
         batch = rng.normal(size=(int(rng.integers(1, 9)), dims[0]))
-        tape = GradientTape()
+        tape = []
         model.forward(batch, tape)
-        if min(np.abs(z).min() for z in tape.preacts) > kink_margin:
+        params = model.parameters()
+        preacts = [h @ params[2 * i] + params[2 * i + 1]
+                   for i, h in enumerate(tape)]
+        if min(np.abs(z).min() for z in preacts) > kink_margin:
             return model, batch
     raise AssertionError("could not draw a kink-free audit batch")
+
+
+def two_list_backward(model, batch, output_gradient):
+    """Parameter gradients [dW0, db0, dW1, ...] from the first-written
+    reverse sweep: a forward pass that keeps every layer's input and
+    pre-activation in two lists, a ReLU mask read from the pre-activations
+    and an input gradient formed after every layer, layer 0's included."""
+    params = model.parameters()
+    last = len(params) // 2 - 1
+    inputs, preacts = [], []
+    h = np.asarray(batch, dtype=np.float64)
+    for i in range(last + 1):
+        z = h @ params[2 * i] + params[2 * i + 1]
+        inputs.append(h)
+        preacts.append(z)
+        h = z if i == last else np.maximum(z, 0.0)
+    g = np.asarray(output_gradient, dtype=np.float64)
+    grads = [None] * len(params)
+    for i in range(last, -1, -1):
+        if i != last:
+            g = g * (preacts[i] > 0.0)
+        grads[2 * i] = np.matmul(inputs[i].T, g)
+        grads[2 * i + 1] = g.sum(axis=0)
+        g = g @ params[2 * i].T
+    return grads
 
 
 def direct_sq_distances(points, refs):

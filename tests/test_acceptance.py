@@ -20,7 +20,7 @@ from madlab.evaluation import (auc, replicate_ci, significance_code,
                                welch_t_test)
 from madlab.losses import (KNOWN_ABNORMAL, KNOWN_NORMAL, UNLABELED,
                            info_nce_loss, mad_loss)
-from madlab.numcore import GradientTape, mlp_backward
+from madlab.numcore import mlp_backward
 from madlab.spheres import CenterSet, LiveCenters, prune
 from madlab.trainer import run_replicate, save_checkpoint, load_checkpoint
 
@@ -54,9 +54,9 @@ def test_criterion_01_gradient_suite():
     for _ in range(40):  # MLP parameter gradients
         model, batch = random_mlp(rng)
         direction = rng.normal(size=(batch.shape[0], model.widths[-1]))
-        tape = GradientTape()
+        tape = []
         model.forward(batch, tape)
-        grads, _ = mlp_backward(tape, direction)
+        grads = mlp_backward(model, tape, direction)
         for i, p in enumerate(model.parameters()):
             numeric = central_diff(
                 lambda _a: float(np.sum(model.forward(batch) * direction)), p)

@@ -184,7 +184,8 @@ def test_train_scale_jitter_above_1_exits_1(tmp_path, data_dir, capsys, value):
 
 
 # used to exit 2 (mode_sigma, ambient_noise: "non-finite feature values")
-# or 0 with a RuntimeWarning and splits that train refused (center_spacing)
+# or 0 with a RuntimeWarning and splits that train refused (center_spacing);
+# mode centers whose distances overflow count as too close to place
 @pytest.mark.parametrize("key", ["data.mode_sigma", "data.ambient_noise",
                                  "data.center_spacing"])
 def test_generator_overflow_exits_1(tmp_path, capsys, key):
@@ -194,7 +195,11 @@ def test_generator_overflow_exits_1(tmp_path, capsys, key):
                      *SMALL_SETS, "--set", f"{key}=1e308"])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert err.startswith("error: generated train features overflow")
+    if key == "data.ambient_noise":
+        assert err.startswith("error: generated train features overflow")
+    else:
+        assert err.startswith("error: could not place mode centers")
+        assert "data.mode_sigma=" in err and "data.center_spacing=" in err
     assert err.count("\n") == 1 and not caught
     assert not (tmp_path / "data").exists()
 
@@ -355,12 +360,10 @@ def _alive(pid: int) -> bool:
     return True
 
 
-# a signal to the parent alone, while 2 forked workers run a slow replicate:
-# one error line, 128 + the signal number, and no worker left behind
-@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM],
-                         ids=lambda s: s.name)
-def test_signal_exits_128_plus_signal_and_stops_the_workers(tmp_path, data_dir,
-                                                            sig):
+def _slow_train(tmp_path, data_dir):
+    """Start ``madlab train`` in a child process whose 2 forked workers each
+    write their pid into ``tmp_path / "pids"`` and sleep 2 s before their
+    replicate; returns the process, the pid directory and the stderr file."""
     pids = tmp_path / "pids"
     pids.mkdir()
     argv = ["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
@@ -381,13 +384,29 @@ def test_signal_exits_128_plus_signal_and_stops_the_workers(tmp_path, data_dir,
     with open(stderr, "w") as err:  # a file: an orphan would hold a pipe open
         proc = subprocess.Popen([sys.executable, "-c", code], env=_child_env(1),
                                 stdout=subprocess.DEVNULL, stderr=err)
+    return proc, pids, stderr
+
+
+def _started_workers(pids, stderr) -> list[int]:
+    workers = []
+    deadline = time.monotonic() + 60
+    while len(workers) < 2 and time.monotonic() < deadline:
+        time.sleep(0.05)
+        workers = [int(p.name) for p in pids.iterdir()]
+    assert len(workers) == 2, stderr.read_text()
+    return workers
+
+
+# a signal to the parent alone, while 2 forked workers run a slow replicate:
+# one error line, 128 + the signal number, and no worker left behind
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM],
+                         ids=lambda s: s.name)
+def test_signal_exits_128_plus_signal_and_stops_the_workers(tmp_path, data_dir,
+                                                            sig):
+    proc, pids, stderr = _slow_train(tmp_path, data_dir)
     workers = []
     try:
-        deadline = time.monotonic() + 60
-        while len(workers) < 2 and time.monotonic() < deadline:
-            time.sleep(0.05)
-            workers = [int(p.name) for p in pids.iterdir()]
-        assert len(workers) == 2, stderr.read_text()
+        workers = _started_workers(pids, stderr)
         proc.send_signal(sig)
         assert proc.wait(timeout=60) == 128 + sig, stderr.read_text()
         assert stderr.read_text().splitlines() == ["error: interrupted"]
@@ -395,6 +414,37 @@ def test_signal_exits_128_plus_signal_and_stops_the_workers(tmp_path, data_dir,
         while any(map(_alive, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(_alive, workers))
+    finally:
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie: an orphan's new parent may never reap it."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+# a SIGKILL runs no handler in the parent; each orphaned worker sees its
+# parent change and exits, where it used to wait on the pool's queue for good
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="reads process states from /proc")
+def test_sigkill_to_the_parent_stops_the_workers(tmp_path, data_dir):
+    proc, pids, stderr = _slow_train(tmp_path, data_dir)
+    workers = []
+    try:
+        workers = _started_workers(pids, stderr)
+        proc.kill()
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
     finally:
         for pid in filter(_alive, workers):
             os.kill(pid, signal.SIGKILL)

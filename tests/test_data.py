@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -300,11 +301,12 @@ BAD_LINE = len(GOOD_ROWS.splitlines()) + 2
         "digit_separator", "squared_norm_overflow"])
 def test_csv_malformed_row_rejected(tmp_path, row, names_line):
     p = tmp_path / "train.csv"
-    p.write_bytes(HEADER + GOOD_ROWS + row + b"\r\n")
-    where = f"{p}:{BAD_LINE}:" if names_line else f"{p}: "
-    with pytest.raises(SchemaError) as info:
-        load_csv(p, "train")
-    assert str(info.value).startswith(where)
+    for blanks in (0, 1, 3) if names_line else (0,):
+        p.write_bytes(HEADER + GOOD_ROWS + b"\r\n" * blanks + row + b"\r\n")
+        where = f"{p}:{BAD_LINE + blanks}:" if names_line else f"{p}: "
+        with pytest.raises(SchemaError) as info:
+            load_csv(p, "train")
+        assert str(info.value).startswith(where)
 
 
 @pytest.mark.filterwarnings("error")
@@ -331,6 +333,13 @@ def test_csv_line_ends_and_blank_lines(tmp_path, end):
     assert ds.labels.tolist() == [UNLABELED, KNOWN_ABNORMAL]
     assert ds.features.tobytes() == np.array([[0.5, -1.5],
                                               [-0.0, 1e-5]]).tobytes()
+    # an error names the line of the file, blank lines counted
+    for lines, where in [
+            ([*rows[:3], b"", b"1,0,normalx,unlabeled,0.5,-1.5", b""], 5),
+            ([*rows[:3], b"1,0,normal,unlabeled,1e200,-1.5"], 4)]:
+        p.write_bytes(end.join(lines))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(p))}:{where}: "):
+            load_csv(p, "train")
 
 
 def test_load_csv_python_calls_do_not_grow_with_rows(tmp_path):

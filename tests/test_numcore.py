@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from madlab.errors import NumericsError, ShapeError, StateError
-from madlab.numcore import (ADAM, SGD, Arena, GradientTape, Mlp,
-                            OptimizerState, apply_lr_schedule, init_params,
-                            mlp_backward, optimizer_step)
+from madlab.numcore import (ADAM, SGD, Arena, Mlp, OptimizerState,
+                            apply_lr_schedule, init_params, mlp_backward,
+                            optimizer_step)
 
-from _oracles import central_diff, grads_close, per_array_step, random_mlp
+from _oracles import (central_diff, grads_close, per_array_step, random_mlp,
+                      two_list_backward)
 
 
 def identity_layer_model(dim):
@@ -49,41 +50,44 @@ def test_partial_depth_forward():
     h = model.forward(np.ones((4, 2)), n_layers=1)
     assert h.shape == (4, 3)
     with pytest.raises(StateError):
-        model.forward(np.ones((4, 2)), tape=GradientTape(), n_layers=1)
+        model.forward(np.ones((4, 2)), tape=[], n_layers=1)
 
 
 def test_linear_layer_weight_gradient_is_outer_product():
     model = Mlp((3, 2), rng=1)
     x = np.random.default_rng(2).normal(size=(5, 3))
     g = np.random.default_rng(3).normal(size=(5, 2))
-    tape = GradientTape()
+    tape = []
     model.forward(x, tape)
-    grads, gin = mlp_backward(tape, g)
+    grads = mlp_backward(model, tape, g)
     assert np.allclose(grads[0], x.T @ g)
     assert np.allclose(grads[1], g.sum(axis=0))
-    assert np.allclose(gin, g @ model.parameters()[0].T)
 
 
 def test_backward_without_forward_raises():
+    model = Mlp((1, 1, 1), rng=0)
     with pytest.raises(StateError):
-        mlp_backward(GradientTape(), np.zeros((1, 1)))
+        mlp_backward(model, [], np.zeros((1, 1)))
+    tape = []
+    Mlp((1, 1), rng=0).forward(np.ones((1, 1)), tape)  # one layer, not two
+    with pytest.raises(StateError):
+        mlp_backward(model, tape, np.zeros((1, 1)))
 
 
 def test_backward_output_shape_mismatch():
     model = identity_layer_model(2)
-    tape = GradientTape()
+    tape = []
     model.forward(np.ones((3, 2)), tape)
     with pytest.raises(ShapeError):
-        mlp_backward(tape, np.ones((2, 2)))
+        mlp_backward(model, tape, np.ones((2, 2)))
 
 
 def test_zero_output_gradient_gives_zero_parameter_gradients():
     model, batch = random_mlp(np.random.default_rng(4))
-    tape = GradientTape()
+    tape = []
     out = model.forward(batch, tape)
-    grads, gin = mlp_backward(tape, np.zeros_like(out))
+    grads = mlp_backward(model, tape, np.zeros_like(out))
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
-    assert np.array_equal(gin, np.zeros_like(batch))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -92,9 +96,9 @@ def test_gradients_match_finite_differences(seed):
     model, batch = random_mlp(rng)
     direction = rng.normal(size=(batch.shape[0], model.widths[-1]))
 
-    tape = GradientTape()
+    tape = []
     model.forward(batch, tape)
-    grads, _ = mlp_backward(tape, direction)
+    grads = mlp_backward(model, tape, direction)
 
     params = model.parameters()
     for i, p in enumerate(params):
@@ -104,13 +108,57 @@ def test_gradients_match_finite_differences(seed):
         assert grads_close(grads[i], numeric), f"param {i} mismatch"
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_backward_matches_two_list_oracle_bit_for_bit(seed):
+    rng = np.random.default_rng(300 + seed)
+    model, batch = random_mlp(rng)
+    direction = rng.normal(size=(batch.shape[0], model.widths[-1]))
+    tape = []
+    model.forward(batch, tape)
+    got = mlp_backward(model, tape, direction)
+    want = two_list_backward(model, batch, direction)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def test_backward_matches_two_list_oracle_at_exact_zeros():
+    # hidden pre-activations of exactly 0 beside live and dead units
+    model = Mlp((2, 4, 3), params=[
+        np.array([[1.0, 0.0, 1.0, -1.0], [1.0, 0.0, 1.0, 1.0]]),
+        np.array([0.0, 0.0, -0.0, 0.5]), np.arange(12.0).reshape(4, 3) - 5,
+        np.array([0.1, -0.2, 0.3])])
+    batch = np.array([[1.0, -2.0], [-3.0, 3.0], [0.5, -0.5]])
+    preacts = batch @ model.parameters()[0] + model.parameters()[1]
+    assert (preacts == 0.0).sum() == 7 and (preacts > 0).any()
+    direction = np.random.default_rng(5).normal(size=(3, 3))
+    tape = []
+    model.forward(batch, tape)
+    got = mlp_backward(model, tape, direction)
+    want = two_list_backward(model, batch, direction)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    # numpy's matmul sums an exact zero to +0.0, so a forward pass yields no
+    # -0.0 pre-activation; the mask identity holds for it all the same
+    z = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf])
+    assert np.array_equal(np.maximum(z, 0.0) > 0.0, z > 0.0)
+
+
+def test_tape_holds_each_layers_input():
+    model, batch = random_mlp(np.random.default_rng(6), max_layers=3)
+    tape = [np.zeros(1)]  # a stale record is cleared
+    out = model.forward(batch, tape)
+    assert len(tape) == len(model.widths) - 1
+    assert np.array_equal(tape[0], batch)
+    for i, h in enumerate(tape[1:]):
+        assert np.array_equal(h, model.forward(batch, n_layers=i + 1))
+    assert np.array_equal(out, model.forward(batch))
+
+
 def test_relu_subgradient_zero_at_zero():
     # a hidden pre-activation of exactly 0 must propagate no gradient
     model = Mlp((1, 1, 1), params=[np.zeros((1, 1)), np.zeros(1),
                                    np.ones((1, 1)), np.zeros(1)])
-    tape = GradientTape()
+    tape = []
     model.forward(np.array([[5.0]]), tape)
-    grads, _ = mlp_backward(tape, np.array([[1.0]]))
+    grads = mlp_backward(model, tape, np.array([[1.0]]))
     assert grads[3][0] == 1.0  # the linear output layer passes it on
     assert grads[0][0, 0] == 0.0 and grads[1][0] == 0.0
 
@@ -164,9 +212,9 @@ def test_fused_step_matches_per_array_oracle_bit_for_bit(rule, weight_decay):
     state, ref = OptimizerState(), OptimizerState()
     ref_params = [p.copy() for p in model.parameters()]
     for _ in range(50):
-        tape = GradientTape()
+        tape = []
         out = model.forward(batch, tape)
-        grads, _ = mlp_backward(tape, out)  # d/dp of 0.5*sum(out^2)
+        grads = mlp_backward(model, tape, out)  # d/dp of 0.5*sum(out^2)
         per_array_step(ref, ref_params, [g.copy() for g in grads], rule, 1e-2,
                        weight_decay)
         optimizer_step(state, model.parameters(), grads, rule, 1e-2,
@@ -184,8 +232,8 @@ def test_fused_step_matches_per_array_oracle_bit_for_bit(rule, weight_decay):
 def test_parameters_and_moments_are_views_of_one_vector():
     model, batch = random_mlp(np.random.default_rng(22))
     state = OptimizerState()
-    tape = GradientTape()
-    grads, _ = mlp_backward(tape, model.forward(batch, tape))
+    tape = []
+    grads = mlp_backward(model, tape, model.forward(batch, tape))
     optimizer_step(state, model.parameters(), grads, ADAM, 1e-3, 0.0)
     for arena in (model.parameters(), grads, state.m, state.v,
                   pickle.loads(pickle.dumps(model.parameters()))):
@@ -197,8 +245,8 @@ def test_parameters_and_moments_are_views_of_one_vector():
 
 def test_pickled_mlp_rebuilds_a_zero_gradient_arena():
     model, batch = random_mlp(np.random.default_rng(23))
-    tape = GradientTape()
-    mlp_backward(tape, model.forward(batch, tape))  # the original's are non-zero
+    tape = []
+    mlp_backward(model, tape, model.forward(batch, tape))  # non-zero grads
     blob = pickle.dumps(model)
     assert len(blob) < len(pickle.dumps(model.__dict__))
     copy = pickle.loads(blob)
@@ -206,9 +254,11 @@ def test_pickled_mlp_rebuilds_a_zero_gradient_arena():
     assert not grads.flat.any()
     assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
     assert all(np.shares_memory(g, grads.flat) for g in grads)
-    want, _ = mlp_backward(tape, np.ones((batch.shape[0], model.widths[-1])))
-    copy_tape = GradientTape()
-    got, _ = mlp_backward(copy_tape, np.ones_like(copy.forward(batch, copy_tape)))
+    ones = np.ones((batch.shape[0], model.widths[-1]))
+    want = mlp_backward(model, tape, ones)
+    copy_tape = []
+    copy.forward(batch, copy_tape)
+    got = mlp_backward(copy, copy_tape, ones)
     assert got is grads
     assert np.array_equal(got.flat, want.flat)
 
@@ -244,9 +294,9 @@ def test_determinism_bit_identical_runs():
         model, batch = random_mlp(rng, max_layers=2, max_dim=8)
         state = OptimizerState()
         for _ in range(20):
-            tape = GradientTape()
+            tape = []
             out = model.forward(batch, tape)
-            grads, _ = mlp_backward(tape, out)  # d/dp of 0.5*sum(out^2)
+            grads = mlp_backward(model, tape, out)  # d/dp of 0.5*sum(out^2)
             optimizer_step(state, model.parameters(), grads, ADAM, 1e-3, 1e-6)
         return [p.copy() for p in model.parameters()]
 
@@ -258,13 +308,12 @@ def test_shape_closure_forward_backward():
     rng = np.random.default_rng(11)
     for _ in range(10):
         model, batch = random_mlp(rng)
-        tape = GradientTape()
+        tape = []
         out = model.forward(batch, tape)
         assert out.shape == (batch.shape[0], model.widths[-1])
-        grads, gin = mlp_backward(tape, np.ones_like(out))
+        grads = mlp_backward(model, tape, np.ones_like(out))
         for g, p in zip(grads, model.parameters()):
             assert g.shape == p.shape
-        assert gin.shape == batch.shape
 
 
 def test_init_bounds_and_zero_bias():
