@@ -20,7 +20,7 @@ import sys
 from . import __version__
 from .config import (apply_overrides, default_config, load_config,
                      serialize_config, to_experiment)
-from .data import (GT_ABNORMAL, _GT_NAMES, atomic_write, generate_synthetic,
+from .data import (ABNORMAL, _NAMES, atomic_write, generate_synthetic,
                    load_splits, save_splits)
 from .errors import (ConfigError, MadlabError, NumericsError, SchemaError,
                      StateError)
@@ -166,11 +166,11 @@ def cmd_eval(args) -> int:
     scores_path = os.path.join(out_dir, "scores.csv")
     with atomic_write(scores_path) as fh:
         fh.write("id,score,score_knn,ground_truth\n")
-        names = [_GT_NAMES[g] for g in target.ground_truth.tolist()]
+        names = [_NAMES[g] for g in target.ground_truth.tolist()]
         fh.writelines("%d,%r,%r,%s\n" % (i, *row) for i, row in enumerate(
             zip(scores.tolist(), knn.tolist(), names)))
 
-    positives = target.ground_truth == GT_ABNORMAL
+    positives = target.ground_truth == ABNORMAL
     metrics = {"split": args.split, "embedding": args.embedding,
                "auc": auc(scores, positives),
                "auc_knn": auc(knn, positives),

@@ -28,20 +28,12 @@ from .spheres import squared_distances
 
 log = logging.getLogger(__name__)
 
-# Three-way training label (the CSV ``label`` column); +-1 match the
-# ground-truth convention below.
-UNLABELED = 0
-KNOWN_NORMAL = 1
-KNOWN_ABNORMAL = -1
-
-GT_NORMAL = 1
-GT_ABNORMAL = -1
-
-_GT_NAMES = {GT_NORMAL: "normal", GT_ABNORMAL: "abnormal"}
-_GT_VALUES = {v: k for k, v in _GT_NAMES.items()}
-_LABEL_NAMES = {UNLABELED: "unlabeled", KNOWN_NORMAL: "normal",
-                KNOWN_ABNORMAL: "abnormal"}
-_LABEL_VALUES = {v: k for k, v in _LABEL_NAMES.items()}
+# A sample's ground truth is NORMAL or ABNORMAL; its training label (the
+# CSV ``label`` column) is one of the three.
+UNLABELED, NORMAL, ABNORMAL = 0, 1, -1
+_NAMES = {UNLABELED: "unlabeled", NORMAL: "normal", ABNORMAL: "abnormal"}
+_CODES = {name: code for code, name in _NAMES.items()}
+_GT_CODES = {name: code for name, code in _CODES.items() if code != UNLABELED}
 
 SPLITS = ("train", "val", "test")
 
@@ -76,9 +68,9 @@ class Dataset:
             raise SchemaError(f"unknown split {self.split!r}")
         if not np.all(np.isfinite(self.features)):
             raise SchemaError("non-finite feature values")
-        if not set(np.unique(self.labels)) <= set(_LABEL_NAMES):
+        if not set(np.unique(self.labels)) <= set(_NAMES):
             raise SchemaError("labels must be in {0, +1, -1}")
-        if not set(np.unique(self.ground_truth)) <= set(_GT_NAMES):
+        if not set(np.unique(self.ground_truth)) <= {NORMAL, ABNORMAL}:
             raise SchemaError("ground_truth must be in {+1, -1}")
         labeled = self.labels != UNLABELED
         if np.any(self.labels[labeled] != self.ground_truth[labeled]):
@@ -169,15 +161,15 @@ def _draw_labels(ground_truth, ratio: float, normal_fraction: float,
     n_labeled = round(len(ground_truth) * ratio)
     n_norm = round(n_labeled * normal_fraction)
     n_ab = n_labeled - n_norm
-    norm_idx = np.flatnonzero(ground_truth == GT_NORMAL)
-    ab_idx = np.flatnonzero(ground_truth == GT_ABNORMAL)
+    norm_idx = np.flatnonzero(ground_truth == NORMAL)
+    ab_idx = np.flatnonzero(ground_truth == ABNORMAL)
     if n_norm > norm_idx.size or n_ab > ab_idx.size:
         raise ConfigError(
             f"labeled counts {n_norm}/{n_ab} exceed the available "
             f"{norm_idx.size}/{ab_idx.size} normal/abnormal train samples")
     labels = np.zeros(len(ground_truth), dtype=np.int8)
-    labels[rng.choice(norm_idx, n_norm, replace=False)] = KNOWN_NORMAL
-    labels[rng.choice(ab_idx, n_ab, replace=False)] = KNOWN_ABNORMAL
+    labels[rng.choice(norm_idx, n_norm, replace=False)] = NORMAL
+    labels[rng.choice(ab_idx, n_ab, replace=False)] = ABNORMAL
     return labels
 
 
@@ -234,8 +226,8 @@ def generate_synthetic(cfg: GeneratorConfig):
         n_mid = round(cfg.midpoint_fraction * g_ab) if cfg.modes >= 2 else 0
         # normal groups take the modes in turn and n_mid anomaly groups are
         # midpoints; _draw_groups shuffles each plan
-        plans = [(GT_NORMAL, n_norm, np.resize(np.arange(cfg.modes), g_norm),
-                  normal), (GT_ABNORMAL, n_ab, np.arange(g_ab) < n_mid, abnormal)]
+        plans = [(NORMAL, n_norm, np.resize(np.arange(cfg.modes), g_norm),
+                  normal), (ABNORMAL, n_ab, np.arange(g_ab) < n_mid, abnormal)]
         parts = []
         for gt, n, plan, draw in plans:
             if n > 0:
@@ -328,7 +320,7 @@ def save_csv(dataset: Dataset, path):
         for start in range(0, len(dataset), 1024):
             block = slice(start, start + 1024)
             fh.writelines(
-                row % (g, m, _GT_NAMES[gt], _LABEL_NAMES[label], *feats)
+                row % (g, m, _NAMES[gt], _NAMES[label], *feats)
                 for g, m, gt, label, feats in zip(
                     dataset.group_ids[block].tolist(),
                     dataset.mode_ids[block].tolist(),
@@ -386,8 +378,8 @@ def load_csv(path, split: str) -> Dataset:
                 raise SchemaError(f"{path}: feature columns must be f0..f{dim - 1}")
             # name fields one char wider than any name: none is cut to fit
             row = [("g", np.int64), ("m", np.int64),
-                   ("gt", f"U{max(map(len, _GT_VALUES)) + 1}"),
-                   ("label", f"U{max(map(len, _LABEL_VALUES)) + 1}"),
+                   ("gt", f"U{max(map(len, _GT_CODES)) + 1}"),
+                   ("label", f"U{max(map(len, _CODES)) + 1}"),
                    ("f", np.float64, (dim,))]
             with warnings.catch_warnings():  # a header-only file has no rows
                 warnings.simplefilter("ignore", UserWarning)
@@ -398,8 +390,8 @@ def load_csv(path, split: str) -> Dataset:
     except ValueError as exc:  # undecodable bytes, a bad number, a bad row
         raise SchemaError(f"{path}: {exc}") from None
 
-    gts = _codes(rows["gt"], _GT_VALUES, path)
-    labels = _codes(rows["label"], _LABEL_VALUES, path)
+    gts = _codes(rows["gt"], _GT_CODES, path)
+    labels = _codes(rows["label"], _CODES, path)
     features = rows["f"].copy()  # a field is a strided view, maybe unaligned
     if features.size and not np.all(np.isfinite(features)):
         raise SchemaError(f"{path}: non-finite feature values")
@@ -407,8 +399,11 @@ def load_csv(path, split: str) -> Dataset:
     if huge.any():
         raise SchemaError(f"{path}:{_file_line(path, int(np.argmax(huge)))}: "
                           "feature values too large (squared norm overflows)")
-    return Dataset(features, labels, gts, rows["m"].copy(), rows["g"].copy(),
-                   split)
+    try:  # a label that disagrees with its ground truth
+        return Dataset(features, labels, gts, rows["m"].copy(),
+                       rows["g"].copy(), split)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def save_splits(datasets, out_dir):

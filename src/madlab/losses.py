@@ -17,7 +17,7 @@ import logging
 
 import numpy as np
 
-from .data import KNOWN_ABNORMAL, KNOWN_NORMAL, UNLABELED
+from .data import ABNORMAL, NORMAL, UNLABELED
 from .errors import DomainError, ShapeError
 
 log = logging.getLogger(__name__)
@@ -97,8 +97,7 @@ def mad_loss(z, labels, live, eta: float, n_rows: int, eps_d: float = 1e-6):
     if labels.shape != (z.shape[0],):
         raise ShapeError(
             f"labels shape {labels.shape} does not match {z.shape[0]} rows")
-    unl, nrm, abn = (labels == c for c in (UNLABELED, KNOWN_NORMAL,
-                                           KNOWN_ABNORMAL))
+    unl, nrm, abn = (labels == c for c in (UNLABELED, NORMAL, ABNORMAL))
     n_unl, n_nrm, n_abn = (np.count_nonzero(m) for m in (unl, nrm, abn))
     if n_unl + n_nrm + n_abn != labels.size:
         raise DomainError("labels must be in {0, +1, -1}")

@@ -24,12 +24,9 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from . import __version__
-from .config import (  # noqa: F401 -- the config classes resolve here too
-    AugmentationConfig, ExperimentConfig, FinetuneConfig, GeneratorConfig,
-    ModelDims, PretrainConfig, experiment_from_dict, experiment_hash)
-from .data import (Dataset, TrainingView, GT_ABNORMAL,
-                   atomic_write, augment_pairs, check_layout,
-                   generate_synthetic)
+from .config import ExperimentConfig, experiment_from_dict, experiment_hash
+from .data import (ABNORMAL, Dataset, TrainingView, atomic_write,
+                   augment_pairs, check_layout, generate_synthetic)
 from .errors import ConfigError, MadlabError, NumericsError, StateError
 from .evaluation import auc, knn_score, replicate_ci
 from .losses import info_nce_loss, mad_loss
@@ -54,22 +51,12 @@ _T_KMEANS = 16
 
 @dataclass
 class EncoderModel:
-    """Body layers shared between the two phases plus one task head."""
+    """One phase's network: the body layers shared between the two phases
+    plus that phase's head. A holder only, because ``perfbench`` reads the
+    network of a finished state as ``state.pretext_model.net`` and
+    ``state.mad_model.net``."""
 
     net: Mlp
-
-    @property
-    def body_layers(self) -> int:
-        return len(self.net.widths) - 2
-
-    def embed(self, x) -> np.ndarray:
-        return self.net.forward(x)
-
-    def embed_body(self, x) -> np.ndarray:
-        return self.net.forward(x, n_layers=self.body_layers)
-
-    def body_params(self) -> list:
-        return self.net.parameters()[:2 * self.body_layers]
 
 
 def build_pretext_model(cfg: ExperimentConfig) -> EncoderModel:
@@ -86,7 +73,7 @@ def transfer_weights(pretext: EncoderModel, cfg: ExperimentConfig) -> EncoderMod
     """
     dims = cfg.dims
     head_rng = np.random.default_rng([cfg.seed, _T_INIT_HEAD])
-    params = pretext.body_params() + init_params(
+    params = pretext.net.parameters()[:2 * len(dims.body)] + init_params(
         (dims.body[-1], dims.mad_dim), head_rng)
     return EncoderModel(Mlp((dims.input_dim, *dims.body, dims.mad_dim),
                             params=params))  # Mlp copies
@@ -183,7 +170,7 @@ def _record_epoch(state: TrainerState, cfg, view, val_ds, epoch, loss=None):
     the optimizer realizes as decoupled decay). Returns the live centers."""
     fc, model = cfg.finetune, state.mad_model
     try:  # a float fault names its epoch, as a step's does
-        emb = model.embed(view.features)
+        emb = model.net.forward(view.features)
         if state.centers is None:
             state.centers = kmeans(emb[view.labels >= 0], fc.n_s,
                                    seed=[cfg.seed, _T_KMEANS])
@@ -191,13 +178,13 @@ def _record_epoch(state: TrainerState, cfg, view, val_ds, epoch, loss=None):
             assign_and_count(emb[view.labels >= 0], state.centers)
             prune(state.centers, fc.gamma)
         centers, live = state.centers, LiveCenters(state.centers)
-        scores = anomaly_scores(model.embed(val_ds.features), centers)
+        scores = anomaly_scores(model.net.forward(val_ds.features), centers)
         data_term, _, _ = mad_loss(emb, view.labels, live, fc.eta, len(view),
                                    fc.eps_d)
         state.epochs.append({
             "phase": "finetune", "epoch": 0 if loss is None else epoch + 1,
             "loss": loss,
-            "val_auc": auc(scores, val_ds.ground_truth == GT_ABNORMAL),
+            "val_auc": auc(scores, val_ds.ground_truth == ABNORMAL),
             "objective": data_term + 0.5 * fc.weight_decay * sum(
                 float(np.sum(p * p)) for p in model.net.parameters()),
             "live": centers.n_live, "counts": [int(c) for c in centers.counts]})
@@ -235,12 +222,14 @@ def score_splits(cfg: ExperimentConfig, pretext_model: EncoderModel,
     """Per split: its center-distance scores, then one kNN score vector per
     space, "mad" (detection embedding) or "pretext" (pretext body), against
     the presumed-normal train rows embedded once per space."""
-    embed = {"mad": mad_model.embed, "pretext": pretext_model.embed_body}
+    body = len(cfg.dims.body)
+    embed = {"mad": mad_model.net.forward,
+             "pretext": lambda x: pretext_model.net.forward(x, n_layers=body)}
     ref_rows = train_ds.features[train_ds.labels >= 0]
     refs = [embed[space](ref_rows) for space in spaces]
     out = []
     for ds in splits:
-        emb = mad_model.embed(ds.features)
+        emb = mad_model.net.forward(ds.features)
         out.append((anomaly_scores(emb, centers), *(
             knn_score(emb if space == "mad" else embed[space](ds.features),
                       ref, cfg.knn_k) for space, ref in zip(spaces, refs))))
@@ -248,21 +237,21 @@ def score_splits(cfg: ExperimentConfig, pretext_model: EncoderModel,
 
 
 def evaluate(cfg: ExperimentConfig, pretext_model: EncoderModel,
-             mad_model: EncoderModel, centers: CenterSet, datasets,
-             history=None):
+             mad_model: EncoderModel, centers: CenterSet, datasets, history):
     """Score val/test: center-distance AUC plus kNN AUCs in the detection
-    and pretext-body embedding spaces (``score_splits``)."""
+    and pretext-body embedding spaces (``score_splits``), each record with
+    the finetune ``history``'s val AUCs and live counts."""
     records = []
     for ds, (scores, knn_mad, knn_pre) in zip(datasets[1:], score_splits(
             cfg, pretext_model, mad_model, centers, datasets[0], datasets[1:],
             "mad", "pretext")):
-        positives = ds.ground_truth == GT_ABNORMAL
+        positives = ds.ground_truth == ABNORMAL
         records.append({
             "split": ds.split, "auc": auc(scores, positives),
             "auc_knn": auc(knn_mad, positives),
             "auc_knn_pretext": auc(knn_pre, positives),
-            "epoch_auc": list(history["val_auc"]) if history else [],
-            "live_centers": list(history["live"]) if history else [],
+            "epoch_auc": list(history["val_auc"]),
+            "live_centers": list(history["live"]),
         })
     return records
 
@@ -383,16 +372,17 @@ def _replicate_task(rcfg: ExperimentConfig, datasets):
 _worker_datasets = None  # set in each worker process by _init_worker
 
 
-def _init_worker(datasets, parent: int):
+def _init_worker(datasets, parent: int, stop):
     global _worker_datasets
     _worker_datasets = datasets
-    threading.Thread(target=_exit_when_orphaned, args=(parent,),
+    threading.Thread(target=_exit_when_orphaned, args=(parent, stop),
                      daemon=True).start()
 
 
-def _exit_when_orphaned(parent: int):
-    """Exit once ``parent`` is gone, not to wait on its queue for good."""
-    while os.getppid() == parent:
+def _exit_when_orphaned(parent: int, stop):
+    """Exit once ``parent`` is gone, not to wait on its queue for good, or
+    once it sets ``stop``, not to finish a replicate nobody will read."""
+    while os.getppid() == parent and not stop.value:
         time.sleep(0.5)
     os._exit(1)
 
@@ -406,7 +396,7 @@ def _replicate_outcomes(rcfgs, datasets, workers: int):
     another with 1 worker, else in a pool of forked workers. Fork, not
     spawn: workers inherit the loaded modules, any patches on them and the
     datasets, so only configs and results are pickled. A replicate whose
-    worker died yields its error text; a worker whose parent dies exits."""
+    worker died yields its error text; workers end with the run or parent."""
     if workers == 1:
         yield from (_replicate_task(rcfg, datasets) for rcfg in rcfgs)
         return
@@ -414,10 +404,11 @@ def _replicate_outcomes(rcfgs, datasets, workers: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
-    pool = ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("fork"),
+    ctx = multiprocessing.get_context("fork")
+    stop = ctx.RawValue("b", 0)  # fork shares it; no lock a dead worker holds
+    pool = ProcessPoolExecutor(workers, mp_context=ctx,
                                initializer=_init_worker,
-                               initargs=(datasets, os.getpid()))
+                               initargs=(datasets, os.getpid(), stop))
     try:
         futures = [pool.submit(_worker_task, rcfg) for rcfg in rcfgs]
         for fut in futures:
@@ -427,6 +418,7 @@ def _replicate_outcomes(rcfgs, datasets, workers: int):
                 outcome = f"worker process died: {exc}"
             yield outcome
     finally:  # also when the caller stops early: no worker outlives the run
+        stop.value = 1
         pool.shutdown(cancel_futures=True)
 
 

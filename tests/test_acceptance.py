@@ -18,8 +18,7 @@ from madlab.data import generate_synthetic
 from madlab.errors import DomainError
 from madlab.evaluation import (auc, replicate_ci, significance_code,
                                welch_t_test)
-from madlab.losses import (KNOWN_ABNORMAL, KNOWN_NORMAL, UNLABELED,
-                           info_nce_loss, mad_loss)
+from madlab.losses import ABNORMAL, NORMAL, UNLABELED, info_nce_loss, mad_loss
 from madlab.numcore import mlp_backward
 from madlab.spheres import CenterSet, LiveCenters, prune
 from madlab.trainer import run_replicate, save_checkpoint, load_checkpoint
@@ -82,7 +81,7 @@ def test_criterion_01_gradient_suite():
             if dists[1] - dists[0] > 1e-3 and dists[0] ** 2 > 1e-2:
                 rows.append(z)
         z = np.array(rows)
-        labels = rng.choice([UNLABELED, KNOWN_NORMAL, KNOWN_ABNORMAL], size=6)
+        labels = rng.choice([UNLABELED, NORMAL, ABNORMAL], size=6)
         eta = float(rng.uniform(0.3, 2.0))
         live = LiveCenters(centers)
         _, grad, _ = mad_loss(z, labels, live, eta, 10)
@@ -111,7 +110,7 @@ def test_criterion_02_loss_oracles():
     at_center, _, _ = mad_loss(np.zeros((1, 2)), np.array([UNLABELED]), cs,
                                1.0, 1)
     abnormal_one, _, _ = mad_loss(np.array([[1.0, 0.0]]),
-                                  np.array([KNOWN_ABNORMAL]), cs, 1.0, 1)
+                                  np.array([ABNORMAL]), cs, 1.0, 1)
 
     report(2, "loss oracle values",
            single == 0.0 and abs(two_pair - expected) < 1e-9

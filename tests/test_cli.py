@@ -360,10 +360,11 @@ def _alive(pid: int) -> bool:
     return True
 
 
-def _slow_train(tmp_path, data_dir):
+def _slow_train(tmp_path, data_dir, sleep=2):
     """Start ``madlab train`` in a child process whose 2 forked workers each
-    write their pid into ``tmp_path / "pids"`` and sleep 2 s before their
-    replicate; returns the process, the pid directory and the stderr file."""
+    write their pid into ``tmp_path / "pids"`` and sleep ``sleep`` s before
+    their replicate; returns the process, the pid directory and the stderr
+    file."""
     pids = tmp_path / "pids"
     pids.mkdir()
     argv = ["train", "--data", str(data_dir), "--out", str(tmp_path / "run"),
@@ -373,7 +374,7 @@ def _slow_train(tmp_path, data_dir):
             "run_replicate = trainer.run_replicate\n"
             "def slow(*args, **kwargs):\n"
             f"    open(os.path.join({str(pids)!r}, str(os.getpid())), 'w').close()\n"
-            "    time.sleep(2)\n"
+            f"    time.sleep({sleep})\n"
             "    return run_replicate(*args, **kwargs)\n"
             "trainer.run_replicate = slow\n"
             # a job a shell starts in the background ignores SIGINT
@@ -411,6 +412,30 @@ def test_signal_exits_128_plus_signal_and_stops_the_workers(tmp_path, data_dir,
         assert proc.wait(timeout=60) == 128 + sig, stderr.read_text()
         assert stderr.read_text().splitlines() == ["error: interrupted"]
         deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+
+
+# the same signal while each worker sleeps 30 s in its replicate: the workers
+# stop within one watchdog poll, not after the replicate they are running
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM],
+                         ids=lambda s: s.name)
+def test_signal_stops_the_workers_inside_a_long_replicate(tmp_path, data_dir,
+                                                          sig):
+    proc, pids, stderr = _slow_train(tmp_path, data_dir, sleep=30)
+    workers = []
+    try:
+        workers = _started_workers(pids, stderr)
+        proc.send_signal(sig)
+        deadline = time.monotonic() + 5
+        assert proc.wait(timeout=5) == 128 + sig, stderr.read_text()
+        assert stderr.read_text().splitlines() == ["error: interrupted"]
         while any(map(_alive, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(_alive, workers))
@@ -844,7 +869,7 @@ def test_train_bad_worker_count_exits_1(tmp_path, data_dir, capsys, value):
 
 def test_train_dead_worker_exits_3(tmp_path, data_dir, capsys, monkeypatch):
     real = trainer_mod.run_replicate
-    first_seed = trainer_mod.ExperimentConfig().seed
+    first_seed = config_mod.ExperimentConfig().seed
 
     def dies_on_replicate_0(cfg, datasets=None, **kw):
         if cfg.seed == first_seed:

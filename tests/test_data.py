@@ -6,10 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from madlab.data import (GT_ABNORMAL, GT_NORMAL, KNOWN_ABNORMAL, KNOWN_NORMAL,
-                         UNLABELED, AugmentationConfig, GeneratorConfig,
-                         augment_pairs, generate_synthetic, load_csv,
-                         load_splits, relabel, save_csv, save_splits)
+from madlab.data import (ABNORMAL, NORMAL, UNLABELED, AugmentationConfig,
+                         GeneratorConfig, augment_pairs, generate_synthetic,
+                         load_csv, load_splits, relabel, save_csv, save_splits)
 from madlab.errors import ConfigError, SchemaError
 
 from _oracles import csv_writer_split_bytes
@@ -22,14 +21,14 @@ SMALL = GeneratorConfig(dim=8, modes=2, train_size=200, val_size=100,
 def test_default_sizes_and_contamination():
     train, val, test = generate_synthetic(GeneratorConfig())
     assert (len(train), len(val), len(test)) == (2000, 1000, 1000)
-    n_ab = int(np.sum(train.ground_truth == GT_ABNORMAL))
+    n_ab = int(np.sum(train.ground_truth == ABNORMAL))
     assert abs(n_ab - 100) <= 1  # 5% of 2000, +-1 sample
 
 
 def test_default_labeled_split():
     train, _, _ = generate_synthetic(GeneratorConfig())
-    assert int(np.sum(train.labels == KNOWN_NORMAL)) == 50
-    assert int(np.sum(train.labels == KNOWN_ABNORMAL)) == 50
+    assert int(np.sum(train.labels == NORMAL)) == 50
+    assert int(np.sum(train.labels == ABNORMAL)) == 50
 
 
 def test_unimodal_generation():
@@ -81,7 +80,7 @@ def test_generation_deterministic():
 def test_mode_centers_separated():
     cfg = GeneratorConfig(train_size=2000, seed=3)
     train, _, _ = generate_synthetic(cfg)
-    normal = train.ground_truth == GT_NORMAL
+    normal = train.ground_truth == NORMAL
     centers = np.array([
         train.features[normal & (train.mode_ids == m)].mean(axis=0)
         for m in range(cfg.modes)])
@@ -93,7 +92,7 @@ def test_mode_centers_separated():
 def test_anomalies_sit_off_the_normal_subspaces():
     cfg = GeneratorConfig(seed=1)
     train, _, _ = generate_synthetic(cfg)
-    normal = train.ground_truth == GT_NORMAL
+    normal = train.ground_truth == NORMAL
     perp_norm, perp_ab = [], []
     for m in range(cfg.modes):
         pts = train.features[normal & (train.mode_ids == m)]
@@ -106,7 +105,7 @@ def test_anomalies_sit_off_the_normal_subspaces():
             return np.linalg.norm(d - (d @ basis.T) @ basis, axis=1)
 
         perp_norm.extend(perp(pts))
-        ab = train.features[(train.ground_truth == GT_ABNORMAL)
+        ab = train.features[(train.ground_truth == ABNORMAL)
                             & (train.mode_ids == m)]
         if len(ab):
             perp_ab.extend(perp(ab))
@@ -295,10 +294,13 @@ BAD_LINE = len(GOOD_ROWS.splitlines()) + 2
     (b"1,0,normal,unlabeled,0.\xff5,-1.5", False),
     (b"1,0,normal,unlabeled,1_0,-1.5", False),
     (b"1,0,normal,unlabeled,1e308,-1.5", True),
+    (b"1,0,normal,abnormal,0.5,-1.5", False),
+    (b"1,0,unlabeled,unlabeled,0.5,-1.5", True),
 ], ids=["quoted_name", "quoted_number", "trailing_comma", "short_row",
         "float_in_int_column", "int64_overflow", "abnormalx", "unlabeledx",
         "nul_byte", "nul_after_gt", "nul_after_label", "non_utf8_byte",
-        "digit_separator", "squared_norm_overflow"])
+        "digit_separator", "squared_norm_overflow", "label_disagrees_with_gt",
+        "unlabeled_ground_truth"])
 def test_csv_malformed_row_rejected(tmp_path, row, names_line):
     p = tmp_path / "train.csv"
     for blanks in (0, 1, 3) if names_line else (0,):
@@ -329,8 +331,8 @@ def test_csv_line_ends_and_blank_lines(tmp_path, end):
     ds = load_csv(p, "train")
     assert ds.group_ids.tolist() == [1, 2]
     assert ds.mode_ids.tolist() == [0, 1]
-    assert ds.ground_truth.tolist() == [GT_NORMAL, GT_ABNORMAL]
-    assert ds.labels.tolist() == [UNLABELED, KNOWN_ABNORMAL]
+    assert ds.ground_truth.tolist() == [NORMAL, ABNORMAL]
+    assert ds.labels.tolist() == [UNLABELED, ABNORMAL]
     assert ds.features.tobytes() == np.array([[0.5, -1.5],
                                               [-0.0, 1e-5]]).tobytes()
     # an error names the line of the file, blank lines counted

@@ -1,10 +1,12 @@
 """Every name imported in ``src/madlab/*.py`` is used in its module, unless
-the import's first line says why it stays: ``# noqa: F401 -- <reason>``.
+the import's first line says why it stays: ``# noqa: F401 -- <reason>``;
+such a name must be one that ``perfbench/tracer.py`` patches on that module.
 Every function, class, method and property that ``src/madlab`` defines is
 named by ``src/`` or ``perfbench/`` code outside its own definition."""
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -15,8 +17,9 @@ SRC = ROOT / "src" / "madlab"
 _REASONED_NOQA = re.compile(r"#\s*noqa:\s*F401\W+\w")
 
 
-def unused_imports(text: str) -> list:
-    """``"<line>: <name>"`` for each imported name never read in ``text``."""
+def unused_imports(text: str, honour_noqa: bool = True) -> list:
+    """``"<line>: <name>"`` for each imported name never read in ``text``,
+    leaving out those under a reasoned noqa unless ``honour_noqa`` is off."""
     tree = ast.parse(text)
     lines = text.splitlines()
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -24,7 +27,8 @@ def unused_imports(text: str) -> list:
     for node in ast.walk(tree):
         if (not isinstance(node, (ast.Import, ast.ImportFrom))
                 or getattr(node, "module", None) == "__future__"
-                or _REASONED_NOQA.search(lines[node.lineno - 1])):
+                or honour_noqa
+                and _REASONED_NOQA.search(lines[node.lineno - 1])):
             continue
         for alias in node.names:
             name = (alias.asname or alias.name).split(".")[0]
@@ -43,12 +47,39 @@ def test_checker_flags_unused_names_and_keeps_reasoned_ones():
             "from re import compile as re_compile\n"
             "print(re_compile, xml)\n")
     assert unused_imports(text) == ["2: os", "4: dumps", "4: loads"]
+    assert kept_by_noqa(text) == {"sys"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_every_import_is_used_or_annotated(path):
     assert unused_imports(path.read_text()) == []
+
+
+def kept_by_noqa(text: str) -> set:
+    """The imported names that only a reasoned noqa keeps in ``text``."""
+    kept = (set(unused_imports(text, honour_noqa=False))
+            - set(unused_imports(text)))
+    return {entry.split(": ")[1] for entry in kept}
+
+
+def _tracer_patches() -> set:
+    """(module, attribute) for each patch ``perfbench/tracer.py`` installs."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import tracer
+    t = tracer.Tracer()
+    try:
+        tracer.install(t)
+        return {(owner.__name__, attr) for owner, attr, _ in t._patched}
+    finally:
+        t.unpatch()
+
+
+def test_annotated_imports_are_tracer_patch_points():
+    patched = _tracer_patches()
+    for path in sorted(SRC.glob("*.py")):
+        for name in kept_by_noqa(path.read_text()):
+            assert (f"madlab.{path.stem}", name) in patched, (path.name, name)
 
 
 def _names(node) -> list:

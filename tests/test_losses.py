@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from madlab.errors import DomainError, ShapeError, StateError
-from madlab.losses import (KNOWN_ABNORMAL, KNOWN_NORMAL, UNLABELED,
-                           info_nce_loss, mad_loss)
+from madlab.losses import ABNORMAL, NORMAL, UNLABELED, info_nce_loss, mad_loss
 from madlab.spheres import CenterSet, LiveCenters
 
 from _oracles import (central_diff, grads_close, info_nce_reference,
@@ -107,14 +106,14 @@ def test_unlabeled_row_at_center_contributes_zero():
 
 def test_known_abnormal_at_distance_one():
     centers = make_centers([[0.0, 0.0]])
-    loss, _, _ = mad_loss(np.array([[1.0, 0.0]]), np.array([KNOWN_ABNORMAL]),
+    loss, _, _ = mad_loss(np.array([[1.0, 0.0]]), np.array([ABNORMAL]),
                           LiveCenters(centers), eta=1.0, n_rows=1)
     assert loss == 1.0  # (1^2)^(-1)
 
 
 def test_known_normal_at_distance_two():
     centers = make_centers([[0.0, 0.0]])
-    loss, _, _ = mad_loss(np.array([[2.0, 0.0]]), np.array([KNOWN_NORMAL]),
+    loss, _, _ = mad_loss(np.array([[2.0, 0.0]]), np.array([NORMAL]),
                           LiveCenters(centers), eta=1.0, n_rows=1)
     assert loss == 4.0  # eta * (2^2)^(+1)
 
@@ -137,7 +136,7 @@ def _random_mad_instance(rng, tie_margin=1e-3):
         if dists[1] - dists[0] > tie_margin and np.min(dists) ** 2 > 1e-2:
             rows.append(z)
     z = np.array(rows)
-    labels = rng.choice([UNLABELED, KNOWN_NORMAL, KNOWN_ABNORMAL], size=5)
+    labels = rng.choice([UNLABELED, NORMAL, ABNORMAL], size=5)
     return centers, z, labels, float(rng.uniform(0.3, 2.0))
 
 
@@ -179,7 +178,7 @@ def test_abnormal_descent_step_pushes_away_from_center():
     rng = np.random.default_rng(9)
     centers = make_centers(rng.normal(size=(2, 4)))
     z = rng.normal(size=(6, 4))
-    _, grad, assign = mad_loss(z, np.full(6, KNOWN_ABNORMAL),
+    _, grad, assign = mad_loss(z, np.full(6, ABNORMAL),
                                LiveCenters(centers), eta=1.0, n_rows=6)
     toward = centers.centers[assign] - z
     # descent direction -grad must point away from the assigned center
@@ -190,7 +189,7 @@ def test_abnormal_loss_decreases_with_distance():
     centers = make_centers([[0.0]])
     losses = []
     for d in (0.5, 1.0, 2.0, 4.0):
-        losses.append(mad_loss(np.array([[d]]), np.array([KNOWN_ABNORMAL]),
+        losses.append(mad_loss(np.array([[d]]), np.array([ABNORMAL]),
                                LiveCenters(centers), 1.0, 1)[0])
     assert all(a > b > 0.0 for a, b in zip(losses, losses[1:]))
 
@@ -198,7 +197,7 @@ def test_abnormal_loss_decreases_with_distance():
 def test_eps_d_floor_bounds_loss_and_kills_gradient():
     centers = make_centers([[0.0, 0.0]])
     z = np.array([[1e-9, 0.0]])  # d^2 = 1e-18 < eps_d
-    loss, grad, _ = mad_loss(z, np.array([KNOWN_ABNORMAL]),
+    loss, grad, _ = mad_loss(z, np.array([ABNORMAL]),
                              LiveCenters(centers), 1.0, 1, eps_d=1e-6)
     assert loss == 1e6
     assert np.array_equal(grad, np.zeros_like(z))
@@ -208,7 +207,7 @@ def test_huge_eps_d_squares_no_floored_distance():
     # eps_d ** 2 overflows; a row below the floor has no gradient to scale
     z = np.array([[3.0, 0.0]])
     with np.errstate(over="raise"):
-        loss, grad, _ = mad_loss(z, np.array([KNOWN_ABNORMAL]),
+        loss, grad, _ = mad_loss(z, np.array([ABNORMAL]),
                                  LiveCenters(make_centers([[0.0, 0.0]])),
                                  1.0, 1, eps_d=1e300)
     assert loss == 1e-300
@@ -219,7 +218,7 @@ def test_unlabeled_and_normal_terms_non_negative():
     rng = np.random.default_rng(10)
     centers = make_centers(rng.normal(size=(3, 3)))
     z = rng.normal(size=(10, 3))
-    labels = rng.choice([UNLABELED, KNOWN_NORMAL], size=10)
+    labels = rng.choice([UNLABELED, NORMAL], size=10)
     loss, _, _ = mad_loss(z, labels, LiveCenters(centers), 1.3, 10)
     assert loss >= 0.0
 
@@ -244,7 +243,7 @@ def test_mad_loss_matches_reference_through_prunes(seed):
         for _ in range(5):
             n = int(rng.integers(1, 40))
             z = offset + rng.normal(size=(n, d))
-            labels = rng.choice([UNLABELED, KNOWN_NORMAL, KNOWN_ABNORMAL],
+            labels = rng.choice([UNLABELED, NORMAL, ABNORMAL],
                                 size=n, p=rng.dirichlet(np.ones(3)))
             eta, n_rows = float(rng.uniform(0.0, 3.0)), int(rng.integers(n, 5000))
             eps_d = float(10.0 ** rng.uniform(-8, 1))

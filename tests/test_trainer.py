@@ -120,10 +120,11 @@ def test_transfer_copies_body_and_freshens_head(small_cfg, small_data):
     view = small_data[0].training_view()
     pre = pretrained(small_cfg, view).pretext_model
     mad = transfer_weights(pre, small_cfg)
-    for a, b in zip(pre.body_params(), mad.body_params()):
+    body = 2 * len(small_cfg.dims.body)
+    for a, b in zip(pre.net.parameters()[:body], mad.net.parameters()[:body]):
         assert np.array_equal(a, b)
-    pre_head_w = pre.net.parameters()[2 * pre.body_layers:][0]
-    mad_head_w = mad.net.parameters()[2 * mad.body_layers:][0]
+    pre_head_w = pre.net.parameters()[body:][0]
+    mad_head_w = mad.net.parameters()[body:][0]
     assert pre_head_w.shape == mad_head_w.shape
     assert not np.array_equal(pre_head_w, mad_head_w)
 
