@@ -139,10 +139,14 @@ def cmd_train(args) -> int:
     # every ratio's config is checked before any ratio trains
     subs = [apply_overrides(cfg, [f"data.labeled_ratio={r}"]) for r in ratios]
     exps = [to_experiment(sub) for sub in subs]
+    dirs = ([args.out] if len(ratios) == 1 else
+            [os.path.join(args.out, f"labeled_{r:g}") for r in ratios])
+    for i, out_dir in enumerate(dirs):
+        if out_dir in dirs[:i]:
+            raise ConfigError(f"labeled ratios {ratios[dirs.index(out_dir)]!r}"
+                              f" and {ratios[i]!r} share the directory {out_dir}")
     status = EXIT_OK
-    for ratio, sub, exp in zip(ratios, subs, exps):
-        out_dir = (args.out if len(ratios) == 1
-                   else os.path.join(args.out, f"labeled_{ratio:g}"))
+    for ratio, sub, exp, out_dir in zip(ratios, subs, exps, dirs):
         print(f"== labeled ratio {ratio:g} -> {out_dir}")
         status = max(status, _train_once(sub, exp, args.data, out_dir,
                                          args.workers))
@@ -209,14 +213,15 @@ def cmd_compare(args) -> int:
     t, df, p = welch_t_test(vals_a, vals_b)
     code = significance_code(p)
     ca, cb = replicate_ci(vals_a), replicate_ci(vals_b)
-    print(f"a: mean {ca.mean:.4f} +- {ca.half_width:.4f} (n={len(vals_a)})")
-    print(f"b: mean {cb.mean:.4f} +- {cb.half_width:.4f} (n={len(vals_b)})")
+    for name, ci in (("a", ca), ("b", cb)):
+        print(f"{name}: mean {ci['mean']:.4f} +- {ci['half_width']:.4f} "
+              f"(n={ci['n']})")
     print(f"t = {t:.4f}, df = {df:.2f}, p = {p:.6g}, code {code}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "compare_report.json"),
                     {"metric": args.metric, "split": args.split,
-                     "a": ca.as_dict(), "b": cb.as_dict(),
+                     "a": ca, "b": cb,
                      "t": t, "df": df, "p": p, "code": code})
     return EXIT_OK
 

@@ -1,5 +1,6 @@
-"""Scoring statistics: exact ROC-AUC, kNN distance score, replicate CI,
-and the two-sided Welch t-test.
+"""Scoring statistics: exact ROC-AUC, kNN distance score, replicate CI
+(``replicate_ci`` returns the object metrics.json stores) and the
+two-sided Welch t-test.
 
 AUC is the Mann-Whitney probability (ties credited 1/2) computed from
 tied ranks, which agrees bit-for-bit with exhaustive pair counting. The
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,33 +92,20 @@ def knn_score(queries, references, k: int = 100) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ReplicateStats:
-    """Mean +- 1.96 * sample std over replicate values."""
-
-    values: tuple
-    mean: float
-    half_width: float
-    flagged: bool = False  # single replicate: zero width by convention
-
-    def as_dict(self) -> dict:
-        return {"values": list(self.values), "mean": self.mean,
-                "half_width": self.half_width, "n": len(self.values),
-                "flagged": self.flagged}
-
-
-def replicate_ci(values) -> ReplicateStats:
-    """Aggregate replicate-level values into mean and 95% half-width."""
+def replicate_ci(values) -> dict:
+    """Mean +- 1.96 * sample std over replicate values, as the object
+    metrics.json stores: ``values``, ``mean``, ``half_width``, ``n`` and
+    ``flagged`` (a single value: zero width by convention)."""
     vals = [float(v) for v in values]
     if not vals:
         raise DomainError("replicate_ci needs at least one value")
-    mean = float(np.mean(vals))
-    if len(vals) == 1:
+    mean, flagged = float(np.mean(vals)), len(vals) == 1
+    if flagged:
         log.warning("replicate_ci over a single value: half-width is 0 "
                     "by convention")
-        return ReplicateStats(tuple(vals), mean, 0.0, flagged=True)
-    half = 1.96 * float(np.std(vals, ddof=1))
-    return ReplicateStats(tuple(vals), mean, half)
+    return {"values": vals, "mean": mean,
+            "half_width": 0.0 if flagged else 1.96 * float(np.std(vals, ddof=1)),
+            "n": len(vals), "flagged": flagged}
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -133,25 +120,18 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even then the odd step of term m; converged after the odd one
+        for num in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                    -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + num * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + num / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-12:
             return h
     raise DomainError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")

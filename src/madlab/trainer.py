@@ -96,13 +96,9 @@ class TrainerState:
     epochs: list = field(default_factory=list)
 
     @property
-    def ft_history(self) -> dict | None:
-        """Finetune records as parallel lists, index 0 the baseline (no loss)."""
-        ft = [rec for rec in self.epochs if rec["phase"] == "finetune"]
-        names = {"val_auc": "val_auc", "objective": "objective", "live": "live",
-                 "counts": "counts", "train_loss": "loss"}
-        return {name: [rec[key] for rec in ft if rec.get(key) is not None]
-                for name, key in names.items()} if ft else None
+    def ft_history(self) -> list:
+        """The finetune records, the baseline first."""
+        return [rec for rec in self.epochs if rec["phase"] == "finetune"]
 
 
 def _run_epoch(phase: str, seed_key: list, epoch: int, pc, model, opt,
@@ -250,8 +246,8 @@ def evaluate(cfg: ExperimentConfig, pretext_model: EncoderModel,
             "split": ds.split, "auc": auc(scores, positives),
             "auc_knn": auc(knn_mad, positives),
             "auc_knn_pretext": auc(knn_pre, positives),
-            "epoch_auc": list(history["val_auc"]),
-            "live_centers": list(history["live"]),
+            "epoch_auc": [rec["val_auc"] for rec in history],
+            "live_centers": [rec["live"] for rec in history],
         })
     return records
 
@@ -321,24 +317,17 @@ class RunResult:
                 "aggregate": self.aggregate}
 
 
-_AGG_KEYS = (("val", "auc", "val_auc"),
-             ("test", "auc", "test_auc"),
-             ("val", "auc_knn", "val_auc_knn"),
-             ("test", "auc_knn", "test_auc_knn"),
-             ("val", "auc_knn_pretext", "val_auc_knn_pretext"),
-             ("test", "auc_knn_pretext", "test_auc_knn_pretext"))
-
-
 def aggregate_records(records: list) -> dict:
     agg = {}
-    for split, metric, name in _AGG_KEYS:
-        vals = [r[metric] for r in records if r["split"] == split]
-        if vals:
-            agg[name] = replicate_ci(vals).as_dict()
+    for metric in ("auc", "auc_knn", "auc_knn_pretext"):
+        for split in ("val", "test"):
+            vals = [r[metric] for r in records if r["split"] == split]
+            if vals:
+                agg[f"{split}_{metric}"] = replicate_ci(vals)
     live = [r["live_centers"][-1] for r in records
             if r["split"] == "test" and r["live_centers"]]
     if live:
-        agg["final_live_centers"] = replicate_ci(live).as_dict()
+        agg["final_live_centers"] = replicate_ci(live)
     return agg
 
 
@@ -402,7 +391,7 @@ def _replicate_outcomes(rcfgs, datasets, workers: int):
         return
     # imported here: the pool modules add about 20 ms to every start-up
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     ctx = multiprocessing.get_context("fork")
     stop = ctx.RawValue("b", 0)  # fork shares it; no lock a dead worker holds
@@ -410,7 +399,13 @@ def _replicate_outcomes(rcfgs, datasets, workers: int):
                                initializer=_init_worker,
                                initargs=(datasets, os.getpid(), stop))
     try:
-        futures = [pool.submit(_worker_task, rcfg) for rcfg in rcfgs]
+        futures = []
+        for rcfg in rcfgs:
+            try:
+                futures.append(pool.submit(_worker_task, rcfg))
+            except BrokenProcessPool as exc:  # a worker died before this submit
+                futures.append(Future())
+                futures[-1].set_exception(exc)
         for fut in futures:
             try:
                 outcome = fut.result()

@@ -9,7 +9,8 @@ unblocked call of the same distance kernel: it pins the blocked scores to
 the bits of a single call; and the first-written expressions of
 ``info_nce_loss``, the distance kernel, ``mad_loss`` and the reverse
 sweep of ``mlp_backward``, which pin their trimmed, precomputing versions
-to the same bits.
+to the same bits; and the two-block Lentz loop of the incomplete-beta
+continued fraction, which pins the one-loop version to the same bits.
 """
 
 import csv
@@ -110,6 +111,44 @@ def two_list_backward(model, batch, output_gradient):
         grads[2 * i + 1] = g.sum(axis=0)
         g = g @ params[2 * i].T
     return grads
+
+
+def two_block_beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """The first-written Lentz loop of the incomplete-beta continued
+    fraction: the even and the odd half-step of each term written out."""
+    from madlab.errors import DomainError
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 300):
+        m2 = 2 * m
+        num = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + num * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + num / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + num * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + num / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-12:
+            return h
+    raise DomainError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
 
 def direct_sq_distances(points, refs):

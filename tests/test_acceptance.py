@@ -187,7 +187,7 @@ def test_criterion_06_pretraining_benefit(benchmark_default,
     report(6, "1-epoch val AUC: pretrained mean exceeds random-init mean",
            np.mean(pre1) > np.mean(rand1),
            f"pretrained {np.mean(pre1):.4f} vs random {np.mean(rand1):.4f}, "
-           f"gap {gap.mean:.4f} +- {gap.half_width:.4f}")
+           f"gap {gap['mean']:.4f} +- {gap['half_width']:.4f}")
 
 
 # --- 7: multi-mode behavior ---------------------------------------------------------------
@@ -298,7 +298,7 @@ def test_criterion_10_determinism_and_checkpointing(tmp_path):
 def test_invariant_objective_decreases_over_first_ten_epochs(benchmark_default):
     _, states = benchmark_default
     wins = sum(1 for s in states.values()
-               if s.ft_history["objective"][10] < s.ft_history["objective"][0])
+               if s.ft_history[10]["objective"] < s.ft_history[0]["objective"])
     print(f"objective decrease over first 10 epochs: {wins}/{len(states)} seeds")
     assert wins >= 3
 
@@ -323,7 +323,7 @@ def test_invariant_pretrain_loss_regression(benchmark_default):
 
 def test_invariant_one_epoch_beats_untrained_baseline(benchmark_default):
     _, states = benchmark_default
-    ep0 = [s.ft_history["val_auc"][0] for s in states.values()]
-    ep1 = [s.ft_history["val_auc"][1] for s in states.values()]
+    ep0 = [s.ft_history[0]["val_auc"] for s in states.values()]
+    ep1 = [s.ft_history[1]["val_auc"] for s in states.values()]
     print(f"val AUC baseline {np.mean(ep0):.4f} -> 1 epoch {np.mean(ep1):.4f}")
     assert np.mean(ep1) > np.mean(ep0)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ def test_generate_writes_three_csvs(data_dir):
     for split, expected in (("train", 160), ("val", 80), ("test", 80)):
         path = data_dir / f"{split}.csv"
         assert path.exists()
-        rows[split] = sum(1 for _ in open(path)) - 1
+        rows[split] = len(path.read_text().splitlines()) - 1
         assert rows[split] == expected
 
 
@@ -68,7 +69,7 @@ def test_generate_default_config_row_counts(tmp_path):
     out = tmp_path / "default"
     assert main(["generate", "--out", str(out)]) == EXIT_OK
     for split, expected in (("train", 2000), ("val", 1000), ("test", 1000)):
-        rows = sum(1 for _ in open(out / f"{split}.csv")) - 1
+        rows = len((out / f"{split}.csv").read_text().splitlines()) - 1
         assert rows == expected
 
 
@@ -78,13 +79,13 @@ def test_generate_seed_reproducible(tmp_path):
         out = tmp_path / name
         assert main(["generate", "--out", str(out), "--seed", "7"]
                     + SMALL_SETS) == EXIT_OK
-        outs.append({f: open(out / f, "rb").read()
+        outs.append({f: (out / f).read_bytes()
                      for f in ("train.csv", "val.csv", "test.csv")})
     assert outs[0] == outs[1]
 
 
 def test_generate_contamination_row_count(data_dir):
-    lines = open(data_dir / "train.csv").read().splitlines()[1:]
+    lines = (data_dir / "train.csv").read_text().splitlines()[1:]
     n_ab = sum(1 for l in lines if l.split(",")[2] == "abnormal")
     assert abs(n_ab - 16) <= 1  # 10% of 160
 
@@ -547,6 +548,20 @@ def test_train_labeled_ratio_sweep_checks_every_ratio_first(tmp_path, data_dir,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("second", ["0.1000001", "0.1"])
+def test_train_labeled_ratios_sharing_a_directory_exit_1(tmp_path, data_dir,
+                                                         capsys, second):
+    out = tmp_path / "sweep"
+    code = main(["train", "--data", str(data_dir), "--out", str(out),
+                 "--labeled-ratio", "0.1", "--labeled-ratio", second]
+                + TOY_SETS)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"0.1 and {second} share" in err and "labeled_0.1" in err
+    assert not out.exists()
+
+
 def test_train_schema_violation_exits_2(tmp_path, data_dir):
     (data_dir / "train.csv").write_text("garbage,header\n1,2\n")
     code = main(["train", "--data", str(data_dir),
@@ -592,9 +607,8 @@ def test_eval_replays_recorded_val_auc(tmp_path, data_dir, train_args):
         assert metrics["auc"] == recorded["auc"]
         assert metrics["auc_knn"] == recorded[knn_key]
 
-    header = open(out / "scores.csv").readline().strip()
+    header, *rows = (out / "scores.csv").read_text().splitlines()
     assert header == "id,score,score_knn,ground_truth"
-    rows = open(out / "scores.csv").read().splitlines()[1:]
     assert len(rows) == 80
     for row in rows[:5]:
         _id, score, knn, gt = row.split(",")
@@ -636,7 +650,7 @@ def test_eval_embedding_spaces_differ(tmp_path, trained_dir, data_dir):
                      str(trained_dir / "checkpoint_r0.npz"),
                      "--data", str(data_dir), "--out", str(out),
                      "--embedding", emb]) == EXIT_OK
-        rows = open(out / "scores.csv").read().splitlines()[1:]
+        rows = (out / "scores.csv").read_text().splitlines()[1:]
         cols[emb] = [(r.split(",")[1], r.split(",")[2]) for r in rows]
     mad_scores = [c[0] for c in cols["mad"]]
     pre_scores = [c[0] for c in cols["pretext"]]
@@ -885,6 +899,40 @@ def test_train_dead_worker_exits_3(tmp_path, data_dir, capsys, monkeypatch):
     assert "replicate 0: worker process died: " in err
     doc = json.loads((tmp_path / "run" / "metrics.json").read_text())
     assert doc["errors"][0]["replicate"] == 0
+    assert all(e["error"].startswith("worker process died: ")
+               for e in doc["errors"])
+
+
+def test_train_worker_dead_before_the_last_submit_exits_3(tmp_path, data_dir,
+                                                         capsys, monkeypatch):
+    real_run, real_submit = trainer_mod.run_replicate, ProcessPoolExecutor.submit
+    first_seed = config_mod.ExperimentConfig().seed
+
+    def dies_on_replicate_0(cfg, datasets=None, **kw):
+        if cfg.seed == first_seed:
+            os._exit(1)
+        return real_run(cfg, datasets, **kw)
+
+    submitted = []
+
+    def submit_once_broken(pool, fn, *args):
+        if submitted:  # the first submit forks the workers
+            deadline = time.monotonic() + 10
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+        submitted.append(args)
+        return real_submit(pool, fn, *args)
+
+    monkeypatch.setattr(trainer_mod, "run_replicate", dies_on_replicate_0)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_once_broken)
+    code = main(["train", "--data", str(data_dir), "--out",
+                 str(tmp_path / "run"), "--workers", "2", "--replicates", "4"]
+                + SMALL_SETS)
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert err.startswith("error:") and "Traceback" not in err
+    doc = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    assert [e["replicate"] for e in doc["errors"]] == [0, 1, 2, 3]
     assert all(e["error"].startswith("worker process died: ")
                for e in doc["errors"])
 

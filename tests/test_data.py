@@ -2,6 +2,7 @@ import math
 import re
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,10 +201,10 @@ def test_csv_round_trip_bit_exact(tmp_path):
     feats[0] = [-0.0, 5e-324, 1e154, 1 / 3, -1e-308, 2.0 / 3, 1e-5, 1e16]
     datasets[0] = replace(datasets[0], features=feats)
     paths = save_splits(datasets, tmp_path)
-    first = [open(p, "rb").read() for p in paths]
+    first = [Path(p).read_bytes() for p in paths]
     loaded = load_splits(tmp_path, SMALL)
     save_splits(loaded, tmp_path)
-    second = [open(p, "rb").read() for p in paths]
+    second = [Path(p).read_bytes() for p in paths]
     assert first == second
     for a, b in zip(datasets, loaded):
         written = np.array([[float("%.9g" % x) for x in row]
@@ -224,7 +225,7 @@ def test_csv_header_schema(tmp_path):
     ds = generate_synthetic(SMALL)[0]
     p = tmp_path / "train.csv"
     save_csv(ds, p)
-    header = open(p).readline().strip().split(",")
+    header = p.read_text().splitlines()[0].split(",")
     assert header[:4] == ["group_id", "mode_id", "ground_truth", "label"]
     assert header[4:] == [f"f{i}" for i in range(ds.dim)]
 

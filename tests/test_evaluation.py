@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +10,14 @@ import pytest
 import scipy.special
 import scipy.stats
 
+import madlab.evaluation as evaluation
 from madlab.errors import DomainError
 from madlab.evaluation import (auc, knn_score, regularized_incomplete_beta,
                                replicate_ci, significance_code,
                                student_t_two_sided_p, welch_t_test)
 
-from _oracles import pair_count_auc, unblocked_knn_score
+from _oracles import (pair_count_auc, two_block_beta_continued_fraction,
+                      unblocked_knn_score)
 
 
 # --- AUC --------------------------------------------------------------------
@@ -134,28 +137,29 @@ def test_knn_blocks_bit_identical_to_one_call():
 
 def test_ci_constant_values():
     stats = replicate_ci([0.78, 0.78, 0.78, 0.78])
-    assert stats.mean == 0.78 and stats.half_width == 0.0
+    assert stats["mean"] == 0.78 and stats["half_width"] == 0.0
 
 
 def test_ci_two_values_hand_formula():
     stats = replicate_ci([0.7, 0.8])
     # sample std = sqrt(((0.05)^2 + (0.05)^2) / 1) = 0.0707106...
-    assert math.isclose(stats.mean, 0.75, rel_tol=1e-12)
-    assert math.isclose(stats.half_width, 1.96 * math.sqrt(0.005), rel_tol=1e-12)
-    assert math.isclose(stats.half_width, 0.1386, abs_tol=5e-5)
+    assert math.isclose(stats["mean"], 0.75, rel_tol=1e-12)
+    assert math.isclose(stats["half_width"], 1.96 * math.sqrt(0.005),
+                        rel_tol=1e-12)
+    assert math.isclose(stats["half_width"], 0.1386, abs_tol=5e-5)
 
 
 def test_ci_single_value_flagged():
     stats = replicate_ci([0.9])
-    assert stats.half_width == 0.0 and stats.flagged
+    assert stats["half_width"] == 0.0 and stats["flagged"]
 
 
 def test_ci_mean_within_range():
     rng = np.random.default_rng(3)
     vals = rng.random(6).tolist()
     stats = replicate_ci(vals)
-    assert min(vals) <= stats.mean <= max(vals)
-    assert stats.half_width >= 0.0
+    assert min(vals) <= stats["mean"] <= max(vals)
+    assert stats["half_width"] >= 0.0
 
 
 # --- Welch t-test ----------------------------------------------------------------
@@ -244,6 +248,40 @@ def test_student_t_p_against_scipy():
         ours = student_t_two_sided_p(t, df)
         ref = 2.0 * float(scipy.stats.t.sf(abs(t), df))
         assert abs(ours - ref) < 1e-8
+
+
+def _bits_or_error(f, *args):
+    try:
+        return struct.pack("<d", f(*args))
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_continued_fraction_keeps_the_two_block_bits(monkeypatch):
+    rng = np.random.default_rng(22)
+    a, b = 10.0 ** rng.uniform(-2.0, 4.0, (2, 3000))
+    x = rng.uniform(0.0, 1.0, 3000)
+    t = rng.normal(0.0, 1.0, 3000) * 10.0 ** rng.uniform(-3.0, 2.0, 3000)
+    beta_cases = [*zip(a.tolist(), b.tolist(), x.tolist()),
+                  (1e6, 1e6, 0.4999)]  # needs more than 299 terms
+    t_cases = list(zip(t.tolist(), (2.0 * a).tolist()))
+    # each clamps d or c to tiny: at the start, in an even and an odd
+    # half-step, and c in an odd one; no case above reaches a clamp
+    clamp_cases = [(0.5, 2.0, 0.6), (1.0, 2.0, 0.75), (1.0, 7.0, 0.5),
+                   (5.0, 7.0, 0.8)]
+
+    def outcomes():
+        return ([_bits_or_error(regularized_incomplete_beta, *c)
+                 for c in beta_cases],
+                [_bits_or_error(student_t_two_sided_p, *c) for c in t_cases],
+                [_bits_or_error(evaluation._beta_continued_fraction, *c)
+                 for c in clamp_cases])
+
+    ours = outcomes()
+    monkeypatch.setattr(evaluation, "_beta_continued_fraction",
+                        two_block_beta_continued_fraction)
+    assert ours == outcomes()
+    assert ours[0][-1].startswith("incomplete beta did not converge")
 
 
 def test_significance_codes():

@@ -65,6 +65,15 @@ def pre_losses(state):
     return [rec["loss"] for rec in state.epochs if rec["phase"] == "pretrain"]
 
 
+def parallel_lists(history):
+    """The finetune records as the five parallel lists a state once kept,
+    the baseline's missing loss left out."""
+    names = {"val_auc": "val_auc", "objective": "objective", "live": "live",
+             "counts": "counts", "train_loss": "loss"}
+    return {name: [rec[key] for rec in history if rec[key] is not None]
+            for name, key in names.items()}
+
+
 def params_equal(a, b):
     pa, pb = a.net.parameters(), b.net.parameters()
     return len(pa) == len(pb) and all(np.array_equal(x, y)
@@ -147,7 +156,7 @@ def test_finetune_runs_without_supervision(small_cfg, small_data):
     finetune(cfg, view, ds[1], state, cfg.finetune.epochs)
     centers, hist = state.centers, state.ft_history
     assert centers.n_live >= 1
-    assert len(hist["val_auc"]) == cfg.finetune.epochs + 1
+    assert len(hist) == cfg.finetune.epochs + 1
 
 
 def test_unimodal_pruning_is_noop(small_cfg, small_data):
@@ -157,7 +166,7 @@ def test_unimodal_pruning_is_noop(small_cfg, small_data):
     finetune(cfg, view, small_data[1], state, cfg.finetune.epochs)
     centers, hist = state.centers, state.ft_history
     assert centers.n_live == 1
-    assert hist["live"] == [1] * (cfg.finetune.epochs + 1)
+    assert [rec["live"] for rec in hist] == [1] * (cfg.finetune.epochs + 1)
 
 
 def test_epoch_histories_align(small_cfg, small_data):
@@ -166,11 +175,12 @@ def test_epoch_histories_align(small_cfg, small_data):
     epochs = small_cfg.finetune.epochs
     finetune(small_cfg, view, small_data[1], state, epochs)
     hist = state.ft_history
-    assert len(hist["val_auc"]) == epochs + 1      # index 0 = baseline
-    assert len(hist["objective"]) == epochs + 1
-    assert len(hist["live"]) == epochs + 1
-    assert len(hist["train_loss"]) == epochs
-    assert all(l1 >= l2 for l1, l2 in zip(hist["live"], hist["live"][1:]))
+    assert [rec["epoch"] for rec in hist] == list(range(epochs + 1))
+    assert all(rec["val_auc"] is not None and rec["objective"] is not None
+               for rec in hist)
+    assert [rec["loss"] is None for rec in hist] == [True] + [False] * epochs
+    live = [rec["live"] for rec in hist]
+    assert all(l1 >= l2 for l1, l2 in zip(live, live[1:]))
 
 
 def test_run_replicate_produces_records(small_cfg, small_data):
@@ -332,7 +342,8 @@ SMALL_HISTORY_SHA256 = (
 def test_epoch_records_keep_the_history_pinned(small_cfg, small_data):
     state, _ = run_replicate(small_cfg, small_data)
     blob = json.dumps({"pre_losses": pre_losses(state),
-                       "ft_history": state.ft_history}, sort_keys=True)
+                       "ft_history": parallel_lists(state.ft_history)},
+                      sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == SMALL_HISTORY_SHA256
     assert [(rec["phase"], rec["epoch"]) for rec in state.epochs] == [
         ("pretrain", 1), ("pretrain", 2), ("finetune", 0), ("finetune", 1),
@@ -353,7 +364,7 @@ def test_only_a_resumable_checkpoint_keeps_the_counts(small_cfg, small_data,
         {k: v for k, v in rec.items() if keeps_counts or k != "counts"}
         for rec in state.epochs]
     assert any("counts" in rec for rec in back.epochs) == keeps_counts
-    assert state.ft_history["counts"]  # the state itself keeps them
+    assert all(rec["counts"] for rec in state.ft_history)  # the state has them
 
 
 def test_checkpoint_mid_pretrain_resume(small_cfg, small_data, tmp_path):
@@ -572,5 +583,5 @@ def test_val_auc_baseline_recorded_before_training(small_cfg, small_data):
     frozen = copy.deepcopy(model)
     state = finetune_start(small_cfg, model)
     finetune(small_cfg, view, small_data[1], state, 0)
-    assert len(state.ft_history["val_auc"]) == 1  # baseline only, no epochs run
+    assert len(state.ft_history) == 1  # baseline only, no epochs run
     assert params_equal(model, frozen)
