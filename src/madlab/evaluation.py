@@ -11,8 +11,11 @@ scipy as the cross-check oracle.
 
 from __future__ import annotations
 
+import contextvars
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,23 +54,26 @@ def auc(scores, positives) -> float:
     return float(u / (n_pos * n_neg))
 
 
-# Queries are scored this many rows at a time, so the largest array is one
-# block's (rows, references) distances: 16 MB against 2 000 references. The
-# size is a multiple of 24 because OpenBLAS's GEMM (0.3.31, Haswell kernel)
-# rounds a call's last rows differently unless its row count is a multiple of
-# 24; blocks that cut where its 24-row tiles do keep every score's bits as in
-# one unblocked call. 1008 is also above the default 1 000-row val and test
-# splits, which stay one call.
-_KNN_BLOCK_ROWS = 1008
+def usable_cores() -> int:
+    """The cores this process may run on (the machine's where unknown)."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+# Rows per block of queries, scored by the calling thread and one pool thread
+# per further usable core, each in one buffer it reuses: a new array under 4 MB
+# faults in page by page. Starts are multiples of 24 (OpenBLAS 0.3.31's GEMM
+# row tile) and a lone last row joins the block before it (numpy runs a 1-row
+# product as a GEMV), so each score keeps the bits of one unblocked call. Pool
+# threads copy the caller's context (errstate), call nothing the tracer patches.
+_KNN_BLOCK_ROWS = 240
 
 
 def knn_score(queries, references, k: int = 100) -> np.ndarray:
     """Mean Euclidean distance to the k nearest reference rows, per query.
 
-    Brute force and exact. Queries are taken ``_KNN_BLOCK_ROWS`` at a time,
-    so memory holds one block's distances, not all of them; the scores are
-    bit-identical to one unblocked call. k larger than the reference set is
-    clamped with a warning.
+    Brute force, exact and bit-identical to one unblocked call. k larger
+    than the reference set is clamped with a warning.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     references = np.atleast_2d(np.asarray(references, dtype=np.float64))
@@ -80,15 +86,30 @@ def knn_score(queries, references, k: int = 100) -> np.ndarray:
                     k, references.shape[0])
         k = references.shape[0]
 
-    out, terms = np.empty(queries.shape[0]), ref_terms(references)
-    for start in range(0, queries.shape[0], _KNN_BLOCK_ROWS):
-        stop = start + _KNN_BLOCK_ROWS
-        d = distances_to(queries[start:stop], *terms)
-        np.sqrt(d, out=d)
-        if k < references.shape[0]:
-            d.partition(k - 1, axis=1)
-            d = d[:, :k]
-        d.mean(axis=1, out=out[start:stop])
+    out, terms = np.empty(n := queries.shape[0]), ref_terms(references)
+    cuts = [*range(0, n - 1 if n > 1 else n, _KNN_BLOCK_ROWS), n]
+    blocks = zip(cuts, cuts[1:])  # shared: its next() is one call under the GIL
+
+    def score_blocks():
+        buf = np.empty((min(n, _KNN_BLOCK_ROWS + 1), references.shape[0]))
+        for start, stop in blocks:
+            d = distances_to(queries[start:stop], *terms, out=buf[:stop - start])
+            np.sqrt(d, out=d)
+            if k < references.shape[0]:
+                d.partition(k - 1, axis=1)
+                d = d[:, :k]
+            d.mean(axis=1, out=out[start:stop])
+
+    with ThreadPoolExecutor() as pool:  # its exit joins the pool threads
+        helpers = [pool.submit(contextvars.copy_context().run, score_blocks)
+                   for _ in range(min(usable_cores(), len(cuts) - 1) - 1)]
+        try:
+            score_blocks()
+        finally:
+            for _ in blocks:  # the helpers stop after the block they are on
+                pass
+        for helper in helpers:
+            helper.result()
     return out
 
 

@@ -60,12 +60,12 @@ def ref_terms(refs):  # mean, (-2 r)^T and |r|^2 of the shifted refs r
     return mean, (-2.0 * r).T, np.einsum("kd,kd->k", r, r)
 
 
-def distances_to(points, mean, r_t, r2) -> np.ndarray:
+def distances_to(points, mean, r_t, r2, out=None) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.shape[1] != r_t.shape[0]:
         raise ShapeError(f"point dim {points.shape[1]} vs ref dim {r_t.shape[0]}")
     p = points - mean
-    d2 = p @ r_t
+    d2 = np.matmul(p, r_t, out=out)
     d2 += np.einsum("nd,nd->n", p, p)[:, None]
     d2 += r2[None, :]
     return np.maximum(d2, 0.0, out=d2)

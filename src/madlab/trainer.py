@@ -28,7 +28,7 @@ from .config import ExperimentConfig, experiment_from_dict, experiment_hash
 from .data import (ABNORMAL, Dataset, TrainingView, atomic_write,
                    augment_pairs, check_layout, generate_synthetic)
 from .errors import ConfigError, MadlabError, NumericsError, StateError
-from .evaluation import auc, knn_score, replicate_ci
+from .evaluation import auc, knn_score, replicate_ci, usable_cores
 from .losses import info_nce_loss, mad_loss
 from .numcore import (Arena, Mlp, OptimizerState, apply_lr_schedule,
                       init_params, mlp_backward, optimizer_step)
@@ -336,8 +336,7 @@ def resolve_workers(replicates: int, workers=None) -> int:
     or one per usable core when None, at most one per replicate, and 1
     where processes cannot be forked."""
     if workers is None:
-        workers = (len(os.sched_getaffinity(0))
-                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        workers = usable_cores()
     elif workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     return min(workers, replicates) if hasattr(os, "fork") else 1

@@ -3,6 +3,8 @@ import os
 import struct
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +133,123 @@ def test_knn_blocks_bit_identical_to_one_call():
     proc = subprocess.run([sys.executable, "-c", _BLOCKED_KNN_SCRIPT],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# Block sizes around the 24-row GEMM tile and the 240-row block, reference
+# counts on both sides of the kernel's 256-column edge (neither a multiple of
+# 8), k at 1, at the reference count and clamped above it; the scoring
+# threads are the caller plus one helper per further core the patched
+# affinity reports.
+_THREADED_KNN_SCRIPT = """
+import logging, os, sys
+import numpy as np
+from madlab.evaluation import knn_score
+from _oracles import unblocked_knn_score
+logging.disable(logging.WARNING)
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+rng = np.random.default_rng(1)
+for m in (203, 390):
+    refs = np.concatenate([rng.normal(size=(m - 6, 16)) + 20.0,
+                           0.5 * rng.normal(size=(6, 16))])
+    for n in (1, 23, 24, 25, 239, 240, 241, 5000):
+        queries = rng.normal(size=(n, 16))
+        for k in (1, m, m + 7):
+            got = knn_score(queries, refs, k)
+            want = unblocked_knn_score(queries, refs, min(k, m))
+            assert np.array_equal(got, want), (m, n, k, np.sum(got != want))
+"""
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_threaded_knn_bit_identical_to_one_call(cores):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _THREADED_KNN_SCRIPT,
+                           str(cores)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_knn_threads_score_each_block_once(monkeypatch):
+    """More scoring threads than cores and a 1 us switch interval: every
+    24-row block is scored by exactly one thread, into the one distance
+    buffer that thread reuses."""
+    real, blocks = evaluation.distances_to, []
+
+    def distances_to(points, *terms, out=None):
+        blocks.append((int(points[0, 0]), threading.get_ident(),
+                       out.ctypes.data))
+        return real(points, *terms, out=out)
+
+    monkeypatch.setattr(evaluation, "distances_to", distances_to)
+    monkeypatch.setattr(evaluation, "_KNN_BLOCK_ROWS", 24)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    queries = np.arange(4800.0)[:, None]  # row i holds i: its score is i
+    got, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=lambda: got.append(knn_score(queries, np.zeros((1, 1)), 1)),
+            daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert sorted(first for first, _, _ in blocks) == list(range(0, 4800, 24))
+    assert np.array_equal(got[0], queries[:, 0])
+    buffers = {(thread, buffer) for _, thread, buffer in blocks}
+    assert len(buffers) == len({thread for _, thread, _ in blocks})
+
+
+def _stub_distances(monkeypatch, calls, fail=None, where=None):
+    """Replace the kNN score's distance kernel with one that sleeps 5 ms per
+    block, records the thread and numpy's error state, and raises ``fail``
+    from each block it scores on the calling thread (``where="caller"``) or
+    on a helper (``"helper"``); two cores are reported."""
+    real = evaluation.distances_to
+
+    def distances_to(points, *terms, out=None):
+        thread = threading.current_thread()
+        calls.append((thread, np.geterr()["over"]))
+        time.sleep(0.005)
+        if where == ("caller" if thread is threading.main_thread()
+                     else "helper"):
+            raise fail
+        return real(points, *terms, out=out)
+
+    monkeypatch.setattr(evaluation, "distances_to", distances_to)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_knn_helpers_inherit_the_callers_error_state(monkeypatch):
+    calls = []
+    _stub_distances(monkeypatch, calls)
+    queries, refs = np.ones((10 * evaluation._KNN_BLOCK_ROWS, 2)), np.eye(2)
+    with np.errstate(over="raise"):
+        knn_score(queries, refs, k=1)
+    assert len(calls) == 10
+    assert {over for _, over in calls} == {"raise"}
+    assert any(thread is not threading.main_thread() for thread, _ in calls)
+
+
+@pytest.mark.parametrize("where", ["caller", "helper"])
+@pytest.mark.parametrize("fail", [FloatingPointError("overflow"),
+                                  KeyboardInterrupt()],
+                         ids=["floating_point_error", "keyboard_interrupt"])
+def test_knn_reraises_block_errors_and_leaves_no_thread(monkeypatch, fail,
+                                                        where):
+    calls = []
+    _stub_distances(monkeypatch, calls, fail, where)
+    queries, refs = np.ones((20 * evaluation._KNN_BLOCK_ROWS, 2)), np.eye(2)
+    threads = threading.active_count()
+    with pytest.raises(type(fail)):
+        knn_score(queries, refs, k=1)
+    assert threading.active_count() == threads
+    if where == "caller":  # the helper stopped after the block it was on
+        assert len(calls) < 20
 
 
 # --- replicate CI ---------------------------------------------------------------
