@@ -20,7 +20,7 @@ import sys
 from . import __version__
 from .config import (apply_overrides, default_config, load_config,
                      serialize_config, to_experiment)
-from .data import (ABNORMAL, _NAMES, atomic_write, generate_synthetic,
+from .data import (ABNORMAL, LABEL_NAMES, atomic_write, generate_synthetic,
                    load_splits, save_splits)
 from .errors import (ConfigError, MadlabError, NumericsError, SchemaError,
                      StateError)
@@ -101,8 +101,7 @@ def _train_once(cfg: dict, exp, data_dir: str, out_dir: str, workers) -> int:
         save_checkpoint(os.path.join(out_dir, f"checkpoint_r{r}.npz"), state)
         with atomic_write(os.path.join(out_dir, f"centers_r{r}.jsonl")) as fh:
             fh.writelines(json.dumps({key: rec[key] for key in (
-                "epoch", "live", "counts")}) + "\n" for rec in state.epochs
-                if rec["phase"] == "finetune")
+                "epoch", "live", "counts")}) + "\n" for rec in state.ft_history)
 
     result = run_experiment(exp, datasets, on_replicate=persist,
                             workers=workers)
@@ -155,7 +154,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     state = load_checkpoint(args.checkpoint)
-    if state.mad_model is None or state.centers is None:
+    if state.phase == "pretrain":
         raise StateError(
             "checkpoint has no trained detection model; cannot evaluate")
     exp = state.config
@@ -170,7 +169,7 @@ def cmd_eval(args) -> int:
     scores_path = os.path.join(out_dir, "scores.csv")
     with atomic_write(scores_path) as fh:
         fh.write("id,score,score_knn,ground_truth\n")
-        names = [_NAMES[g] for g in target.ground_truth.tolist()]
+        names = [LABEL_NAMES[g] for g in target.ground_truth.tolist()]
         fh.writelines("%d,%r,%r,%s\n" % (i, *row) for i, row in enumerate(
             zip(scores.tolist(), knn.tolist(), names)))
 

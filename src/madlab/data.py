@@ -31,8 +31,8 @@ log = logging.getLogger(__name__)
 # A sample's ground truth is NORMAL or ABNORMAL; its training label (the
 # CSV ``label`` column) is one of the three.
 UNLABELED, NORMAL, ABNORMAL = 0, 1, -1
-_NAMES = {UNLABELED: "unlabeled", NORMAL: "normal", ABNORMAL: "abnormal"}
-_CODES = {name: code for code, name in _NAMES.items()}
+LABEL_NAMES = {UNLABELED: "unlabeled", NORMAL: "normal", ABNORMAL: "abnormal"}
+_CODES = {name: code for code, name in LABEL_NAMES.items()}
 _GT_CODES = {name: code for name, code in _CODES.items() if code != UNLABELED}
 
 SPLITS = ("train", "val", "test")
@@ -68,7 +68,7 @@ class Dataset:
             raise SchemaError(f"unknown split {self.split!r}")
         if not np.all(np.isfinite(self.features)):
             raise SchemaError("non-finite feature values")
-        if not set(np.unique(self.labels)) <= set(_NAMES):
+        if not set(np.unique(self.labels)) <= set(LABEL_NAMES):
             raise SchemaError("labels must be in {0, +1, -1}")
         if not set(np.unique(self.ground_truth)) <= {NORMAL, ABNORMAL}:
             raise SchemaError("ground_truth must be in {+1, -1}")
@@ -320,7 +320,7 @@ def save_csv(dataset: Dataset, path):
         for start in range(0, len(dataset), 1024):
             block = slice(start, start + 1024)
             fh.writelines(
-                row % (g, m, _NAMES[gt], _NAMES[label], *feats)
+                row % (g, m, LABEL_NAMES[gt], LABEL_NAMES[label], *feats)
                 for g, m, gt, label, feats in zip(
                     dataset.group_ids[block].tolist(),
                     dataset.mode_ids[block].tolist(),

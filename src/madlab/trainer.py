@@ -91,7 +91,7 @@ class TrainerState:
     epoch: int                      # completed epochs within the phase
     pretext_model: EncoderModel
     mad_model: EncoderModel | None = None
-    opt: OptimizerState | None = None
+    opt: OptimizerState | None = field(default_factory=OptimizerState)
     centers: CenterSet | None = None
     epochs: list = field(default_factory=list)
 
@@ -139,8 +139,6 @@ def pretrain(cfg: ExperimentConfig, view: TrainingView, state: TrainerState,
     if n == 0:
         raise ConfigError("pretraining needs a non-empty dataset")
     pc = cfg.pretrain
-    if state.opt is None:
-        state.opt = OptimizerState()
 
     def pairs(idx):  # rows (2i, 2i+1): two views of row idx[i] from aug_rng
         out = np.empty((2 * len(idx), view.features.shape[1]))
@@ -195,12 +193,8 @@ def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
     """Fine-tune ``state.mad_model`` from ``state.epoch`` to ``end_epoch``,
     recording the baseline first and then each epoch (``_record_epoch``)."""
     fc, n = cfg.finetune, len(view)
-    if state.centers is None and state.epoch != 0:
-        raise StateError("resuming finetune requires the saved centers")
     live = (LiveCenters(state.centers) if state.centers is not None
             else _record_epoch(state, cfg, view, val_ds, 0))
-    if state.opt is None:
-        state.opt = OptimizerState()
 
     for epoch in range(state.epoch, end_epoch):
         loss_sum = _run_epoch(
@@ -257,9 +251,14 @@ def run_replicate(cfg: ExperimentConfig, datasets=None, *, state=None,
     """Run (or resume) one full replicate: generate/pretrain/transfer/
     finetune/evaluate.
 
-    ``stop`` = (phase, epochs_done) halts at that boundary and returns the
-    state without evaluation records. Returns (state, records).
+    ``stop`` = ("pretrain" or "finetune", epochs >= 0) halts at that boundary
+    and returns the state without evaluation records. Returns (state, records).
     """
+    end = {"pretrain": cfg.pretrain.epochs, "finetune": cfg.finetune.epochs}
+    halt, at = stop or ("done", 0)
+    if stop is not None and not (halt in end and type(at) is int and at >= 0):
+        raise ConfigError(f"stop must be (pretrain|finetune, int >= 0), got {stop!r}")
+    end[halt] = min(end.get(halt, at), at)  # the epoch each phase runs to
     if datasets is None:
         datasets = generate_synthetic(replace(cfg.data, seed=cfg.seed))
     train_ds, val_ds, _ = datasets
@@ -272,19 +271,15 @@ def run_replicate(cfg: ExperimentConfig, datasets=None, *, state=None,
         raise ConfigError("state was produced under a different config")
 
     if state.phase == "pretrain":
-        halt = stop is not None and stop[0] == "pretrain"
-        pretrain(cfg, view, state,
-                 min(cfg.pretrain.epochs, stop[1]) if halt else cfg.pretrain.epochs)
-        if halt:
+        pretrain(cfg, view, state, end["pretrain"])
+        if halt == "pretrain":
             return state, []
-        state.phase, state.epoch, state.opt = "finetune", 0, None
+        state.phase, state.epoch, state.opt = "finetune", 0, OptimizerState()
         state.mad_model = transfer_weights(state.pretext_model, cfg)
 
     if state.phase == "finetune":
-        halt = stop is not None and stop[0] == "finetune"
-        finetune(cfg, view, val_ds, state,
-                 min(cfg.finetune.epochs, stop[1]) if halt else cfg.finetune.epochs)
-        if halt:
+        finetune(cfg, view, val_ds, state, end["finetune"])
+        if halt == "finetune":
             return state, []
         state.phase, state.opt = "done", None  # nothing resumes from "done"
 
@@ -527,28 +522,31 @@ def _read_checkpoint(path) -> TrainerState:
         if experiment_hash(cfg) != meta["config_hash"]:
             raise StateError("checkpoint config hash mismatch; refusing restore")
 
+        # admit only what run_replicate writes; the phase decides what is read
+        phase, epoch, ft = meta["phase"], meta["epoch"], cfg.finetune.epochs
+        reached = {"pretrain": range(cfg.pretrain.epochs + 1),
+                   "finetune": range(ft + 1), "done": [ft]}.get(phase, ())
+        if type(epoch) is not int or epoch not in reached:
+            raise StateError(f"no run writes phase {phase!r} at epoch {epoch!r}")
+        if type(meta["epochs"]) is not list or phase != "done" and not meta["opt"]:
+            raise StateError(f"{phase} epoch {epoch} lacks its records or optimizer")
+
         pretext = build_pretext_model(cfg)
         _fill(pretext.net.parameters(), z, "pretext")
-        mad = transfer_weights(pretext, cfg) if "mad" in z else None
-        if mad is not None:
+        mad = centers = opt = None
+        if phase != "pretrain":
+            mad = transfer_weights(pretext, cfg)
             _fill(mad.net.parameters(), z, "mad")
-
-        opt = None
-        if meta["opt"] is not None:  # the config gives rule, lr and decay
+            centers = CenterSet(z["centers"], z["centers_live"], z["centers_counts"])
+            if (centers.centers.shape[1] != cfg.dims.mad_dim
+                    or not np.isfinite(centers.centers).all()):
+                raise StateError(f"centers must be finite and {cfg.dims.mad_dim} "
+                                 f"wide, got shape {centers.centers.shape}")
+        if phase != "done":  # the config gives rule, lr and decay
             opt = OptimizerState(step_count=meta["opt"]["step_count"])
             if opt.step_count > 0:  # Adam made its moments on its first step
-                params = (pretext if meta["phase"] == "pretrain" else mad
-                          ).net.parameters()
+                params = (mad or pretext).net.parameters()
                 opt.m = _fill(params.zeros_like(), z, "opt_m")
                 opt.v = _fill(params.zeros_like(), z, "opt_v")
 
-        centers = (CenterSet(z["centers"], z["centers_live"], z["centers_counts"])
-                   if "centers" in z else None)
-        if centers is not None and (centers.centers.shape[1] != cfg.dims.mad_dim
-                                    or not np.isfinite(centers.centers).all()):
-            raise StateError(f"centers must be finite and {cfg.dims.mad_dim} "
-                             f"wide, got shape {centers.centers.shape}")
-
-    return TrainerState(config=cfg, phase=meta["phase"], epoch=meta["epoch"],
-                        pretext_model=pretext, mad_model=mad, opt=opt,
-                        centers=centers, epochs=meta["epochs"])
+    return TrainerState(cfg, phase, epoch, pretext, mad, opt, centers, meta["epochs"])

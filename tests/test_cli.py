@@ -1154,6 +1154,25 @@ def test_eval_checkpoint_with_bad_values_exits_4(eval_inputs, tmp_path, member,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_eval_checkpoint_of_a_phase_no_run_writes_exits_4(eval_inputs,
+                                                         tmp_path):
+    case = tmp_path
+    shutil.copytree(eval_inputs / "orig", case / "data")
+    path = case / "checkpoint.npz"
+    (case / "data" / "checkpoint.npz").rename(path)
+    arrays = dict(np.load(path, allow_pickle=False))
+    meta = json.loads(bytes(arrays["meta_json"]).decode())
+    meta["phase"] = "bogus"  # a finished checkpoint's arrays are all there
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(),
+                                        dtype=np.uint8)
+    np.savez(path, **arrays)
+    code, err = _eval_exit(case)
+    assert code == EXIT_CHECKPOINT, err
+    assert err.startswith("error:") and "phase 'bogus' at epoch 3" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (case / "out").exists()
+
+
 @pytest.mark.parametrize("split, column, keep", [
     ("train", 3, "abnormal"),   # no presumed-normal kNN reference row
     ("val", 2, "normal"),       # an AUC over one class

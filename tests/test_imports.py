@@ -1,6 +1,7 @@
 """Every name imported in ``src/madlab/*.py`` is used in its module, unless
 the import's first line says why it stays: ``# noqa: F401 -- <reason>``;
 such a name must be one that ``perfbench/tracer.py`` patches on that module.
+No module imports another's underscore name; dunders are public.
 Every function, class, method and property that ``src/madlab`` defines is
 named by ``src/`` or ``perfbench/`` code outside its own definition."""
 
@@ -54,6 +55,30 @@ def test_checker_flags_unused_names_and_keeps_reasoned_ones():
                          ids=lambda p: p.name)
 def test_every_import_is_used_or_annotated(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(text: str) -> list:
+    """``"<line>: <name>"`` for each underscore name, other than a dunder,
+    that ``text`` imports from a sibling module."""
+    return [f"{node.lineno}: {alias.name}" for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
+def test_private_import_checker_allows_only_public_and_dunder_names():
+    text = ("from . import __version__\n"
+            "from .data import (LABEL_NAMES,\n"
+            "                   _CODES)\n"
+            "from .trainer import _fill as fill\n"
+            "from numpy import _core\n")
+    assert private_imports(text) == ["2: _CODES", "4: _fill"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    assert private_imports(path.read_text()) == []
 
 
 def kept_by_noqa(text: str) -> set:

@@ -310,24 +310,28 @@ def test_experiment_dict_round_trip(small_cfg):
     assert experiment_hash(back) == experiment_hash(small_cfg)
 
 
+# every boundary a run of the small config halts at: the reader admits each
+@pytest.mark.parametrize("stop", [("pretrain", e) for e in range(3)]
+                         + [("finetune", e) for e in range(4)],
+                         ids=lambda stop: f"{stop[0]}_{stop[1]}")
 def test_checkpoint_round_trip_resumes_bit_exact(small_cfg, small_data,
-                                                 tmp_path):
+                                                 tmp_path, stop):
     # uninterrupted reference
     ref_state, ref_records = run_replicate(small_cfg, small_data)
 
-    # stop after 1 finetune epoch, checkpoint, restore, resume
-    mid, _ = run_replicate(small_cfg, small_data, stop=("finetune", 1))
+    # stop at the boundary, checkpoint, restore, resume
+    mid, _ = run_replicate(small_cfg, small_data, stop=stop)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, mid)
     restored = load_checkpoint(path)
-    assert restored.phase == "finetune" and restored.epoch == 1
+    assert (restored.phase, restored.epoch) == stop
     final, records = run_replicate(small_cfg, small_data, state=restored)
 
     assert params_equal(final.mad_model, ref_state.mad_model)
     assert params_equal(final.pretext_model, ref_state.pretext_model)
     assert np.array_equal(final.centers.centers, ref_state.centers.centers)
     assert np.array_equal(final.centers.live, ref_state.centers.live)
-    assert final.ft_history == ref_state.ft_history
+    assert final.epochs == ref_state.epochs
     assert records == ref_records
 
 
@@ -408,6 +412,60 @@ def test_resume_across_an_lr_milestone_is_bit_exact(small_data, tmp_path,
     assert np.array_equal(final.opt.m.flat, ref.opt.m.flat)
     assert np.array_equal(final.opt.v.flat, ref.opt.v.flat)
     assert final.epochs == ref.epochs
+
+
+# one stored field of a state that a run writes, rewritten to a value that
+# no run writes; the phase alone decides which arrays the reader wants
+@pytest.mark.parametrize("stop, field, value, match", [
+    pytest.param(stop, field, value, match, id=f"{name}-{field}={value}")
+    for name, stop, field, value, match in [
+        ("pretrain_1", ("pretrain", 1), "phase", "bogus",
+         "no run writes phase 'bogus' at epoch 1$"),
+        ("pretrain_1", ("pretrain", 1), "phase", "finetune",
+         "KeyError: .*mad is not a file"),
+        ("pretrain_1", ("pretrain", 1), "epoch", -1,
+         "no run writes phase 'pretrain' at epoch -1$"),
+        ("pretrain_1", ("pretrain", 1), "epoch", 3,
+         "no run writes phase 'pretrain' at epoch 3$"),
+        ("pretrain_1", ("pretrain", 1), "epoch", True,
+         "no run writes phase 'pretrain' at epoch True$"),
+        ("pretrain_1", ("pretrain", 1), "epochs", 3,
+         "pretrain epoch 1 lacks its records or optimizer$"),
+        ("pretrain_1", ("pretrain", 1), "opt", None,
+         "pretrain epoch 1 lacks its records or optimizer$"),
+        ("done", None, "phase", "bogus",
+         "no run writes phase 'bogus' at epoch 3$"),
+        ("done", None, "epoch", 2, "no run writes phase 'done' at epoch 2$"),
+        ("finetune_1", ("finetune", 1), "epoch", 999,
+         "no run writes phase 'finetune' at epoch 999$"),
+        ("finetune_1", ("finetune", 1), "opt", None,
+         "finetune epoch 1 lacks its records or optimizer$")]])
+def test_checkpoint_of_a_state_no_run_writes_is_refused(
+        small_cfg, small_data, tmp_path, stop, field, value, match):
+    state, _ = run_replicate(small_cfg, small_data, stop=stop)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, state)
+    blob = dict(np.load(path, allow_pickle=False))
+    meta = json.loads(bytes(blob["meta_json"]).decode())
+    meta[field] = value
+    blob["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **blob)
+    with pytest.raises(StateError, match=match):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("stop", [
+    ("fine-tune", 1), ("done", 3), ("finetune", -1), ("finetune", 1.0),
+    ("pretrain", True), ("pretrain", None), ()], ids=[
+        "misspelt_phase", "done", "negative", "float", "bool", "none", "empty"])
+def test_run_replicate_refuses_a_stop_no_run_reaches(small_cfg, monkeypatch,
+                                                    stop):
+    def no_work(*args):
+        raise AssertionError("the stop is checked before any work")
+
+    monkeypatch.setattr(trainer_mod, "generate_synthetic", no_work)
+    with pytest.raises(ConfigError, match="^stop must be"):
+        run_replicate(small_cfg, stop=stop)
 
 
 def test_checkpoint_missing_file(tmp_path):
