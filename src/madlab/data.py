@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import AugmentationConfig, GeneratorConfig
 from .errors import ConfigError, SchemaError
+from .numcore import row_blocks
 from .spheres import squared_distances
 
 log = logging.getLogger(__name__)
@@ -99,8 +100,11 @@ class TrainingView:
 
 def _huge_rows(features) -> np.ndarray:
     """Rows whose squared norm is not finite: their distances overflow."""
+    finite = np.empty(len(features), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        return ~np.isfinite(np.square(features).sum(axis=-1))
+        for rows in row_blocks(len(features)):  # no (n, dim) temporary
+            np.isfinite(np.add.reduce(np.square(features[rows]), -1), out=finite[rows])
+    return ~finite
 
 
 def check_layout(rows, cols, what: str) -> None:
@@ -392,7 +396,8 @@ def load_csv(path, split: str) -> Dataset:
 
     gts = _codes(rows["gt"], _GT_CODES, path)
     labels = _codes(rows["label"], _CODES, path)
-    features = rows["f"].copy()  # a field is a strided view, maybe unaligned
+    features, modes, groups = rows["f"].copy(), rows["m"].copy(), rows["g"].copy()
+    del rows  # fields are strided views, maybe unaligned: copied, then freed
     if features.size and not np.all(np.isfinite(features)):
         raise SchemaError(f"{path}: non-finite feature values")
     huge = _huge_rows(features)
@@ -400,8 +405,7 @@ def load_csv(path, split: str) -> Dataset:
         raise SchemaError(f"{path}:{_file_line(path, int(np.argmax(huge)))}: "
                           "feature values too large (squared norm overflows)")
     try:  # a label that disagrees with its ground truth
-        return Dataset(features, labels, gts, rows["m"].copy(),
-                       rows["g"].copy(), split)
+        return Dataset(features, labels, gts, modes, groups, split)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 

@@ -20,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import DomainError
+from .numcore import ROW_BLOCK, row_blocks
 from .spheres import distances_to, ref_terms
 
 log = logging.getLogger(__name__)
@@ -60,15 +61,10 @@ def usable_cores() -> int:
             else os.cpu_count() or 1)
 
 
-# Rows per block of queries, scored by the calling thread and one pool thread
+# The queries' row blocks are scored by the calling thread and one pool thread
 # per further usable core, each in one buffer it reuses: a new array under 4 MB
-# faults in page by page. Starts are multiples of 24 (OpenBLAS 0.3.31's GEMM
-# row tile) and a lone last row joins the block before it (numpy runs a 1-row
-# product as a GEMV), so each score keeps the bits of one unblocked call. Pool
-# threads copy the caller's context (errstate), call nothing the tracer patches.
-_KNN_BLOCK_ROWS = 240
-
-
+# faults in page by page. Pool threads copy the caller's context (errstate) and
+# call nothing the tracer patches.
 def knn_score(queries, references, k: int = 100) -> np.ndarray:
     """Mean Euclidean distance to the k nearest reference rows, per query.
 
@@ -87,22 +83,21 @@ def knn_score(queries, references, k: int = 100) -> np.ndarray:
         k = references.shape[0]
 
     out, terms = np.empty(n := queries.shape[0]), ref_terms(references)
-    cuts = [*range(0, n - 1 if n > 1 else n, _KNN_BLOCK_ROWS), n]
-    blocks = zip(cuts, cuts[1:])  # shared: its next() is one call under the GIL
+    blocks = iter(cuts := row_blocks(n))  # shared: next() is one call under the GIL
 
     def score_blocks():
-        buf = np.empty((min(n, _KNN_BLOCK_ROWS + 1), references.shape[0]))
-        for start, stop in blocks:
-            d = distances_to(queries[start:stop], *terms, out=buf[:stop - start])
+        buf = np.empty((min(n, ROW_BLOCK + 1), references.shape[0]))
+        for rows in blocks:
+            d = distances_to(queries[rows], *terms, out=buf[:rows.stop - rows.start])
             np.sqrt(d, out=d)
             if k < references.shape[0]:
                 d.partition(k - 1, axis=1)
                 d = d[:, :k]
-            d.mean(axis=1, out=out[start:stop])
+            d.mean(axis=1, out=out[rows])
 
     with ThreadPoolExecutor() as pool:  # its exit joins the pool threads
         helpers = [pool.submit(contextvars.copy_context().run, score_blocks)
-                   for _ in range(min(usable_cores(), len(cuts) - 1) - 1)]
+                   for _ in range(min(usable_cores(), len(cuts)) - 1)]
         try:
             score_blocks()
         finally:

@@ -24,6 +24,15 @@ from .errors import NumericsError, ShapeError, StateError
 SGD = "sgd"
 ADAM = "adam"
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's default constants
+ROW_BLOCK = 240  # rows: 10 of OpenBLAS 0.3.31's 24-row GEMM tiles
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of ``n`` rows that start at multiples of ``ROW_BLOCK``; a lone
+    last row joins the block before it (numpy runs a 1-row product as a
+    GEMV). So a product taken block by block keeps the bits of one call."""
+    cuts = [*range(0, n - 1 if n > 1 else n, ROW_BLOCK), n]
+    return [slice(*cut) for cut in zip(cuts, cuts[1:])]
 
 
 def init_params(widths, rng) -> list[np.ndarray]:
@@ -96,6 +105,7 @@ class Mlp:
 
         A ``tape`` list is cleared and given each layer's input, the record
         ``mlp_backward`` reads; partial-depth passes cannot be taped.
+        Untaped, the batch goes through one ``row_blocks`` block at a time.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
@@ -113,17 +123,21 @@ class Mlp:
             if depth != last + 1:
                 raise StateError("partial-depth forward cannot be taped")
             tape.clear()
-
-        h = x
-        for i in range(depth):
-            if tape is not None:
-                tape.append(h)
-            h = h @ self._params[2 * i] + self._params[2 * i + 1]
-            if i != last:
-                h = np.maximum(h, 0.0)
-        if not np.all(np.isfinite(h)):
-            raise NumericsError("non-finite values in forward output")
-        return h
+        out = None if tape is not None else np.empty((len(x), self.widths[depth]))
+        for rows in (None,) if out is None else row_blocks(len(x)):
+            h = x if rows is None else x[rows]
+            for i in range(depth):
+                if tape is not None:
+                    tape.append(h)
+                h = h @ self._params[2 * i] + self._params[2 * i + 1]
+                if i != last:
+                    h = np.maximum(h, 0.0)
+            if not np.all(np.isfinite(h)):
+                raise NumericsError("non-finite values in forward output")
+            if out is None:
+                return h
+            out[rows] = h
+        return out
 
 
 def mlp_backward(model: Mlp, tape: list, output_gradient: np.ndarray) -> Arena:

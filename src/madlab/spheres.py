@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError, ShapeError, StateError
+from .numcore import ROW_BLOCK, row_blocks
 
 log = logging.getLogger(__name__)
 
@@ -140,6 +141,9 @@ class LiveCenters:
 
     def nearest(self, points) -> np.ndarray:
         """Global index of the nearest live center per row (ties -> lowest)."""
+        if len(points) > ROW_BLOCK + 1:  # one row block at a time
+            return np.concatenate([self.nearest(points[rows])
+                                   for rows in row_blocks(len(points))])
         return self.index[np.argmin(distances_to(points, *self._terms), axis=1)]
 
 
@@ -180,7 +184,10 @@ def prune(centers: CenterSet, gamma: float) -> CenterSet:
 
 def anomaly_scores(embeddings, centers: CenterSet) -> np.ndarray:
     """Euclidean distance from each row to its nearest live center."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    delta = embeddings - centers.centers[nearest_live_center(embeddings, centers)]
-    return np.sqrt(np.einsum("rd,rd->r", delta, delta))
+    embeddings, live = np.asarray(embeddings, dtype=np.float64), LiveCenters(centers)
+    out = np.empty(len(embeddings))
+    for rows in row_blocks(len(embeddings)):
+        delta = embeddings[rows] - centers.centers[live.nearest(embeddings[rows])]
+        np.sqrt(np.einsum("rd,rd->r", delta, delta), out=out[rows])
+    return out
 

@@ -30,7 +30,7 @@ from .data import (ABNORMAL, Dataset, TrainingView, atomic_write,
 from .errors import ConfigError, MadlabError, NumericsError, StateError
 from .evaluation import auc, knn_score, replicate_ci, usable_cores
 from .losses import info_nce_loss, mad_loss
-from .numcore import (Arena, Mlp, OptimizerState, apply_lr_schedule,
+from .numcore import (ADAM, Arena, Mlp, OptimizerState, apply_lr_schedule,
                       init_params, mlp_backward, optimizer_step)
 from .spheres import (CenterSet, LiveCenters, anomaly_scores, assign_and_count,
                       kmeans, prune)
@@ -269,6 +269,12 @@ def run_replicate(cfg: ExperimentConfig, datasets=None, *, state=None,
                              pretext_model=build_pretext_model(cfg))
     if experiment_hash(state.config) != experiment_hash(cfg):
         raise ConfigError("state was produced under a different config")
+    if state.phase in end and state.epoch < end[state.phase]:  # it steps again
+        pc = getattr(cfg, state.phase)  # each epoch steps ceil(n / batch) times
+        steps = state.epoch * -(-len(view) // pc.batch) if pc.optimizer == ADAM else 0
+        if state.opt.step_count != steps:
+            raise StateError(f"{state.phase} epoch {state.epoch} has taken "
+                             f"{state.opt.step_count} optimizer steps, not {steps}")
 
     if state.phase == "pretrain":
         pretrain(cfg, view, state, end["pretrain"])
@@ -542,6 +548,9 @@ def _read_checkpoint(path) -> TrainerState:
                     or not np.isfinite(centers.centers).all()):
                 raise StateError(f"centers must be finite and {cfg.dims.mad_dim} "
                                  f"wide, got shape {centers.centers.shape}")
+            if centers.n_live != meta["epochs"][-1]["live"]:
+                raise StateError(f"{centers.n_live} centers are flagged live, not "
+                                 f"the {meta['epochs'][-1]['live']} last recorded")
         if phase != "done":  # the config gives rule, lr and decay
             opt = OptimizerState(step_count=meta["opt"]["step_count"])
             if opt.step_count > 0:  # Adam made its moments on its first step

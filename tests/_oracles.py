@@ -10,7 +10,10 @@ the bits of a single call; and the first-written expressions of
 ``info_nce_loss``, the distance kernel, ``mad_loss`` and the reverse
 sweep of ``mlp_backward``, which pin their trimmed, precomputing versions
 to the same bits; and the two-block Lentz loop of the incomplete-beta
-continued fraction, which pins the one-loop version to the same bits.
+continued fraction, which pins the one-loop version to the same bits; and
+the untaped forward pass, the nearest live center and the anomaly score,
+whose oracles run each split in one piece: they pin the row-blocked
+versions to the bits of one unblocked pass.
 """
 
 import csv
@@ -194,6 +197,33 @@ def unblocked_knn_score(queries, references, k):
         d.partition(k - 1, axis=1)
         d = d[:, :k]
     return d.mean(axis=1)
+
+
+def unblocked_forward(model, x, n_layers=None):
+    """The first ``n_layers`` layers (default all) over the whole batch at
+    once: one product per layer, ReLU after every layer but the last."""
+    params = model.parameters()
+    last = len(params) // 2 - 1
+    h = np.asarray(x, dtype=np.float64)
+    for i in range(last + 1 if n_layers is None else n_layers):
+        h = h @ params[2 * i] + params[2 * i + 1]
+        if i != last:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+def unblocked_nearest(points, centers):
+    """Global index of each row's nearest live center, from one (n, k)
+    distance matrix of the first-written kernel."""
+    live_idx = np.flatnonzero(centers.live)
+    d2 = reference_sq_distances(points, centers.centers[live_idx])
+    return live_idx[np.argmin(d2, axis=1)]
+
+
+def unblocked_anomaly_scores(embeddings, centers):
+    """Distance of each row to its nearest live center, the split at once."""
+    delta = embeddings - centers.centers[unblocked_nearest(embeddings, centers)]
+    return np.sqrt(np.einsum("rd,rd->r", delta, delta))
 
 
 def csv_writer_split_bytes(ds):

@@ -1173,6 +1173,24 @@ def test_eval_checkpoint_of_a_phase_no_run_writes_exits_4(eval_inputs,
     assert not (case / "out").exists()
 
 
+def test_eval_checkpoint_with_a_pruned_center_flagged_live_exits_4(
+        eval_inputs, tmp_path):
+    case = tmp_path
+    shutil.copytree(eval_inputs / "orig", case / "data")
+    path = case / "checkpoint.npz"
+    (case / "data" / "checkpoint.npz").rename(path)
+    arrays = dict(np.load(path, allow_pickle=False))
+    assert not arrays["centers_live"].all()  # the run pruned a center
+    arrays["centers_live"][:] = True
+    np.savez(path, **arrays)
+    code, err = _eval_exit(case)
+    assert code == EXIT_CHECKPOINT, err
+    n_s = arrays["centers_live"].size
+    assert err.startswith("error:") and f"{n_s} centers are flagged live" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (case / "out").exists()
+
+
 @pytest.mark.parametrize("split, column, keep", [
     ("train", 3, "abnormal"),   # no presumed-normal kNN reference row
     ("val", 2, "normal"),       # an AUC over one class

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,13 @@ import scipy.special
 import scipy.stats
 
 import madlab.evaluation as evaluation
+import madlab.numcore as numcore
 from madlab.errors import DomainError
 from madlab.evaluation import (auc, knn_score, regularized_incomplete_beta,
                                replicate_ci, significance_code,
                                student_t_two_sided_p, welch_t_test)
+from madlab.numcore import Mlp
+from madlab.spheres import CenterSet, anomaly_scores
 
 from _oracles import (pair_count_auc, two_block_beta_continued_fraction,
                       unblocked_knn_score)
@@ -111,11 +115,12 @@ def test_knn_permutation_invariance_and_lipschitz():
 # from its interior: a block size the kernel does not tile evenly moves bits.
 _BLOCKED_KNN_SCRIPT = """
 import numpy as np
-from madlab.evaluation import _KNN_BLOCK_ROWS, knn_score
+from madlab.evaluation import knn_score
+from madlab.numcore import ROW_BLOCK
 from _oracles import unblocked_knn_score
 rng = np.random.default_rng(0)
 queries = rng.normal(size=(5000, 16))
-assert len(range(0, 5000, _KNN_BLOCK_ROWS)) >= 3 and 5000 % _KNN_BLOCK_ROWS
+assert len(range(0, 5000, ROW_BLOCK)) >= 3 and 5000 % ROW_BLOCK
 refs = np.concatenate([rng.normal(size=(384, 16)) + 20.0,
                        0.5 * rng.normal(size=(6, 16))])
 for k in (1, len(refs)):
@@ -184,7 +189,7 @@ def test_knn_threads_score_each_block_once(monkeypatch):
         return real(points, *terms, out=out)
 
     monkeypatch.setattr(evaluation, "distances_to", distances_to)
-    monkeypatch.setattr(evaluation, "_KNN_BLOCK_ROWS", 24)
+    monkeypatch.setattr(numcore, "ROW_BLOCK", 24)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     queries = np.arange(4800.0)[:, None]  # row i holds i: its score is i
     got, interval = [], sys.getswitchinterval()
@@ -227,7 +232,7 @@ def _stub_distances(monkeypatch, calls, fail=None, where=None):
 def test_knn_helpers_inherit_the_callers_error_state(monkeypatch):
     calls = []
     _stub_distances(monkeypatch, calls)
-    queries, refs = np.ones((10 * evaluation._KNN_BLOCK_ROWS, 2)), np.eye(2)
+    queries, refs = np.ones((10 * numcore.ROW_BLOCK, 2)), np.eye(2)
     with np.errstate(over="raise"):
         knn_score(queries, refs, k=1)
     assert len(calls) == 10
@@ -243,13 +248,40 @@ def test_knn_reraises_block_errors_and_leaves_no_thread(monkeypatch, fail,
                                                         where):
     calls = []
     _stub_distances(monkeypatch, calls, fail, where)
-    queries, refs = np.ones((20 * evaluation._KNN_BLOCK_ROWS, 2)), np.eye(2)
+    queries, refs = np.ones((20 * numcore.ROW_BLOCK, 2)), np.eye(2)
     threads = threading.active_count()
     with pytest.raises(type(fail)):
         knn_score(queries, refs, k=1)
     assert threading.active_count() == threads
     if where == "caller":  # the helper stopped after the block it was on
         assert len(calls) < 20
+
+
+def _scoring_transient_bytes(rows: int) -> int:
+    """Peak traced bytes of one untaped forward pass of the default encoder's
+    shapes and the anomaly scores of its output, beyond the two outputs."""
+    rng = np.random.default_rng(rows)
+    model = Mlp((32, 64, 32, 16), rng=rng)
+    x = rng.normal(size=(rows, 32))
+    centers = CenterSet(rng.normal(size=(100, 16)), np.ones(100, dtype=bool),
+                        np.zeros(100))
+    tracemalloc.start()
+    try:
+        emb = model.forward(x)
+        scores = anomaly_scores(emb, centers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - emb.nbytes - scores.nbytes
+
+
+def test_scoring_working_memory_does_not_grow_with_rows():
+    """Counted cost, independent of host speed: scoring a split in row blocks
+    keeps its temporaries to one block's. Over whole splits, 35 000 more
+    rows added 31 MB: each layer's product, bias sum and ReLU and the
+    split-by-centers distance matrix."""
+    assert _scoring_transient_bytes(40_000) - _scoring_transient_bytes(5_000) \
+        < 1 << 20
 
 
 # --- replicate CI ---------------------------------------------------------------

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from madlab.errors import NumericsError, ShapeError, StateError
-from madlab.numcore import (ADAM, SGD, Arena, Mlp, OptimizerState,
+from madlab.numcore import (ADAM, ROW_BLOCK, SGD, Arena, Mlp, OptimizerState,
                             apply_lr_schedule, init_params, mlp_backward,
-                            optimizer_step)
+                            optimizer_step, row_blocks)
 
 from _oracles import (central_diff, grads_close, per_array_step, random_mlp,
-                      two_list_backward)
+                      two_list_backward, unblocked_forward)
+
+# row counts around the 24-row GEMM tile and the 240-row block; 241 and 481
+# end in a lone row, which joins the block before it
+BLOCK_ROWS = (1, 23, 24, 25, 239, 240, 241, 481, 5000)
 
 
 def identity_layer_model(dim):
@@ -51,6 +55,40 @@ def test_partial_depth_forward():
     assert h.shape == (4, 3)
     with pytest.raises(StateError):
         model.forward(np.ones((4, 2)), tape=[], n_layers=1)
+
+
+@pytest.mark.parametrize("n", (0, 2, 3, 480, 721, *BLOCK_ROWS))
+def test_row_blocks_cover_the_rows_from_multiples_of_the_block(n):
+    blocks = row_blocks(n)
+    starts = [rows.start for rows in blocks]
+    assert starts[:1] == [0] * bool(n) and all(s % ROW_BLOCK == 0 for s in starts)
+    assert [rows.stop for rows in blocks] == starts[1:] + [n] * bool(n)
+    sizes = [rows.stop - rows.start for rows in blocks]
+    assert all(size <= ROW_BLOCK + 1 for size in sizes)
+    assert n < 2 or min(sizes) > 1  # no lone row
+
+
+@pytest.mark.parametrize("n", BLOCK_ROWS)
+@pytest.mark.parametrize("n_layers", [None, 2], ids=["full", "body"])
+def test_untaped_forward_bit_identical_to_one_pass(n, n_layers):
+    """The default encoder's shapes; a 1-row GEMV or a block start off the
+    GEMM tile would move the bits of some row."""
+    rng = np.random.default_rng(n)
+    model = Mlp((32, 64, 32, 16), rng=rng)
+    for p in model.parameters()[1::2]:
+        p += rng.normal(0.0, 0.1, size=p.shape)
+    x = rng.normal(size=(n, 32))
+    got = model.forward(x, n_layers=n_layers)
+    assert np.array_equal(got, unblocked_forward(model, x, n_layers))
+
+
+def test_untaped_forward_refuses_a_non_finite_block():
+    model = identity_layer_model(2)
+    x = np.ones((2 * ROW_BLOCK + 5, 2))
+    x[ROW_BLOCK + 3, 1] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(NumericsError,
+                                                  match="non-finite"):
+        model.forward(x)
 
 
 def test_linear_layer_weight_gradient_is_outer_product():

@@ -11,7 +11,8 @@ from madlab.spheres import (CenterSet, LiveCenters, anomaly_scores,
                             assign_and_count, kmeans, nearest_live_center,
                             prune, squared_distances)
 
-from _oracles import direct_sq_distances, reference_sq_distances
+from _oracles import (direct_sq_distances, reference_sq_distances,
+                      unblocked_anomaly_scores, unblocked_nearest)
 
 
 def make_centers(points, counts=None):
@@ -273,6 +274,34 @@ def test_snapshot_nearest_is_the_kernel_argmin_bit_for_bit(offset, spread):
         assert np.array_equal(live.nearest(z), nearest_live_center(z, cs))
         steps += 1
     assert steps > 3
+
+
+def _tied_centers(rng, n_live, rows):
+    """Three pruned centers, then ``n_live`` live ones, most in close pairs,
+    and ``rows`` points each at the midpoint of a pair: every row's two
+    nearest distances tie in exact arithmetic, so its argmin follows their
+    last bits. The seeds below are ones under which a lone last row scored
+    on its own (a GEMV) flips the argmin of the row at 481 rows."""
+    pairs = n_live // 2
+    base = 4.0 * rng.normal(size=(n_live - pairs, 16))
+    half = 0.3 * rng.normal(size=(pairs, 16))
+    centers = np.concatenate([4.0 * rng.normal(size=(3, 16)), base,
+                              base[:pairs] + 2.0 * half])
+    live = np.arange(n_live + 3) >= 3
+    pick = rng.integers(pairs, size=rows)
+    return (CenterSet(centers, live, np.zeros(n_live + 3)),
+            base[pick] + half[pick])
+
+
+@pytest.mark.parametrize("rows", [1, 23, 24, 25, 239, 240, 241, 481, 5000])
+@pytest.mark.parametrize("n_live", [15, 203])
+def test_blocked_nearest_and_scores_bit_identical_to_one_pass(n_live, rows):
+    cs, points = _tied_centers(np.random.default_rng([16, n_live, rows]),
+                               n_live, rows)
+    assert np.array_equal(LiveCenters(cs).nearest(points),
+                          unblocked_nearest(points, cs))
+    assert np.array_equal(anomaly_scores(points, cs),
+                          unblocked_anomaly_scores(points, cs))
 
 
 def test_snapshot_is_unchanged_by_later_prunes():

@@ -445,13 +445,59 @@ def test_checkpoint_of_a_state_no_run_writes_is_refused(
     state, _ = run_replicate(small_cfg, small_data, stop=stop)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, state)
-    blob = dict(np.load(path, allow_pickle=False))
-    meta = json.loads(bytes(blob["meta_json"]).decode())
-    meta[field] = value
-    blob["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **blob)
+    _rewrite_meta(path, lambda meta: meta.update({field: value}))
     with pytest.raises(StateError, match=match):
         load_checkpoint(path)
+
+
+def _rewrite_meta(path, edit):
+    """Re-save a checkpoint with ``edit(meta)`` applied to its stored meta."""
+    blob = dict(np.load(path, allow_pickle=False))
+    meta = json.loads(bytes(blob["meta_json"]).decode())
+    edit(meta)
+    blob["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **blob)
+
+
+# a run writes epoch * ceil(160 rows / batch) Adam steps: 10 per pretrain
+# epoch, 5 per finetune epoch
+@pytest.mark.parametrize("stop, step_count", [
+    (("pretrain", 1), 0), (("finetune", 1), 0), (("finetune", 1), 6)],
+    ids=["pretrain_1-0", "finetune_1-0", "finetune_1-6"])
+def test_resume_refuses_an_optimizer_step_count_no_run_writes(
+        small_cfg, small_data, tmp_path, stop, step_count):
+    state, _ = run_replicate(small_cfg, small_data, stop=stop)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, state)
+    _rewrite_meta(path, lambda meta: meta["opt"].update(step_count=step_count))
+    resumed = load_checkpoint(path)  # the reader cannot tell the count
+    with pytest.raises(StateError, match=f"^{stop[0]} epoch 1 has taken "
+                                         f"{step_count} optimizer steps, not"):
+        run_replicate(small_cfg, small_data, state=resumed)
+
+
+def test_resume_under_sgd_expects_no_optimizer_step(small_cfg, small_data,
+                                                    tmp_path):
+    cfg = replace(small_cfg, finetune=replace(small_cfg.finetune,
+                                              optimizer="sgd"))
+    state, _ = run_replicate(cfg, small_data, stop=("finetune", 1))
+    assert state.opt.step_count == 0
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, state)
+    _, records = run_replicate(cfg, small_data, state=load_checkpoint(path))
+    assert records == run_replicate(cfg, small_data)[1]
+
+
+def test_pretrain_state_at_its_last_epoch_resumes_with_any_optimizer(
+        small_cfg, small_data):
+    """A finished pretraining hands over with a fresh optimizer: fine-tuning
+    installs its own, so the pretraining step count is not checked."""
+    state, _ = run_replicate(small_cfg, small_data, stop=("pretrain", 2))
+    handoff = TrainerState(small_cfg, "pretrain", 2,
+                           copy.deepcopy(state.pretext_model),
+                           epochs=copy.deepcopy(state.epochs))
+    _, records = run_replicate(small_cfg, small_data, state=handoff)
+    assert records == run_replicate(small_cfg, small_data)[1]
 
 
 @pytest.mark.parametrize("stop", [
