@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import DomainError
-from .numcore import ROW_BLOCK, row_blocks
+from .numcore import row_blocks
 from .spheres import distances_to, ref_terms
 
 log = logging.getLogger(__name__)
@@ -61,15 +61,17 @@ def usable_cores() -> int:
             else os.cpu_count() or 1)
 
 
-# The queries' row blocks are scored by the calling thread and one pool thread
-# per further usable core, each in one buffer it reuses: a new array under 4 MB
-# faults in page by page. Pool threads copy the caller's context (errstate) and
-# call nothing the tracer patches.
+# The queries' ``row_blocks(n, references)`` are scored by the calling thread
+# and one pool thread per further usable core, each in one buffer of the
+# longest block that it reuses: a new array under 4 MB faults in page by page.
+# Pool threads copy the caller's context (errstate) and call nothing the
+# tracer patches.
 def knn_score(queries, references, k: int = 100) -> np.ndarray:
     """Mean Euclidean distance to the k nearest reference rows, per query.
 
-    Brute force, exact and bit-identical to one unblocked call. k larger
-    than the reference set is clamped with a warning.
+    Brute force over blocks of at most ``BLOCK_BYTES`` of distances (24 rows
+    at least), exact and bit-identical to one unblocked call. k larger than
+    the reference set is clamped with a warning.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     references = np.atleast_2d(np.asarray(references, dtype=np.float64))
@@ -83,10 +85,11 @@ def knn_score(queries, references, k: int = 100) -> np.ndarray:
         k = references.shape[0]
 
     out, terms = np.empty(n := queries.shape[0]), ref_terms(references)
-    blocks = iter(cuts := row_blocks(n))  # shared: next() is one call under the GIL
+    blocks = iter(cuts := row_blocks(n, len(references)))  # shared: next() is atomic
 
     def score_blocks():
-        buf = np.empty((min(n, ROW_BLOCK + 1), references.shape[0]))
+        buf = np.empty((max((r.stop - r.start for r in cuts), default=0),
+                        len(references)))
         for rows in blocks:
             d = distances_to(queries[rows], *terms, out=buf[:rows.stop - rows.start])
             np.sqrt(d, out=d)

@@ -25,13 +25,17 @@ SGD = "sgd"
 ADAM = "adam"
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's default constants
 ROW_BLOCK = 240  # rows: 10 of OpenBLAS 0.3.31's 24-row GEMM tiles
+BLOCK_BYTES = 2 << 20  # a block's float64 bytes: one core's 2 MiB L2 cache
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Slices of ``n`` rows that start at multiples of ``ROW_BLOCK``; a lone
-    last row joins the block before it (numpy runs a 1-row product as a
-    GEMV). So a product taken block by block keeps the bits of one call."""
-    cuts = [*range(0, n - 1 if n > 1 else n, ROW_BLOCK), n]
+def row_blocks(n: int, width: int = 1) -> list[slice]:
+    """Slices of ``n`` rows stepping by the most 24-row GEMM tiles, up to
+    ``ROW_BLOCK`` rows, whose (rows, width) float64 block fits ``BLOCK_BYTES``
+    (one tile at least); a lone last row joins the block before it (numpy runs
+    a 1-row product as a GEMV). So a product taken block by block keeps the
+    bits of one call."""
+    step = max(24, min(ROW_BLOCK, BLOCK_BYTES // (8 * width)) // 24 * 24)
+    cuts = [*range(0, n - 1 if n > 1 else n, step), n]
     return [slice(*cut) for cut in zip(cuts, cuts[1:])]
 
 

@@ -72,6 +72,15 @@ def distances_to(points, mean, r_t, r2, out=None) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
+def nearest_ref(points, mean, r_t, r2) -> np.ndarray:
+    """Index of each point's nearest ref (ties -> lowest), from ``distances_to``
+    one ``row_blocks(n, refs)`` block at a time."""
+    out = np.empty(len(points), dtype=np.intp)
+    for rows in row_blocks(len(points), len(r2)):
+        out[rows] = np.argmin(distances_to(points[rows], mean, r_t, r2), axis=1)
+    return out
+
+
 def _kmeans_pp_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(points.shape[0])]
@@ -95,7 +104,8 @@ def kmeans(points, k: int, seed, max_iters: int = 100) -> CenterSet:
 
     Stops when assignments are stable or after ``max_iters`` sweeps. An
     empty cluster is re-seeded at the point farthest from its assigned
-    center. ``k`` is clamped down to the number of distinct points.
+    center. ``k`` is clamped down to the number of distinct points. Points
+    are assigned one row block at a time (``nearest_ref``).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -109,7 +119,7 @@ def kmeans(points, k: int, seed, max_iters: int = 100) -> CenterSet:
 
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_seed(points, k, rng)
-    assign = np.argmin(squared_distances(points, centers), axis=1)
+    assign = nearest_ref(points, *ref_terms(centers))
 
     for _ in range(max_iters):
         for j in range(k):
@@ -121,7 +131,7 @@ def kmeans(points, k: int, seed, max_iters: int = 100) -> CenterSet:
                 far = int(np.argmax(np.einsum("nd,nd->n", own, own)))
                 centers[j] = points[far]
                 assign[far] = j
-        new_assign = np.argmin(squared_distances(points, centers), axis=1)
+        new_assign = nearest_ref(points, *ref_terms(centers))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -142,8 +152,7 @@ class LiveCenters:
     def nearest(self, points) -> np.ndarray:
         """Global index of the nearest live center per row (ties -> lowest)."""
         if len(points) > ROW_BLOCK + 1:  # one row block at a time
-            return np.concatenate([self.nearest(points[rows])
-                                   for rows in row_blocks(len(points))])
+            return self.index[nearest_ref(points, *self._terms)]
         return self.index[np.argmin(distances_to(points, *self._terms), axis=1)]
 
 

@@ -211,7 +211,8 @@ def score_splits(cfg: ExperimentConfig, pretext_model: EncoderModel,
                  splits, *spaces) -> list:
     """Per split: its center-distance scores, then one kNN score vector per
     space, "mad" (detection embedding) or "pretext" (pretext body), against
-    the presumed-normal train rows embedded once per space."""
+    the presumed-normal train rows embedded once per space. Without "mad",
+    the split's detection embedding is dropped once it has been scored."""
     body = len(cfg.dims.body)
     embed = {"mad": mad_model.net.forward,
              "pretext": lambda x: pretext_model.net.forward(x, n_layers=body)}
@@ -220,7 +221,9 @@ def score_splits(cfg: ExperimentConfig, pretext_model: EncoderModel,
     out = []
     for ds in splits:
         emb = mad_model.net.forward(ds.features)
-        out.append((anomaly_scores(emb, centers), *(
+        scores = anomaly_scores(emb, centers)
+        emb = emb if "mad" in spaces else None
+        out.append((scores, *(
             knn_score(emb if space == "mad" else embed[space](ds.features),
                       ref, cfg.knn_k) for space, ref in zip(spaces, refs))))
     return out

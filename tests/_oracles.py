@@ -11,9 +11,9 @@ the bits of a single call; and the first-written expressions of
 sweep of ``mlp_backward``, which pin their trimmed, precomputing versions
 to the same bits; and the two-block Lentz loop of the incomplete-beta
 continued fraction, which pins the one-loop version to the same bits; and
-the untaped forward pass, the nearest live center and the anomaly score,
-whose oracles run each split in one piece: they pin the row-blocked
-versions to the bits of one unblocked pass.
+the untaped forward pass, the nearest live center, the anomaly score and
+k-means' assignment steps, whose oracles run each split in one piece: they
+pin the row-blocked versions to the bits of one unblocked pass.
 """
 
 import csv
@@ -218,6 +218,32 @@ def unblocked_nearest(points, centers):
     live_idx = np.flatnonzero(centers.live)
     d2 = reference_sq_distances(points, centers.centers[live_idx])
     return live_idx[np.argmin(d2, axis=1)]
+
+
+def unblocked_kmeans(points, k, seed, max_iters):
+    """``spheres.kmeans`` as it was with whole-matrix assignment steps, one
+    (n, k) matrix of the first-written kernel each: (centers, counts). The
+    seeding is ``spheres``' own; ``k`` must not exceed the distinct points."""
+    from madlab.spheres import _kmeans_pp_seed
+    points = np.asarray(points, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    centers = _kmeans_pp_seed(points, k, rng)
+    assign = np.argmin(reference_sq_distances(points, centers), axis=1)
+    for _ in range(max_iters):
+        for j in range(k):
+            mask = assign == j
+            if mask.any():
+                centers[j] = points[mask].mean(axis=0)
+            else:
+                own = points - centers[assign]
+                far = int(np.argmax(np.einsum("nd,nd->n", own, own)))
+                centers[j] = points[far]
+                assign[far] = j
+        new_assign = np.argmin(reference_sq_distances(points, centers), axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return centers, np.bincount(assign, minlength=k)
 
 
 def unblocked_anomaly_scores(embeddings, centers):

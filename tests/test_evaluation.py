@@ -140,11 +140,13 @@ def test_knn_blocks_bit_identical_to_one_call():
     assert proc.returncode == 0, proc.stderr
 
 
-# Block sizes around the 24-row GEMM tile and the 240-row block, reference
-# counts on both sides of the kernel's 256-column edge (neither a multiple of
-# 8), k at 1, at the reference count and clamped above it; the scoring
-# threads are the caller plus one helper per further core the patched
-# affinity reports.
+# Block sizes around the 24-row GEMM tile and the block heights of each
+# reference count: 240 rows at 203 and 390 references, on both sides of the
+# kernel's 256-column edge (neither a multiple of 8), then 120, 48 and 24 rows
+# at 1 950, 4 400 and 12 000 (the last with at most 1 000 queries, which keeps
+# the oracle's matrix under 100 MB); k at 1, at the reference count and
+# clamped above it; the scoring threads are the caller plus one helper per
+# further core the patched affinity reports.
 _THREADED_KNN_SCRIPT = """
 import logging, os, sys
 import numpy as np
@@ -153,10 +155,12 @@ from _oracles import unblocked_knn_score
 logging.disable(logging.WARNING)
 os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
 rng = np.random.default_rng(1)
-for m in (203, 390):
+heights = (1, 23, 24, 25, 47, 48, 49, 119, 120, 121, 239, 240, 241)
+for m, most in ((203, 5000), (390, 5000), (1950, 5000), (4400, 5000),
+                (12000, 1000)):
     refs = np.concatenate([rng.normal(size=(m - 6, 16)) + 20.0,
                            0.5 * rng.normal(size=(6, 16))])
-    for n in (1, 23, 24, 25, 239, 240, 241, 5000):
+    for n in (*heights, most):
         queries = rng.normal(size=(n, 16))
         for k in (1, m, m + 7):
             got = knn_score(queries, refs, k)
@@ -207,6 +211,25 @@ def test_knn_threads_score_each_block_once(monkeypatch):
     assert np.array_equal(got[0], queries[:, 0])
     buffers = {(thread, buffer) for _, thread, buffer in blocks}
     assert len(buffers) == len({thread for _, thread, _ in blocks})
+
+
+@pytest.mark.parametrize("m", [2000, 16_000])
+def test_knn_distance_buffers_hold_one_byte_bounded_block(monkeypatch, m):
+    """Counted cost, independent of host speed: every buffer the kNN score
+    hands the distance kernel is one block of ``row_blocks(n, m)``, at most
+    ``BLOCK_BYTES`` (24 rows where one row is wider than 1/24 of it) plus
+    one row. A 241-row buffer held 3.9 MB at 2 000 references and 30.8 MB
+    at 16 000."""
+    real, sizes = evaluation.distances_to, []
+
+    def distances_to(points, *terms, out=None):
+        sizes.append((out if out.base is None else out.base).nbytes)
+        return real(points, *terms, out=out)
+
+    monkeypatch.setattr(evaluation, "distances_to", distances_to)
+    rng = np.random.default_rng(m)
+    knn_score(rng.normal(size=(600, 16)), rng.normal(size=(m, 16)), 10)
+    assert sizes and max(sizes) <= max(numcore.BLOCK_BYTES, 24 * m * 8) + m * 8
 
 
 def _stub_distances(monkeypatch, calls, fail=None, where=None):

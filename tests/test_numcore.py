@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from madlab.errors import NumericsError, ShapeError, StateError
-from madlab.numcore import (ADAM, ROW_BLOCK, SGD, Arena, Mlp, OptimizerState,
-                            apply_lr_schedule, init_params, mlp_backward,
-                            optimizer_step, row_blocks)
+from madlab.numcore import (ADAM, BLOCK_BYTES, ROW_BLOCK, SGD, Arena, Mlp,
+                            OptimizerState, apply_lr_schedule, init_params,
+                            mlp_backward, optimizer_step, row_blocks)
 
 from _oracles import (central_diff, grads_close, per_array_step, random_mlp,
                       two_list_backward, unblocked_forward)
@@ -59,13 +59,22 @@ def test_partial_depth_forward():
 
 @pytest.mark.parametrize("n", (0, 2, 3, 480, 721, *BLOCK_ROWS))
 def test_row_blocks_cover_the_rows_from_multiples_of_the_block(n):
-    blocks = row_blocks(n)
-    starts = [rows.start for rows in blocks]
-    assert starts[:1] == [0] * bool(n) and all(s % ROW_BLOCK == 0 for s in starts)
-    assert [rows.stop for rows in blocks] == starts[1:] + [n] * bool(n)
-    sizes = [rows.stop - rows.start for rows in blocks]
-    assert all(size <= ROW_BLOCK + 1 for size in sizes)
-    assert n < 2 or min(sizes) > 1  # no lone row
+    """Widths on both sides of the widest a 240-row block fits (1 092), the
+    reference counts of the benchmark's kNN calls and one past any block."""
+    assert row_blocks(n) == row_blocks(n, 1)
+    for width in (1, 1092, 1093, 1950, 3900, 10**6):
+        step = row_blocks(10**4, width)[1].start
+        assert step % 24 == 0 and 24 <= step <= ROW_BLOCK
+        assert step == 24 or step * width * 8 <= BLOCK_BYTES
+        assert step == ROW_BLOCK or (step + 24) * width * 8 > BLOCK_BYTES
+        assert width != 1 or step == ROW_BLOCK
+        blocks = row_blocks(n, width)
+        starts = [rows.start for rows in blocks]
+        assert starts[:1] == [0] * bool(n) and all(s % step == 0 for s in starts)
+        assert [rows.stop for rows in blocks] == starts[1:] + [n] * bool(n)
+        sizes = [rows.stop - rows.start for rows in blocks]
+        assert all(size <= step + 1 for size in sizes)
+        assert n < 2 or min(sizes) > 1  # no lone row
 
 
 @pytest.mark.parametrize("n", BLOCK_ROWS)

@@ -1,5 +1,6 @@
 import copy
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from madlab.spheres import (CenterSet, LiveCenters, anomaly_scores,
                             prune, squared_distances)
 
 from _oracles import (direct_sq_distances, reference_sq_distances,
-                      unblocked_anomaly_scores, unblocked_nearest)
+                      unblocked_anomaly_scores, unblocked_kmeans,
+                      unblocked_nearest)
 
 
 def make_centers(points, counts=None):
@@ -69,6 +71,34 @@ def test_kmeans_objective_non_increasing_over_iterations():
     # same seed => identical seeding, so max_iters prefixes one trajectory
     vals = [inertia(kmeans(pts, 5, seed=7, max_iters=i)) for i in range(1, 8)]
     assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("k", [200, 2000])
+def test_kmeans_bit_identical_to_whole_matrix_assignment(k):
+    """Points on a half-integer lattice sit at exact ties between many pairs
+    of centers, so an argmin follows the last bits of the distances: 240-row
+    assignment blocks at 200 centers, 120-row ones at 2 000. 4 801 rows end
+    in a lone row; the seeds are ones under which scoring it on its own (a
+    GEMV) moves the centers at both k."""
+    pts = 0.5 * np.random.default_rng([k, 3]).integers(0, 4, size=(4801, 16))
+    got = kmeans(pts, k, seed=[5, 3], max_iters=3)
+    centers, counts = unblocked_kmeans(pts, k, [5, 3], 3)
+    assert np.array_equal(got.centers, centers)
+    assert np.array_equal(got.counts, counts)
+
+
+def test_kmeans_working_memory_stays_within_row_blocks():
+    """Counted cost, independent of host speed: 20 000 points against 500
+    centers. Each whole (points, centers) assignment matrix took 80 MB, a
+    traced peak of 80.3 MB."""
+    pts = np.random.default_rng(0).normal(size=(20_000, 16))
+    tracemalloc.start()
+    try:
+        kmeans(pts, 500, seed=0, max_iters=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_kmeans_deterministic():
@@ -294,7 +324,7 @@ def _tied_centers(rng, n_live, rows):
 
 
 @pytest.mark.parametrize("rows", [1, 23, 24, 25, 239, 240, 241, 481, 5000])
-@pytest.mark.parametrize("n_live", [15, 203])
+@pytest.mark.parametrize("n_live", [15, 203, 1950])  # 1 950: 120-row blocks
 def test_blocked_nearest_and_scores_bit_identical_to_one_pass(n_live, rows):
     cs, points = _tied_centers(np.random.default_rng([16, n_live, rows]),
                                n_live, rows)
