@@ -61,17 +61,16 @@ def usable_cores() -> int:
             else os.cpu_count() or 1)
 
 
-# The queries' ``row_blocks(n, references)`` are scored by the calling thread
-# and one pool thread per further usable core, each in one buffer of the
-# longest block that it reuses: a new array under 4 MB faults in page by page.
-# Pool threads copy the caller's context (errstate) and call nothing the
-# tracer patches.
-def knn_score(queries, references, k: int = 100) -> np.ndarray:
+# The queries' row blocks are scored by the calling thread and one pool thread
+# per further usable core, thread i in one buffer it reuses, ``buffers[i]``: a
+# new array under 4 MB faults in page by page. Pool threads copy the caller's
+# context (errstate) and call nothing the tracer patches.
+def knn_score(queries, references, k: int = 100, buffers=None) -> np.ndarray:
     """Mean Euclidean distance to the k nearest reference rows, per query.
 
-    Brute force over blocks of at most ``BLOCK_BYTES`` of distances (24 rows
-    at least), exact and bit-identical to one unblocked call. k larger than
-    the reference set is clamped with a warning.
+    Brute force over ``row_blocks(n, references)``, exact and bit-identical
+    to one unblocked call. k larger than the reference set is clamped with a
+    warning. Calls made one after another may share one dict as ``buffers``.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     references = np.atleast_2d(np.asarray(references, dtype=np.float64))
@@ -85,11 +84,14 @@ def knn_score(queries, references, k: int = 100) -> np.ndarray:
         k = references.shape[0]
 
     out, terms = np.empty(n := queries.shape[0]), ref_terms(references)
-    blocks = iter(cuts := row_blocks(n, len(references)))  # shared: next() is atomic
+    blocks = iter(cuts := row_blocks(n, m := len(references)))  # next() is atomic
+    size = max((r.stop - r.start for r in cuts), default=0) * m
+    buffers = {} if buffers is None else buffers
 
-    def score_blocks():
-        buf = np.empty((max((r.stop - r.start for r in cuts), default=0),
-                        len(references)))
+    def score_blocks(i):
+        if (flat := buffers.get(i, np.empty(0))).size < size:
+            flat = buffers[i] = np.empty(size)
+        buf = flat[:size].reshape(-1, m)
         for rows in blocks:
             d = distances_to(queries[rows], *terms, out=buf[:rows.stop - rows.start])
             np.sqrt(d, out=d)
@@ -99,10 +101,10 @@ def knn_score(queries, references, k: int = 100) -> np.ndarray:
             d.mean(axis=1, out=out[rows])
 
     with ThreadPoolExecutor() as pool:  # its exit joins the pool threads
-        helpers = [pool.submit(contextvars.copy_context().run, score_blocks)
-                   for _ in range(min(usable_cores(), len(cuts)) - 1)]
+        helpers = [pool.submit(contextvars.copy_context().run, score_blocks, i)
+                   for i in range(1, min(usable_cores(), len(cuts)))]
         try:
-            score_blocks()
+            score_blocks(0)
         finally:
             for _ in blocks:  # the helpers stop after the block they are on
                 pass

@@ -29,11 +29,10 @@ BLOCK_BYTES = 2 << 20  # a block's float64 bytes: one core's 2 MiB L2 cache
 
 
 def row_blocks(n: int, width: int = 1) -> list[slice]:
-    """Slices of ``n`` rows stepping by the most 24-row GEMM tiles, up to
-    ``ROW_BLOCK`` rows, whose (rows, width) float64 block fits ``BLOCK_BYTES``
-    (one tile at least); a lone last row joins the block before it (numpy runs
-    a 1-row product as a GEMV). So a product taken block by block keeps the
-    bits of one call."""
+    """Slices of ``n`` rows stepping by the most 24-row GEMM tiles (one at
+    least, ``ROW_BLOCK`` rows at most) whose (rows, width) float64 block fits
+    ``BLOCK_BYTES``; a lone last row joins the block before it (numpy runs a
+    1-row product as a GEMV), so blocks keep the bits of one call."""
     step = max(24, min(ROW_BLOCK, BLOCK_BYTES // (8 * width)) // 24 * 24)
     cuts = [*range(0, n - 1 if n > 1 else n, step), n]
     return [slice(*cut) for cut in zip(cuts, cuts[1:])]

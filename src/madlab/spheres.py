@@ -58,7 +58,8 @@ def squared_distances(points, refs) -> np.ndarray:
 
 def ref_terms(refs):  # mean, (-2 r)^T and |r|^2 of the shifted refs r
     r = refs - (mean := refs.mean(axis=0))
-    return mean, (-2.0 * r).T, np.einsum("kd,kd->k", r, r)
+    r2 = np.einsum("kd,kd->k", r, r)
+    return mean, np.multiply(r, -2.0, out=r).T, r2
 
 
 def distances_to(points, mean, r_t, r2, out=None) -> np.ndarray:
@@ -73,8 +74,7 @@ def distances_to(points, mean, r_t, r2, out=None) -> np.ndarray:
 
 
 def nearest_ref(points, mean, r_t, r2) -> np.ndarray:
-    """Index of each point's nearest ref (ties -> lowest), from ``distances_to``
-    one ``row_blocks(n, refs)`` block at a time."""
+    """Each point's nearest ref (ties -> lowest), one row block at a time."""
     out = np.empty(len(points), dtype=np.intp)
     for rows in row_blocks(len(points), len(r2)):
         out[rows] = np.argmin(distances_to(points[rows], mean, r_t, r2), axis=1)

@@ -211,21 +211,19 @@ def score_splits(cfg: ExperimentConfig, pretext_model: EncoderModel,
                  splits, *spaces) -> list:
     """Per split: its center-distance scores, then one kNN score vector per
     space, "mad" (detection embedding) or "pretext" (pretext body), against
-    the presumed-normal train rows embedded once per space. Without "mad",
-    the split's detection embedding is dropped once it has been scored."""
+    the presumed-normal train rows embedded once per space."""
     body = len(cfg.dims.body)
     embed = {"mad": mad_model.net.forward,
              "pretext": lambda x: pretext_model.net.forward(x, n_layers=body)}
     ref_rows = train_ds.features[train_ds.labels >= 0]
     refs = [embed[space](ref_rows) for space in spaces]
-    out = []
+    out, buffers = [], {}  # every kNN score reuses the same distance buffers
     for ds in splits:
-        emb = mad_model.net.forward(ds.features)
-        scores = anomaly_scores(emb, centers)
-        emb = emb if "mad" in spaces else None
+        scores = anomaly_scores(emb := mad_model.net.forward(ds.features), centers)
+        emb = emb if "mad" in spaces else None  # not held while kNN scores
         out.append((scores, *(
             knn_score(emb if space == "mad" else embed[space](ds.features),
-                      ref, cfg.knn_k) for space, ref in zip(spaces, refs))))
+                      ref, cfg.knn_k, buffers) for space, ref in zip(spaces, refs))))
     return out
 
 

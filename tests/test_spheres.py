@@ -1,6 +1,11 @@
 import copy
+import json
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +17,7 @@ from madlab.spheres import (CenterSet, LiveCenters, anomaly_scores,
                             assign_and_count, kmeans, nearest_live_center,
                             prune, squared_distances)
 
-from _oracles import (direct_sq_distances, reference_sq_distances,
-                      unblocked_anomaly_scores, unblocked_kmeans,
-                      unblocked_nearest)
+from _oracles import direct_sq_distances, reference_sq_distances
 
 
 def make_centers(points, counts=None):
@@ -73,18 +76,68 @@ def test_kmeans_objective_non_increasing_over_iterations():
     assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("k", [200, 2000])
-def test_kmeans_bit_identical_to_whole_matrix_assignment(k):
+# A product taken block by block keeps the bits of one call at 1 BLAS thread,
+# the setting the kNN bit tests in test_evaluation.py also run at: with more,
+# OpenBLAS may split a block's columns between its threads, and the edge tiles
+# of that split round differently (1 950 live centers against 5 000 rows move
+# an argmin at 2 threads, with 240-row blocks as with 120-row ones). So every
+# blocked-against-one-pass case below runs in one child process at 1 thread,
+# and each test reads its own result.
+_NEAREST_ROWS = [1, 23, 24, 25, 239, 240, 241, 481, 5000]
+_NEAREST_LIVE = [15, 203, 1950]  # 1 950: 120-row blocks
+_KMEANS_K = [200, 2000]
+_BLOCKED_SCRIPT = """
+import json
+import numpy as np
+from madlab.spheres import LiveCenters, anomaly_scores, kmeans
+from _oracles import unblocked_anomaly_scores, unblocked_kmeans, unblocked_nearest
+from test_spheres import (_KMEANS_K, _NEAREST_LIVE, _NEAREST_ROWS,
+                          _lattice_points, _tied_centers)
+same = {}
+for n_live in _NEAREST_LIVE:
+    for rows in _NEAREST_ROWS:
+        cs, points = _tied_centers(np.random.default_rng([16, n_live, rows]),
+                                   n_live, rows)
+        same[f"nearest {n_live} {rows}"] = [
+            np.array_equal(LiveCenters(cs).nearest(points),
+                           unblocked_nearest(points, cs)),
+            np.array_equal(anomaly_scores(points, cs),
+                           unblocked_anomaly_scores(points, cs))]
+for k in _KMEANS_K:
+    pts = _lattice_points(k)
+    got = kmeans(pts, k, seed=[5, 3], max_iters=3)
+    centers, counts = unblocked_kmeans(pts, k, [5, 3], 3)
+    same[f"kmeans {k}"] = [np.array_equal(got.centers, centers),
+                           np.array_equal(got.counts, counts)]
+print(json.dumps(same))
+"""
+
+
+@pytest.fixture(scope="module")
+def same_bits_at_one_blas_thread() -> dict:
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _BLOCKED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _lattice_points(k):
+    return 0.5 * np.random.default_rng([k, 3]).integers(0, 4, size=(4801, 16))
+
+
+@pytest.mark.parametrize("k", _KMEANS_K)
+def test_kmeans_bit_identical_to_whole_matrix_assignment(
+        same_bits_at_one_blas_thread, k):
     """Points on a half-integer lattice sit at exact ties between many pairs
     of centers, so an argmin follows the last bits of the distances: 240-row
     assignment blocks at 200 centers, 120-row ones at 2 000. 4 801 rows end
     in a lone row; the seeds are ones under which scoring it on its own (a
-    GEMV) moves the centers at both k."""
-    pts = 0.5 * np.random.default_rng([k, 3]).integers(0, 4, size=(4801, 16))
-    got = kmeans(pts, k, seed=[5, 3], max_iters=3)
-    centers, counts = unblocked_kmeans(pts, k, [5, 3], 3)
-    assert np.array_equal(got.centers, centers)
-    assert np.array_equal(got.counts, counts)
+    GEMV) moves the centers at both k. Centers, then counts."""
+    assert same_bits_at_one_blas_thread[f"kmeans {k}"] == [True, True]
 
 
 def test_kmeans_working_memory_stays_within_row_blocks():
@@ -323,15 +376,14 @@ def _tied_centers(rng, n_live, rows):
             base[pick] + half[pick])
 
 
-@pytest.mark.parametrize("rows", [1, 23, 24, 25, 239, 240, 241, 481, 5000])
-@pytest.mark.parametrize("n_live", [15, 203, 1950])  # 1 950: 120-row blocks
-def test_blocked_nearest_and_scores_bit_identical_to_one_pass(n_live, rows):
-    cs, points = _tied_centers(np.random.default_rng([16, n_live, rows]),
-                               n_live, rows)
-    assert np.array_equal(LiveCenters(cs).nearest(points),
-                          unblocked_nearest(points, cs))
-    assert np.array_equal(anomaly_scores(points, cs),
-                          unblocked_anomaly_scores(points, cs))
+@pytest.mark.parametrize("rows", _NEAREST_ROWS)
+@pytest.mark.parametrize("n_live", _NEAREST_LIVE)
+def test_blocked_nearest_and_scores_bit_identical_to_one_pass(
+        same_bits_at_one_blas_thread, n_live, rows):
+    """Nearest live center, then center-distance score, blocked against one
+    pass over the ``_tied_centers`` points (at 1 BLAS thread)."""
+    assert same_bits_at_one_blas_thread[f"nearest {n_live} {rows}"] == [
+        True, True]
 
 
 def test_snapshot_is_unchanged_by_later_prunes():

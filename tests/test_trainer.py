@@ -4,13 +4,17 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import os
 import sys
 import warnings
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import madlab.evaluation as evaluation
+import madlab.numcore as numcore
 import madlab.trainer as trainer_mod
 from madlab.config import apply_overrides, default_config, to_experiment
 from madlab.data import generate_synthetic
@@ -679,6 +683,56 @@ def test_evaluate_reports_all_metrics(small_cfg, small_data):
     for r in again:
         assert {"split", "auc", "auc_knn", "auc_knn_pretext", "epoch_auc",
                 "live_centers"} <= set(r)
+
+
+@pytest.mark.parametrize("spaces", [("pretext",), ("mad", "pretext")])
+def test_knn_scores_hold_the_detection_embedding_only_for_mad(
+        small_cfg, small_data, monkeypatch, spaces):
+    """Counted cost: when no "mad" space is asked for, a split's detection
+    embedding is dropped once its center distances are scored, so the
+    pretext-space kNN does not run beside it; with "mad" the probe sees it."""
+    state, _ = run_replicate(small_cfg, small_data)
+    net, splits = state.mad_model.net, small_data[1:]
+    real_forward, real_knn, embedded, alive = net.forward, trainer_mod.knn_score, [], []
+
+    def forward(x, *args, **kwargs):
+        out = real_forward(x, *args, **kwargs)
+        if any(x is ds.features for ds in splits):
+            embedded.append(weakref.ref(out))
+        return out
+
+    def knn_score(*args, **kwargs):
+        alive.append(embedded[-1]() is not None)
+        return real_knn(*args, **kwargs)
+
+    monkeypatch.setattr(net, "forward", forward)
+    monkeypatch.setattr(trainer_mod, "knn_score", knn_score)
+    trainer_mod.score_splits(small_cfg, state.pretext_model, state.mad_model,
+                             state.centers, small_data[0], splits, *spaces)
+    assert len(embedded) == len(splits)
+    assert alive == ["mad" in spaces] * (len(splits) * len(spaces))
+
+
+def test_knn_scores_of_one_evaluation_share_their_threads_buffers(
+        small_cfg, small_data, monkeypatch):
+    """Counted cost: the four kNN scores of one evaluation (two splits, two
+    spaces) reuse one distance buffer per scoring thread, so a buffer faults
+    in once per evaluation, not once per score. 24-row blocks cut each
+    80-row split in four, scored by two threads (two cores reported); the
+    buffers are kept alive here, so a fresh one per score gets a new id."""
+    state, _ = run_replicate(small_cfg, small_data)
+    real, bases = evaluation.distances_to, []
+
+    def distances_to(points, *terms, out=None):
+        bases.append(out.base)
+        return real(points, *terms, out=out)
+
+    monkeypatch.setattr(evaluation, "distances_to", distances_to)
+    monkeypatch.setattr(numcore, "ROW_BLOCK", 24)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    evaluate(small_cfg, state.pretext_model, state.mad_model, state.centers,
+             small_data, state.ft_history)
+    assert len(bases) == 4 * 4 and len({id(base) for base in bases}) <= 2
 
 
 def test_val_auc_baseline_recorded_before_training(small_cfg, small_data):

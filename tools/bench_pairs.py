@@ -2,16 +2,16 @@
 the layout of the ``BENCH_*.json`` files.
 
     python3 tools/bench_pairs.py --workload W --seed N --parent COMMIT \\
-        --out FILE [--pairs 10] [--seconds 30]
+        --out FILE [--pairs 10]
 
 The parent is ``git archive COMMIT`` unpacked in a temporary directory; the
 change is a copy of this checkout's working tree (every file git tracks or
 would not ignore). Each pair runs ``python3 perfbench/run.py --workload W
---seed N --seconds S --trace 0`` from the root of each tree, one run at a
-time, at 1 BLAS thread: even pairs run the parent first, odd pairs the
-change first. Before each pair a CPU probe times a 3 000 000-step Python
-loop in one process, then in two processes at once: two as fast as one mean
-that a second core was free at that moment.
+--seed N --trace 0`` from the root of each tree, for the run length run.py
+sets, one run at a time, at 1 BLAS thread: even pairs run the parent first,
+odd pairs the change first. Before each pair a CPU probe times a 3 000 000-step
+Python loop in one process, then in two processes at once: two as fast as one
+mean that a second core was free at that moment.
 
 ``FILE`` gets the workload's seed, pair order, fingerprints, failed/attempted
 counts, exit codes, each metric's median, q1, q3 and runs per side, the
@@ -37,6 +37,7 @@ PROBE = ("import time; t = time.perf_counter()\n"
          "for i in range(3_000_000): pass\n"
          "print(time.perf_counter() - t)")
 SIDES = ("parent", "change")
+RUN_TIMEOUT_S = 600  # one run.py call; at run.py's default length, about 40 s
 
 
 def git(*args) -> str:
@@ -76,9 +77,8 @@ def run_once(tree: str, args) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(args.seconds),
-         "--trace", "0"], cwd=tree, env=env, capture_output=True, text=True,
-        timeout=20 * args.seconds + 600)
+         "--seed", str(args.seed), "--trace", "0"], cwd=tree, env=env,
+        capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.splitlines()
     run = {"exit_code": proc.returncode, "env": {}, "fingerprint": None,
            "result": {"attempted": 0, "failed": 0, "metrics": {}}}
@@ -136,13 +136,13 @@ def summarise(args, runs, better) -> dict:
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--workload", required=True,
-                   choices=("desk", "centers", "score_io"))
+    with open(os.path.join(ROOT, "perfbench", "workloads.json")) as fh:
+        workloads = sorted(json.load(fh)["workloads"])
+    p.add_argument("--workload", required=True, choices=workloads)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--parent", required=True, metavar="COMMIT")
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=30.0)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
@@ -178,7 +178,7 @@ def main(argv=None):
             out = json.load(fh)
     env = runs[0]["change"]["env"]
     out["command"] = (f"python3 perfbench/run.py --workload W --seed "
-                      f"{args.seed} --seconds {args.seconds:g} --trace 0")
+                      f"{args.seed} --trace 0")
     out["host"] = {k: env.get(k) for k in
                    ("nproc", "blas_threads", "python", "numpy", "blas")}
     out["commits"] = {"parent": parent, "change": (
