@@ -272,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("metrics_a", metavar="METRICS_A.json")
     p.add_argument("metrics_b", metavar="METRICS_B.json")
     p.add_argument("--split", choices=("val", "test"), default="test")
-    p.add_argument("--metric", default="auc")
+    p.add_argument("--metric", default="auc",
+                   choices=("auc", "auc_knn", "auc_knn_pretext"))
     p.add_argument("--out", metavar="DIR")
     p.set_defaults(func=cmd_compare)
     return parser

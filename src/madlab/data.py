@@ -25,7 +25,7 @@ import numpy as np
 from .config import AugmentationConfig, GeneratorConfig
 from .errors import ConfigError, SchemaError
 from .numcore import row_blocks
-from .spheres import squared_distances
+from .spheres import distances_to, ref_terms
 
 log = logging.getLogger(__name__)
 
@@ -125,7 +125,7 @@ def _draw_mode_centers(cfg: GeneratorConfig, rng) -> np.ndarray:
     scale = cfg.center_spacing * cfg.mode_sigma / math.sqrt(2 * cfg.dim)
     for _ in range(500):
         centers = rng.normal(0.0, scale, size=(cfg.modes, cfg.dim))
-        d2 = squared_distances(centers, centers)
+        d2 = distances_to(centers, *ref_terms(centers))
         if np.isfinite(d2).all():  # an overflowing draw counts as too close
             np.fill_diagonal(d2, np.inf)  # 0 where tiny differences underflow
             if math.sqrt(d2.min()) >= min_sep:

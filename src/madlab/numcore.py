@@ -91,25 +91,14 @@ class Mlp:
         self._params = Arena(params)  # a copy: the caller's arrays stay apart
         self._grads = self._params.zeros_like()
 
-    def __getstate__(self):  # the gradient arena is scratch: rebuilt, not sent
-        return {k: v for k, v in self.__dict__.items() if k != "_grads"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._grads = self._params.zeros_like()
-
     def parameters(self) -> Arena:
         """Parameter list [W0, b0, W1, b1, ...]: live views into one vector."""
         return self._params
 
-    def forward(self, x: np.ndarray, tape: list | None = None,
-                n_layers: int | None = None) -> np.ndarray:
-        """Run the batch through the first ``n_layers`` layers (default all).
-
-        A ``tape`` list is cleared and given each layer's input, the record
-        ``mlp_backward`` reads; partial-depth passes cannot be taped.
-        Untaped, the batch goes through one ``row_blocks`` block at a time.
-        """
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """Run the batch through every layer. A ``tape`` list is cleared and
+        given each layer's input, the record ``mlp_backward`` reads; untaped,
+        the batch goes through one ``row_blocks`` block at a time."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ShapeError(f"input must be 2-d (batch, features), got {x.shape}")
@@ -119,17 +108,12 @@ class Mlp:
                 f"{self.widths[0]}"
             )
         last = len(self.widths) - 2  # index of the linear output layer
-        depth = last + 1 if n_layers is None else n_layers
-        if not 1 <= depth <= last + 1:
-            raise ShapeError(f"n_layers {n_layers} outside 1..{last + 1}")
         if tape is not None:
-            if depth != last + 1:
-                raise StateError("partial-depth forward cannot be taped")
             tape.clear()
-        out = None if tape is not None else np.empty((len(x), self.widths[depth]))
+        out = None if tape is not None else np.empty((len(x), self.widths[-1]))
         for rows in (None,) if out is None else row_blocks(len(x)):
             h = x if rows is None else x[rows]
-            for i in range(depth):
+            for i in range(last + 1):
                 if tape is not None:
                     tape.append(h)
                 h = h @ self._params[2 * i] + self._params[2 * i + 1]

@@ -47,16 +47,10 @@ class CenterSet:
         return int(self.live.sum())
 
 
-def squared_distances(points, refs) -> np.ndarray:
-    """(n, k) squared Euclidean distances, clamped at 0 against rounding;
-    ``ref_terms`` is the refs' side, kept by callers that reuse the refs.
-    Both sets are first moved by the refs' mean, so that a large common
-    offset does not cancel the expansion |p|^2 + |r|^2 - 2 p.r.
-    """
-    return distances_to(points, *ref_terms(refs))
-
-
-def ref_terms(refs):  # mean, (-2 r)^T and |r|^2 of the shifted refs r
+def ref_terms(refs):
+    """Mean, (-2 r)^T and |r|^2 of the refs r shifted by their mean: the
+    refs' side of ``distances_to``, which shifts both sets by that mean so
+    that a large common offset does not cancel |p|^2 + |r|^2 - 2 p.r."""
     r = refs - (mean := refs.mean(axis=0))
     r2 = np.einsum("kd,kd->k", r, r)
     return mean, np.multiply(r, -2.0, out=r).T, r2
@@ -84,7 +78,7 @@ def nearest_ref(points, mean, r_t, r2) -> np.ndarray:
 def _kmeans_pp_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(points.shape[0])]
-    d2 = squared_distances(points, centers[:1]).ravel()
+    d2 = distances_to(points, *ref_terms(centers[:1])).ravel()
     for j in range(1, k):
         total = d2.sum()
         if not np.isfinite(total):
@@ -95,7 +89,8 @@ def _kmeans_pp_seed(points: np.ndarray, k: int, rng) -> np.ndarray:
         else:
             idx = rng.choice(points.shape[0], p=d2 / total)
         centers[j] = points[idx]
-        d2 = np.minimum(d2, squared_distances(points, centers[j:j + 1]).ravel())
+        d2 = np.minimum(d2, distances_to(
+            points, *ref_terms(centers[j:j + 1])).ravel())
     return centers
 
 

@@ -210,11 +210,13 @@ def score_splits(cfg: ExperimentConfig, pretext_model: EncoderModel,
                  mad_model: EncoderModel, centers: CenterSet, train_ds: Dataset,
                  splits, *spaces) -> list:
     """Per split: its center-distance scores, then one kNN score vector per
-    space, "mad" (detection embedding) or "pretext" (pretext body), against
-    the presumed-normal train rows embedded once per space."""
-    body = len(cfg.dims.body)
+    space, "mad" (detection embedding) or "pretext" (pretext body, before the
+    projection head: a net of its own, given the body's last ReLU in place),
+    against the presumed-normal train rows embedded once per space."""
+    body = Mlp((cfg.dims.input_dim, *cfg.dims.body),
+               params=pretext_model.net.parameters()[:2 * len(cfg.dims.body)])
     embed = {"mad": mad_model.net.forward,
-             "pretext": lambda x: pretext_model.net.forward(x, n_layers=body)}
+             "pretext": lambda x: np.maximum(z := body.forward(x), 0.0, out=z)}
     ref_rows = train_ds.features[train_ds.labels >= 0]
     refs = [embed[space](ref_rows) for space in spaces]
     out, buffers = [], {}  # every kNN score reuses the same distance buffers

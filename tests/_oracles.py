@@ -190,8 +190,8 @@ def per_array_step(state, params, grads, rule, lr, weight_decay):
 
 def unblocked_knn_score(queries, references, k):
     """Mean distance to the k nearest references from one (n, m) matrix."""
-    from madlab.spheres import squared_distances
-    d = squared_distances(np.asarray(queries), np.asarray(references))
+    from madlab.spheres import distances_to, ref_terms
+    d = distances_to(np.asarray(queries), *ref_terms(np.asarray(references)))
     np.sqrt(d, out=d)
     if k < d.shape[1]:
         d.partition(k - 1, axis=1)
@@ -296,7 +296,7 @@ def info_nce_reference(z, temperature):
 
 def reference_sq_distances(points, refs):
     """The distance kernel as first written, in one piece: the bits that
-    ``squared_distances`` and ``LiveCenters`` must reproduce."""
+    ``distances_to`` and ``LiveCenters`` must reproduce."""
     points = np.asarray(points, dtype=np.float64)
     mean = refs.mean(axis=0)
     p, r = points - mean, refs - mean

@@ -697,6 +697,22 @@ def test_compare_too_few_replicates_exits_5(tmp_path, trained_dir):
     assert code == EXIT_REPLICATES
 
 
+# each used to run: exit 5 for no values, a Welch test on replicate indices,
+# exit 2 for the lists of live counts
+@pytest.mark.parametrize("metric", ["bogus", "replicate", "live_centers"])
+def test_compare_unknown_metric_exits_1(tmp_path, capsys, metric):
+    records = [{"replicate": r, "split": "test", "auc": 0.9 + r / 100,
+                "live_centers": [6, 5 - r]} for r in range(3)]
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps({"records": records}))
+    code = main(["compare", str(path), str(path), "--metric", metric,
+                 "--out", str(tmp_path / "cmp")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: argument --metric:") and metric in err
+    assert not (tmp_path / "cmp" / "compare_report.json").exists()
+
+
 @pytest.mark.parametrize("text", [
     '{"records": [',
     '[{"split": "test", "auc": 0.9}]',

@@ -110,43 +110,15 @@ def test_knn_permutation_invariance_and_lipschitz():
         assert abs(fa - fb) <= np.linalg.norm(a - b) + 1e-12
 
 
-# The last references sit nearest every query, so k=1 reads the last columns
-# of the distance matrix, where a BLAS GEMM's edge tiles round differently
-# from its interior: a block size the kernel does not tile evenly moves bits.
-_BLOCKED_KNN_SCRIPT = """
-import numpy as np
-from madlab.evaluation import knn_score
-from madlab.numcore import ROW_BLOCK
-from _oracles import unblocked_knn_score
-rng = np.random.default_rng(0)
-queries = rng.normal(size=(5000, 16))
-assert len(range(0, 5000, ROW_BLOCK)) >= 3 and 5000 % ROW_BLOCK
-refs = np.concatenate([rng.normal(size=(384, 16)) + 20.0,
-                       0.5 * rng.normal(size=(6, 16))])
-for k in (1, len(refs)):
-    got, want = knn_score(queries, refs, k), unblocked_knn_score(queries, refs, k)
-    assert got.shape == want.shape == (5000,)
-    assert np.array_equal(got, want), f"k={k}: {np.sum(got != want)} rows differ"
-"""
-
-
-def test_knn_blocks_bit_identical_to_one_call():
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _BLOCKED_KNN_SCRIPT],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-
-
 # Block sizes around the 24-row GEMM tile and the block heights of each
 # reference count: 240 rows at 203 and 390 references, on both sides of the
 # kernel's 256-column edge (neither a multiple of 8), then 120, 48 and 24 rows
 # at 1 950, 4 400 and 12 000 (the last with at most 1 000 queries, which keeps
 # the oracle's matrix under 100 MB); k at 1, at the reference count and
 # clamped above it; the scoring threads are the caller plus one helper per
-# further core the patched affinity reports.
+# further core the patched affinity reports. The last references sit nearest
+# every query, so k=1 reads the last columns of the distance matrix, where a
+# BLAS GEMM's edge tiles round differently from its interior.
 _THREADED_KNN_SCRIPT = """
 import logging, os, sys
 import numpy as np

@@ -2,6 +2,8 @@
 the import's first line says why it stays: ``# noqa: F401 -- <reason>``;
 such a name must be one that ``perfbench/tracer.py`` patches on that module.
 No module imports another's underscore name; dunders are public.
+Every module ``src/madlab`` imports is numpy, its own or the standard
+library's.
 Every function, class, method and property that ``src/madlab`` defines is
 named by ``src/`` or ``perfbench/`` code outside its own definition."""
 
@@ -79,6 +81,41 @@ def test_private_import_checker_allows_only_public_and_dunder_names():
                          ids=lambda p: p.name)
 def test_no_module_imports_a_private_name(path):
     assert private_imports(path.read_text()) == []
+
+
+def foreign_imports(text: str) -> list:
+    """``"<line>: <module>"`` for each import in ``text``, at any level, of a
+    module other than numpy, ``__future__``, a relative one or one in the
+    standard library."""
+    allowed = {"numpy", "__future__", *sys.stdlib_module_names}
+    nodes = list(ast.walk(ast.parse(text)))
+    modules = [(node.lineno, alias.name) for node in nodes
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [(node.lineno, node.module) for node in nodes
+                if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return [f"{line}: {name}" for line, name in sorted(modules)
+            if name.split(".")[0] not in allowed]
+
+
+def test_foreign_import_checker_flags_non_stdlib_modules_at_any_level():
+    text = ("from __future__ import annotations\n"
+            "import os.path, scipy.stats\n"
+            "import numpy as np\n"
+            "from . import __version__\n"
+            "from .data import Dataset\n"
+            "def f():\n"
+            "    import multiprocessing\n"
+            "    from concurrent.futures import Future\n"
+            "    from hypothesis import given\n"
+            "    import numpyx\n")
+    assert foreign_imports(text) == ["2: scipy.stats", "9: hypothesis",
+                                     "10: numpyx"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_src_imports_only_numpy_and_the_standard_library(path):
+    assert foreign_imports(path.read_text()) == []
 
 
 def kept_by_noqa(text: str) -> set:

@@ -3,10 +3,15 @@ import pickle
 import numpy as np
 import pytest
 
+import madlab.trainer as trainer
+from madlab.config import default_config, to_experiment
+from madlab.data import Dataset
 from madlab.errors import NumericsError, ShapeError, StateError
 from madlab.numcore import (ADAM, BLOCK_BYTES, ROW_BLOCK, SGD, Arena, Mlp,
                             OptimizerState, apply_lr_schedule, init_params,
                             mlp_backward, optimizer_step, row_blocks)
+from madlab.spheres import CenterSet
+from madlab.trainer import EncoderModel, transfer_weights
 
 from _oracles import (central_diff, grads_close, per_array_step, random_mlp,
                       two_list_backward, unblocked_forward)
@@ -30,9 +35,9 @@ def test_zero_weights_relu_all_zero():
     # the hidden layer's pre-activation is its bias; ReLU clips it to 0
     model = Mlp((3, 4, 1), params=[np.zeros((3, 4)), np.array([0.0, -1, 0, -2]),
                                    np.ones((4, 1)), np.ones(1)])
-    out = model.forward(np.array([[1.0, -2.0, 5.0], [0.1, 0.2, 0.3]]),
-                        n_layers=1)
-    assert np.array_equal(out, np.zeros((2, 4)))
+    tape = []
+    model.forward(np.array([[1.0, -2.0, 5.0], [0.1, 0.2, 0.3]]), tape)
+    assert np.array_equal(tape[1], np.zeros((2, 4)))
 
 
 def test_two_layer_hand_computed():
@@ -47,14 +52,6 @@ def test_forward_shape_error_names_both_dims():
     model = identity_layer_model(3)
     with pytest.raises(ShapeError, match="2.*3|3.*2"):
         model.forward(np.zeros((1, 2)))
-
-
-def test_partial_depth_forward():
-    model = Mlp((2, 3, 1), rng=0)
-    h = model.forward(np.ones((4, 2)), n_layers=1)
-    assert h.shape == (4, 3)
-    with pytest.raises(StateError):
-        model.forward(np.ones((4, 2)), tape=[], n_layers=1)
 
 
 @pytest.mark.parametrize("n", (0, 2, 3, 480, 721, *BLOCK_ROWS))
@@ -77,18 +74,48 @@ def test_row_blocks_cover_the_rows_from_multiples_of_the_block(n):
         assert n < 2 or min(sizes) > 1  # no lone row
 
 
-@pytest.mark.parametrize("n", BLOCK_ROWS)
-@pytest.mark.parametrize("n_layers", [None, 2], ids=["full", "body"])
-def test_untaped_forward_bit_identical_to_one_pass(n, n_layers):
-    """The default encoder's shapes; a 1-row GEMV or a block start off the
-    GEMM tile would move the bits of some row."""
+def _encoder_and_batch(n):
+    """The default encoder's shapes, biases off zero, and ``n`` input rows."""
     rng = np.random.default_rng(n)
     model = Mlp((32, 64, 32, 16), rng=rng)
     for p in model.parameters()[1::2]:
         p += rng.normal(0.0, 0.1, size=p.shape)
-    x = rng.normal(size=(n, 32))
-    got = model.forward(x, n_layers=n_layers)
-    assert np.array_equal(got, unblocked_forward(model, x, n_layers))
+    return model, rng.normal(size=(n, 32))
+
+
+@pytest.mark.parametrize("n", BLOCK_ROWS, ids=[f"full-{n}" for n in BLOCK_ROWS])
+def test_untaped_forward_bit_identical_to_one_pass(n):
+    """A 1-row GEMV or a block start off the GEMM tile would move the bits
+    of some row."""
+    model, x = _encoder_and_batch(n)
+    assert np.array_equal(model.forward(x), unblocked_forward(model, x))
+
+
+@pytest.mark.parametrize("n", BLOCK_ROWS)
+def test_pretext_body_embedding_bit_identical_to_one_pass(n, monkeypatch):
+    """The pretext-space embedding that ``score_splits`` hands the kNN
+    score, for the train references and a split of ``n`` rows each, has the
+    bits of the pretext net's body layers run over the whole batch."""
+    pretext, x = _encoder_and_batch(n)
+    cfg = to_experiment(default_config())
+    assert pretext.widths == (cfg.dims.input_dim, *cfg.dims.body,
+                              cfg.dims.proj_dim)
+    pretext_model = EncoderModel(pretext)
+    train, split = (Dataset(x, np.zeros(n), np.ones(n), np.zeros(n),
+                            np.zeros(n), name) for name in ("train", "test"))
+    seen = []
+
+    def knn_score(queries, refs, *args):
+        seen.append((queries, refs))
+        return np.zeros(len(queries))
+
+    monkeypatch.setattr(trainer, "knn_score", knn_score)
+    trainer.score_splits(cfg, pretext_model, transfer_weights(pretext_model, cfg),
+                         CenterSet(np.zeros((1, cfg.dims.mad_dim)), [True], [0]),
+                         train, [split], "pretext")
+    want = unblocked_forward(pretext, x, n_layers=len(cfg.dims.body))
+    [(queries, refs)] = seen
+    assert np.array_equal(queries, want) and np.array_equal(refs, want)
 
 
 def test_untaped_forward_refuses_a_non_finite_block():
@@ -195,7 +222,7 @@ def test_tape_holds_each_layers_input():
     assert len(tape) == len(model.widths) - 1
     assert np.array_equal(tape[0], batch)
     for i, h in enumerate(tape[1:]):
-        assert np.array_equal(h, model.forward(batch, n_layers=i + 1))
+        assert np.array_equal(h, unblocked_forward(model, batch, i + 1))
     assert np.array_equal(out, model.forward(batch))
 
 
@@ -291,14 +318,13 @@ def test_parameters_and_moments_are_views_of_one_vector():
 
 
 def test_pickled_mlp_rebuilds_a_zero_gradient_arena():
+    """The copy's gradient arena, stale values and all, is one vector of
+    views again, and its backward pass overwrites it in place."""
     model, batch = random_mlp(np.random.default_rng(23))
     tape = []
     mlp_backward(model, tape, model.forward(batch, tape))  # non-zero grads
-    blob = pickle.dumps(model)
-    assert len(blob) < len(pickle.dumps(model.__dict__))
-    copy = pickle.loads(blob)
+    copy = pickle.loads(pickle.dumps(model))
     grads = copy._grads
-    assert not grads.flat.any()
     assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
     assert all(np.shares_memory(g, grads.flat) for g in grads)
     ones = np.ones((batch.shape[0], model.widths[-1]))

@@ -14,8 +14,8 @@ from madlab.errors import DomainError, NumericsError, ShapeError, StateError
 from madlab.evaluation import knn_score
 from madlab.losses import UNLABELED, mad_loss
 from madlab.spheres import (CenterSet, LiveCenters, anomaly_scores,
-                            assign_and_count, kmeans, nearest_live_center,
-                            prune, squared_distances)
+                            assign_and_count, distances_to, kmeans,
+                            nearest_live_center, prune, ref_terms)
 
 from _oracles import direct_sq_distances, reference_sq_distances
 
@@ -350,7 +350,7 @@ def test_snapshot_nearest_is_the_kernel_argmin_bit_for_bit(offset, spread):
     cs = make_centers(refs)
     steps = 0
     for live, live_idx in _pruned_snapshots(rng, cs, z, 0.3):
-        kernel = squared_distances(z, refs[live_idx])
+        kernel = distances_to(z, *ref_terms(refs[live_idx]))
         assert np.array_equal(kernel, reference_sq_distances(z, refs[live_idx]))
         assert np.array_equal(live.nearest(z),
                               live_idx[np.argmin(kernel, axis=1)])
