@@ -17,6 +17,7 @@ import csv
 import logging
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .config import AugmentationConfig, GeneratorConfig
 from .errors import ConfigError, SchemaError
-from .numcore import row_blocks
+from .numcore import BLOCK_BYTES, row_blocks
 from .spheres import distances_to, ref_terms
 
 log = logging.getLogger(__name__)
@@ -67,7 +68,8 @@ class Dataset:
                 raise SchemaError(f"{name} length does not match {n} samples")
         if self.split not in SPLITS:
             raise SchemaError(f"unknown split {self.split!r}")
-        if not np.all(np.isfinite(self.features)):
+        extremes = [self.features.min(initial=0), self.features.max(initial=0)]
+        if not np.isfinite(extremes).all():  # no (n, dim) temporary
             raise SchemaError("non-finite feature values")
         if not set(np.unique(self.labels)) <= set(LABEL_NAMES):
             raise SchemaError("labels must be in {0, +1, -1}")
@@ -107,12 +109,12 @@ def _huge_rows(features) -> np.ndarray:
     return ~finite
 
 
-def check_layout(rows, cols, what: str) -> None:
-    """Lay out an array of ``rows`` by ``cols``, each a (config key, size)
-    pair; a size numpy refuses raises ConfigError naming both keys."""
+def check_layout(rows, cols, what: str) -> np.ndarray:
+    """Lay out and return an array of ``rows`` by ``cols``, each a (config
+    key, size) pair; a size numpy refuses raises ConfigError naming both."""
     (r_key, r), (c_key, c) = rows, cols
     try:
-        np.empty((r, c))
+        return np.empty((r, c))
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"{r_key} {r} and {c_key} {c} give {what} that "
                           f"cannot be allocated: {exc}") from exc
@@ -145,17 +147,20 @@ def _draw_mode_bases(cfg: GeneratorConfig, rng) -> np.ndarray:
     return bases
 
 
-def _draw_groups(n_rows, plan, draw, rng, next_group):
-    """``n_rows`` rows of one class in ``len(plan)`` groups whose sizes differ
-    by at most one. The plan holds one entry per group and is shuffled; then
-    ``draw(rng, count, entry)`` gives each group's features and mode id."""
+def _draw_groups(out, plan, draw, rng, next_group):
+    """The rows ``out`` of one class in ``len(plan)`` groups whose sizes
+    differ by at most one. The plan holds one entry per group and is shuffled;
+    then ``draw(rng, count, entry)`` gives each group's features and mode id."""
     rng.shuffle(plan)
-    counts = np.full(len(plan), n_rows // len(plan))
-    counts[:n_rows % len(plan)] += 1
-    feats, modes = zip(*[draw(rng, int(c), e) for c, e in zip(counts, plan)])
+    counts = np.full(len(plan), len(out) // len(plan))
+    counts[:len(out) % len(plan)] += 1
+    modes = []
+    for c, e, end in zip(counts.tolist(), plan, np.cumsum(counts).tolist()):
+        out[end - c:end], mode = draw(rng, c, e)
+        modes.append(mode)
     group_ids = np.arange(next_group, next_group + len(plan))
-    return (np.concatenate(feats), np.repeat(modes, counts),
-            np.repeat(group_ids, counts), next_group + len(plan))
+    return (np.repeat(modes, counts), np.repeat(group_ids, counts),
+            next_group + len(plan))
 
 
 def _draw_labels(ground_truth, ratio: float, normal_fraction: float,
@@ -195,8 +200,8 @@ def generate_synthetic(cfg: GeneratorConfig):
     check_layout(("data.modes", cfg.modes), dim, "mode centers")
     check_layout(("data.modes", cfg.modes), ("data.modes", cfg.modes),
                  "mode-center distances")
-    for split, size, _ in splits:
-        check_layout((f"data.{split}_size", size), dim, f"a {split} split")
+    drawn = [check_layout((f"data.{split}_size", size), dim, f"a {split} split")
+             for split, size, _ in splits]  # the split's groups are drawn in it
     center_rng = np.random.default_rng([cfg.seed, 101])
     centers = _draw_mode_centers(cfg, center_rng)
     bases = _draw_mode_bases(cfg, np.random.default_rng([cfg.seed, 102]))
@@ -223,23 +228,24 @@ def generate_synthetic(cfg: GeneratorConfig):
     datasets = []
     next_group = 0
     for split_idx, (split, size, ab_ratio) in enumerate(splits):
+        features = drawn.pop(0)  # freed once permuted
         rng = np.random.default_rng([cfg.seed, 200 + split_idx])
         n_ab = round(size * ab_ratio)
         n_norm = size - n_ab
         g_norm, g_ab = (math.ceil(n / cfg.group_size) for n in (n_norm, n_ab))
         n_mid = round(cfg.midpoint_fraction * g_ab) if cfg.modes >= 2 else 0
-        # normal groups take the modes in turn and n_mid anomaly groups are
-        # midpoints; _draw_groups shuffles each plan
-        plans = [(NORMAL, n_norm, np.resize(np.arange(cfg.modes), g_norm),
-                  normal), (ABNORMAL, n_ab, np.arange(g_ab) < n_mid, abnormal)]
+        # normal rows come first; their groups take the modes in turn and
+        # n_mid anomaly groups are midpoints; _draw_groups shuffles each plan
+        plans = [(features[:n_norm], np.resize(np.arange(cfg.modes), g_norm),
+                  normal), (features[n_norm:], np.arange(g_ab) < n_mid, abnormal)]
         parts = []
-        for gt, n, plan, draw in plans:
-            if n > 0:
-                f, m, g, next_group = _draw_groups(n, plan, draw, rng,
-                                                   next_group)
-                parts.append((f, m, g, np.full(n, gt)))
+        for rows, plan, draw in plans:
+            if len(rows):
+                *ids, next_group = _draw_groups(rows, plan, draw, rng, next_group)
+                parts.append(ids)
 
-        features, mode_ids, group_ids, gt = map(np.concatenate, zip(*parts))
+        mode_ids, group_ids = map(np.concatenate, zip(*parts))
+        gt = np.repeat([NORMAL, ABNORMAL], [n_norm, n_ab])
         if _huge_rows(features).any():
             raise ConfigError(
                 f"generated {split} features overflow float64 (non-finite "
@@ -345,32 +351,36 @@ def _file_line(path, row: int) -> int:
                 row -= 1
 
 
-def _codes(column, values: dict, path) -> np.ndarray:
-    """Map a column of names to their codes; an unknown name raises
-    SchemaError naming the line of its first row."""
+def _codes(column, values: dict, path, first: int) -> np.ndarray:
+    """Map a column of names, body rows from ``first`` on, to their codes;
+    an unknown name raises SchemaError naming the line of its first row."""
     names, inverse = np.unique(column, return_inverse=True)
     unknown = ~np.isin(names, list(values))[inverse]
     if unknown.any():
         row = int(np.argmax(unknown))
-        raise SchemaError(f"{path}:{_file_line(path, row)}: unknown value "
-                          f"{str(column[row])!r}")
+        raise SchemaError(f"{path}:{_file_line(path, first + row)}: unknown "
+                          f"value {str(column[row])!r}")
     return np.array([values[n] for n in names.tolist()], dtype=np.int8)[inverse]
 
 
 def load_csv(path, split: str) -> Dataset:
     """Read one split back; schema violations raise SchemaError.
 
-    ``csv`` reads the header; numpy's C parser reads the body, unquoted
-    fields and ``\\n``, ``\\r\\n`` or ``\\r`` line ends, in one ``np.loadtxt``
-    call, skipping blank lines. A line number in an error is the file's,
-    the header being line 1. A NUL byte anywhere is refused first: numpy's
-    fixed-width strings would drop one that ends a name.
+    ``csv`` reads the header; numpy's C parser reads the body (unquoted
+    fields, ``\\n``, ``\\r\\n`` or ``\\r`` line ends, blank lines skipped) into
+    columns sized by the line ends, half ``BLOCK_BYTES`` of parsed rows per
+    ``np.loadtxt`` call. An error names the file's line, the header line 1.
+    A NUL byte is refused first: numpy's strings drop a trailing one.
     """
+    ends = n = 0  # line ends, at least the body's rows; rows parsed
     try:
         with open(path, "rb") as fh:
-            while chunk := fh.read(1 << 20):
+            while chunk := fh.read(1 << 18):
                 if b"\0" in chunk:
                     raise SchemaError(f"{path}: NUL byte in the file")
+                lf = (c := np.frombuffer(chunk, np.uint8)) == 10  # \n or a lone \r
+                ends += (np.count_nonzero(lf) + chunk.endswith(b"\r")
+                         + np.count_nonzero((c[:-1] == 13) > lf[1:]))
         with open(path, newline="") as fh:
             header = next(csv.reader(fh), None)
             if header is None:
@@ -381,31 +391,38 @@ def load_csv(path, split: str) -> Dataset:
             if header != _header(dim):
                 raise SchemaError(f"{path}: feature columns must be f0..f{dim - 1}")
             # name fields one char wider than any name: none is cut to fit
-            row = [("g", np.int64), ("m", np.int64),
-                   ("gt", f"U{max(map(len, _GT_CODES)) + 1}"),
-                   ("label", f"U{max(map(len, _CODES)) + 1}"),
-                   ("f", np.float64, (dim,))]
-            with warnings.catch_warnings():  # a header-only file has no rows
+            row = np.dtype([("g", np.int64), ("m", np.int64),
+                            ("gt", f"U{max(map(len, _GT_CODES)) + 1}"),
+                            ("label", f"U{max(map(len, _CODES)) + 1}"),
+                            ("f", np.float64, (dim,))])
+            features = np.empty((ends, dim))
+            (groups, modes), (gts, labels) = (np.empty((2, ends), np.int64),
+                                              np.empty((2, ends), np.int8))
+            step = max(1, BLOCK_BYTES // (2 * row.itemsize))
+            with warnings.catch_warnings():  # blank lines; a block of no rows
                 warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, dtype=row, delimiter=",", comments=None,
-                                  ndmin=1)
+                while True:
+                    block = np.loadtxt(fh, dtype=row, delimiter=",",
+                                       comments=None, ndmin=1, max_rows=step)
+                    rows = slice(n, n := n + len(block))
+                    gts[rows] = _codes(block["gt"], _GT_CODES, path, rows.start)
+                    labels[rows] = _codes(block["label"], _CODES, path, rows.start)
+                    features[rows], modes[rows], groups[rows] = (
+                        block["f"], block["m"], block["g"])
+                    if len(block) < step:
+                        break
     except SchemaError:
         raise
     except ValueError as exc:  # undecodable bytes, a bad number, a bad row
-        raise SchemaError(f"{path}: {exc}") from None
+        message = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + n), str(exc))
+        raise SchemaError(f"{path}: {message}") from None  # n rows before its block
 
-    gts = _codes(rows["gt"], _GT_CODES, path)
-    labels = _codes(rows["label"], _CODES, path)
-    features, modes, groups = rows["f"].copy(), rows["m"].copy(), rows["g"].copy()
-    del rows  # fields are strided views, maybe unaligned: copied, then freed
-    if features.size and not np.all(np.isfinite(features)):
-        raise SchemaError(f"{path}: non-finite feature values")
-    huge = _huge_rows(features)
-    if huge.any():
+    huge = _huge_rows(features := features[:n])  # Dataset names a NaN or inf
+    if huge.any() and np.isfinite(features[huge]).all():
         raise SchemaError(f"{path}:{_file_line(path, int(np.argmax(huge)))}: "
                           "feature values too large (squared norm overflows)")
-    try:  # a label that disagrees with its ground truth
-        return Dataset(features, labels, gts, modes, groups, split)
+    try:  # a non-finite feature; a label that disagrees with its ground truth
+        return Dataset(features, labels[:n], gts[:n], modes[:n], groups[:n], split)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 

@@ -28,12 +28,17 @@ ROW_BLOCK = 240  # rows: 10 of OpenBLAS 0.3.31's 24-row GEMM tiles
 BLOCK_BYTES = 2 << 20  # a block's float64 bytes: one core's 2 MiB L2 cache
 
 
-def row_blocks(n: int, width: int = 1) -> list[slice]:
-    """Slices of ``n`` rows stepping by the most 24-row GEMM tiles (one at
-    least, ``ROW_BLOCK`` rows at most) whose (rows, width) float64 block fits
-    ``BLOCK_BYTES``; a lone last row joins the block before it (numpy runs a
-    1-row product as a GEMV), so blocks keep the bits of one call."""
-    step = max(24, min(ROW_BLOCK, BLOCK_BYTES // (8 * width)) // 24 * 24)
+def block_rows(width: int = 1) -> int:
+    """The most 24-row GEMM tiles (one at least, ``ROW_BLOCK`` rows at most)
+    whose (rows, width) float64 block fits ``BLOCK_BYTES``."""
+    return max(24, min(ROW_BLOCK, BLOCK_BYTES // (8 * width)) // 24 * 24)
+
+
+def row_blocks(n: int, width: int = 1, step: int = 0) -> list[slice]:
+    """Slices of ``n`` rows, ``step`` (default ``block_rows(width)``) apart;
+    a lone last row joins the block before it (numpy runs a 1-row product
+    as a GEMV), so blocks keep the bits of one call."""
+    step = step or block_rows(width)
     cuts = [*range(0, n - 1 if n > 1 else n, step), n]
     return [slice(*cut) for cut in zip(cuts, cuts[1:])]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, numcore
 from .config import ExperimentConfig, experiment_from_dict, experiment_hash
 from .data import (ABNORMAL, Dataset, TrainingView, atomic_write,
                    augment_pairs, check_layout, generate_synthetic)
@@ -212,20 +212,28 @@ def score_splits(cfg: ExperimentConfig, pretext_model: EncoderModel,
     """Per split: its center-distance scores, then one kNN score vector per
     space, "mad" (detection embedding) or "pretext" (pretext body, before the
     projection head: a net of its own, given the body's last ReLU in place),
-    against the presumed-normal train rows embedded once per space."""
+    against the presumed-normal train rows embedded once per space. A split
+    is scored in chunks that fit BLOCK_BYTES, cut on forward and kNN blocks."""
     body = Mlp((cfg.dims.input_dim, *cfg.dims.body),
                params=pretext_model.net.parameters()[:2 * len(cfg.dims.body)])
     embed = {"mad": mad_model.net.forward,
              "pretext": lambda x: np.maximum(z := body.forward(x), 0.0, out=z)}
     ref_rows = train_ds.features[train_ds.labels >= 0]
     refs = [embed[space](ref_rows) for space in spaces]
+    unit = np.lcm(numcore.ROW_BLOCK, numcore.block_rows(max(1, len(ref_rows))))
+    row_bytes = 8 * (mad_model.net.widths[-1] + body.widths[-1])
+    chunk = max(1, numcore.BLOCK_BYTES // (row_bytes * unit)) * unit
     out, buffers = [], {}  # every kNN score reuses the same distance buffers
     for ds in splits:
-        scores = anomaly_scores(emb := mad_model.net.forward(ds.features), centers)
-        emb = emb if "mad" in spaces else None  # not held while kNN scores
-        out.append((scores, *(
-            knn_score(emb if space == "mad" else embed[space](ds.features),
-                      ref, cfg.knn_k, buffers) for space, ref in zip(spaces, refs))))
+        out.append(scores := np.empty((1 + len(spaces), len(ds))))
+        for rows in numcore.row_blocks(len(ds), step=chunk):
+            scores[0, rows] = anomaly_scores(
+                emb := mad_model.net.forward(x := ds.features[rows]), centers)
+            emb = emb if "mad" in spaces else None  # not held while kNN scores
+            k = min(cfg.knn_k, len(ref_rows)) if rows.start else cfg.knn_k  # warn once
+            for score, space, ref in zip(scores[1:], spaces, refs):
+                score[rows] = knn_score(emb if space == "mad" else embed[space](x),
+                                        ref, k, buffers)
     return out
 
 

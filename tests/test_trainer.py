@@ -5,10 +5,13 @@ import itertools
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +20,9 @@ import madlab.evaluation as evaluation
 import madlab.numcore as numcore
 import madlab.trainer as trainer_mod
 from madlab.config import apply_overrides, default_config, to_experiment
-from madlab.data import generate_synthetic
+from madlab.data import Dataset, generate_synthetic
 from madlab.errors import ConfigError, DomainError, NumericsError, StateError
+from madlab.spheres import CenterSet
 from madlab.trainer import (ExperimentConfig, TrainerState,
                             build_pretext_model, evaluate,
                             experiment_from_dict, experiment_hash, finetune,
@@ -685,32 +689,160 @@ def test_evaluate_reports_all_metrics(small_cfg, small_data):
                 "live_centers"} <= set(r)
 
 
+def _small_chunks(monkeypatch):
+    """24-row forward and kNN blocks and one block per chunk, so each 80-row
+    split of the small config is scored in four chunks: 24, 24, 24, 8."""
+    monkeypatch.setattr(numcore, "ROW_BLOCK", 24)
+    monkeypatch.setattr(numcore, "BLOCK_BYTES", 1)
+
+
 @pytest.mark.parametrize("spaces", [("pretext",), ("mad", "pretext")])
 def test_knn_scores_hold_the_detection_embedding_only_for_mad(
         small_cfg, small_data, monkeypatch, spaces):
-    """Counted cost: when no "mad" space is asked for, a split's detection
+    """Counted cost: when no "mad" space is asked for, a chunk's detection
     embedding is dropped once its center distances are scored, so the
-    pretext-space kNN does not run beside it; with "mad" the probe sees it."""
+    pretext-space kNN does not run beside it; with "mad" the probe sees it.
+    Each split is embedded once, chunk after chunk, in row order."""
     state, _ = run_replicate(small_cfg, small_data)
     net, splits = state.mad_model.net, small_data[1:]
     real_forward, real_knn, embedded, alive = net.forward, trainer_mod.knn_score, [], []
+    inputs = {ds.split: [] for ds in splits}
 
     def forward(x, *args, **kwargs):
         out = real_forward(x, *args, **kwargs)
-        if any(x is ds.features for ds in splits):
-            embedded.append(weakref.ref(out))
+        for ds in splits:
+            if x.base is ds.features:
+                inputs[ds.split].append(x)
+                embedded.append(weakref.ref(out))
         return out
 
     def knn_score(*args, **kwargs):
         alive.append(embedded[-1]() is not None)
         return real_knn(*args, **kwargs)
 
+    _small_chunks(monkeypatch)
     monkeypatch.setattr(net, "forward", forward)
     monkeypatch.setattr(trainer_mod, "knn_score", knn_score)
     trainer_mod.score_splits(small_cfg, state.pretext_model, state.mad_model,
                              state.centers, small_data[0], splits, *spaces)
-    assert len(embedded) == len(splits)
-    assert alive == ["mad" in spaces] * (len(splits) * len(spaces))
+    assert [len(inputs[ds.split]) for ds in splits] == [4] * len(splits)
+    for ds in splits:
+        assert np.array_equal(np.concatenate(inputs[ds.split]), ds.features)
+    assert len(embedded) == 4 * len(splits)
+    assert alive == ["mad" in spaces] * (len(embedded) * len(spaces))
+
+
+def test_chunked_scores_warn_once_per_score_that_k_is_clamped(
+        small_cfg, small_data, monkeypatch, caplog):
+    """k above the reference count is clamped with one warning per split and
+    space, however many chunks the split is scored in, and the scores are
+    those of the unchunked split."""
+    state, _ = run_replicate(small_cfg, small_data)
+    cfg = replace(small_cfg, knn_k=10 ** 6)
+    args = (cfg, state.pretext_model, state.mad_model, state.centers,
+            small_data[0], small_data[1:], "mad", "pretext")
+    whole = trainer_mod.score_splits(*args)
+    _small_chunks(monkeypatch)
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        chunked = trainer_mod.score_splits(*args)
+    assert sum("clamping" in r.message for r in caplog.records) == 2 * 2
+    for got, want in zip(chunked, whole):
+        assert all(np.allclose(g, w, rtol=1e-12) for g, w in zip(got, want))
+
+
+def _score_splits_transient_bytes(rows: int) -> int:
+    """Peak traced bytes of ``score_splits`` in both spaces on a split of
+    ``rows`` rows (default encoder shapes, 1 000 references, 100 centers),
+    beyond the score vectors it returns."""
+    cfg = to_experiment(default_config())
+    rng = np.random.default_rng(rows)
+    pretext = build_pretext_model(cfg)
+    mad = transfer_weights(pretext, cfg)
+    centers = CenterSet(rng.normal(size=(100, cfg.dims.mad_dim)),
+                        np.ones(100, dtype=bool), np.zeros(100))
+    train, split = (Dataset(rng.normal(size=(n, cfg.dims.input_dim)),
+                            np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n),
+                            name) for n, name in ((1000, "train"), (rows, "test")))
+    tracemalloc.start()
+    try:
+        [scores] = trainer_mod.score_splits(cfg, pretext, mad, centers, train,
+                                            [split], "mad", "pretext")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(s.nbytes for s in scores)
+
+
+def test_score_splits_working_memory_does_not_grow_with_rows():
+    """Counted cost, independent of host speed: a split is embedded and
+    scored one chunk at a time. Holding a whole split's detection and
+    pretext-body embeddings, 35 000 more rows added 13 MB."""
+    assert _score_splits_transient_bytes(40_000) \
+        - _score_splits_transient_bytes(5_000) < 1 << 20
+
+
+# The chunk rule at default dims: a chunk's detection and pretext-body
+# embeddings fit BLOCK_BYTES, and its start is a multiple of both the forward
+# block (240 rows) and the kNN step: 240 at 300 references, so 5 280-row
+# chunks; 216 at 1 100, which does not divide 240, so 2 160-row units and
+# 4 320-row chunks. Each case is checked at one chunk less a row, one chunk,
+# one more row (which joins the chunk before it) and two chunks and a row,
+# against the split run in one piece; at 1 BLAS thread, as the kNN bit tests.
+_CHUNKED_SCORES_SCRIPT = """
+import numpy as np
+import madlab.numcore as numcore
+import madlab.trainer as trainer
+from madlab.config import default_config, to_experiment
+from madlab.data import Dataset
+from madlab.spheres import CenterSet
+from _oracles import (unblocked_anomaly_scores, unblocked_forward,
+                      unblocked_knn_score)
+cfg = to_experiment(default_config())
+pretext = trainer.build_pretext_model(cfg)
+mad = trainer.transfer_weights(pretext, cfg)
+rng = np.random.default_rng(9)
+for p in (*pretext.net.parameters()[1::2], *mad.net.parameters()[1::2]):
+    p += rng.normal(0.0, 0.1, size=p.shape)
+centers = CenterSet(rng.normal(size=(100, cfg.dims.mad_dim)),
+                    rng.random(100) < 0.7, np.zeros(100))
+real, steps = numcore.row_blocks, []  # the chunk calls pass a step
+numcore.row_blocks = lambda n, width=1, step=0: (
+    step and steps.append(step), real(n, width, step))[1]
+
+def split(x, name):
+    n = len(x)
+    return Dataset(x, np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n), name)
+
+def body(x):
+    return unblocked_forward(pretext.net, x, n_layers=len(cfg.dims.body))
+
+for m, c in ((300, 5280), (1100, 4320)):
+    refs = rng.normal(size=(m, cfg.dims.input_dim))
+    for n in (c - 1, c, c + 1, 2 * c + 1):
+        x = rng.normal(size=(n, cfg.dims.input_dim))
+        steps.clear()
+        [(scores, knn_mad, knn_pre)] = trainer.score_splits(
+            cfg, pretext, mad, centers, split(refs, "train"), [split(x, "test")],
+            "mad", "pretext")
+        assert steps == [c], (m, n, steps)
+        emb = unblocked_forward(mad.net, x)
+        assert np.array_equal(scores, unblocked_anomaly_scores(emb, centers)), (m, n)
+        assert np.array_equal(knn_mad, unblocked_knn_score(
+            emb, unblocked_forward(mad.net, refs), cfg.knn_k)), (m, n)
+        assert np.array_equal(knn_pre, unblocked_knn_score(
+            body(x), body(refs), cfg.knn_k)), (m, n)
+"""
+
+
+def test_chunked_scores_bit_identical_to_one_pass():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _CHUNKED_SCORES_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_knn_scores_of_one_evaluation_share_their_threads_buffers(

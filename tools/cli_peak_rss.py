@@ -12,7 +12,10 @@ which reads ``resource.getrusage(RUSAGE_CHILDREN).ru_maxrss`` once the
 command has exited. So each figure is that command's own peak, its forked
 workers included, and not the running maximum over the round that one
 process's children give. ``run_info.json`` holds timings and is not hashed.
-Prints one JSON object: ``peak_rss_mb`` per command and ``sha256`` per file.
+Prints one JSON object: ``peak_rss_mb`` per command, ``round_peak`` (the
+largest of them and the command that sets it: perfbench's score_io
+``peak_rss_mb`` is the running maximum over the round's child processes)
+and ``sha256`` per file.
 """
 
 import argparse
@@ -72,7 +75,10 @@ def main(argv=None):
                 with open(path, "rb") as fh:
                     digests[os.path.relpath(path, out)] = hashlib.sha256(
                         fh.read()).hexdigest()
-    json.dump({"peak_rss_mb": peaks, "sha256": digests}, sys.stdout, indent=1)
+    top = max(peaks, key=peaks.get)
+    json.dump({"peak_rss_mb": peaks,
+               "round_peak": {"command": top, "peak_rss_mb": peaks[top]},
+               "sha256": digests}, sys.stdout, indent=1)
     print()
 
 
