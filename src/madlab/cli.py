@@ -158,10 +158,9 @@ def cmd_eval(args) -> int:
         raise StateError(
             "checkpoint has no trained detection model; cannot evaluate")
     exp = state.config
-    datasets = load_splits(args.data, exp.data)
-    target = {"val": datasets[1], "test": datasets[2]}[args.split]
+    train, target = load_splits(args.data, exp.data, [args.split])
     [(scores, knn)] = score_splits(exp, state.pretext_model, state.mad_model,
-                                   state.centers, datasets[0], [target],
+                                   state.centers, train, [target],
                                    args.embedding)
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))

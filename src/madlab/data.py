@@ -437,13 +437,14 @@ def save_splits(datasets, out_dir):
     return paths
 
 
-def load_splits(data_dir, cfg: GeneratorConfig):
-    """Load the three split files from ``data_dir`` as ``cfg`` trains on
-    them: ``cfg.dim`` features, a presumed-normal train row, both classes in
-    val and test; a train split whose labeled count is more than one row off
-    ``cfg.labeled_ratio`` is relabeled at that ratio with ``cfg.seed``."""
+def load_splits(data_dir, cfg: GeneratorConfig, splits=SPLITS[1:]):
+    """Load the train split and the named ``splits`` from ``data_dir`` as
+    ``cfg`` trains on them: ``cfg.dim`` features, a presumed-normal train
+    row, both classes in every other split; a train split whose labeled
+    count is more than one row off ``cfg.labeled_ratio`` is relabeled at
+    that ratio with ``cfg.seed``. Returns (train, *splits)."""
     out = []
-    for split in SPLITS:
+    for split in (SPLITS[0], *splits):
         p = os.path.join(data_dir, f"{split}.csv")
         if not os.path.exists(p):
             raise SchemaError(f"missing data file {p}")

@@ -2,9 +2,10 @@
 
 ``info_nce_loss(z, temperature)`` is the temperature-scaled contrastive
 objective over positive pairs with in-batch negatives;
-``mad_loss(z, labels, live, eta, n_rows, eps_d)`` is the multi-center
+``mad_loss(z, labels, centers, eta, n_rows, eps_d)`` is the multi-center
 semi-supervised detection objective (unlabeled attraction, labeled
-attraction/repulsion via the +-1 exponent) to a ``LiveCenters`` snapshot.
+attraction/repulsion via the +-1 exponent) to the live centers of a
+``spheres.CenterSet``.
 Both take plain arrays, check their arguments on every call, and return
 exact gradients w.r.t. the embedding rows so the network backward pass can
 chain onto them; both are checked against central finite differences.
@@ -79,11 +80,11 @@ def info_nce_loss(z, temperature: float):
     return loss, grad
 
 
-def mad_loss(z, labels, live, eta: float, n_rows: int, eps_d: float = 1e-6):
+def mad_loss(z, labels, centers, eta: float, n_rows: int, eps_d: float = 1e-6):
     """Multi-center detection objective over one batch.
 
-    Each row is assigned to its nearest center in the ``LiveCenters``
-    snapshot ``live`` (ties -> lowest index). Unlabeled rows add d^2/(n+m);
+    Each row is assigned to its nearest live center of the ``CenterSet``
+    ``centers`` (ties -> lowest index). Unlabeled rows add d^2/(n+m);
     labeled rows add eta * (d^2)^(+-1) / (n+m), where n+m = ``n_rows`` is
     the dataset size, so batch losses are partial sums of the epoch
     objective. The squared distance is floored at ``eps_d`` inside the -1
@@ -106,8 +107,8 @@ def mad_loss(z, labels, live, eta: float, n_rows: int, eps_d: float = 1e-6):
     if n_rows <= 0:
         raise DomainError(f"n_rows must be positive, got {n_rows}")
 
-    assignments = live.nearest(z)
-    delta = z - live.centers[assignments]
+    assignments = centers.nearest(z)
+    delta = z - centers.centers[assignments]
     d2 = np.einsum("rd,rd->r", delta, delta)
 
     scale, loss, grad = 1.0 / n_rows, 0.0, np.zeros_like(z)

@@ -1,8 +1,9 @@
 """Hypersphere center lifecycle: k-means init, cardinality counts, pruning.
 
 Centers are tombstoned rather than deleted when pruned so the per-epoch
-trajectory (how many centers the model settles on) stays reportable; a
-``LiveCenters`` snapshot serves the live set's distances between prunes.
+trajectory (how many centers the model settles on) stays reportable. A
+``CenterSet``'s live flags are read-only: ``prune`` returns a new set, so
+the live index and distance terms a set builds once always match its flags.
 """
 
 from __future__ import annotations
@@ -20,15 +21,16 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class CenterSet:
-    """The center matrix plus live flags and per-epoch assignment counts."""
+    """The center matrix plus live flags and per-epoch assignment counts,
+    with the live centers' index and ``ref_terms``."""
 
     centers: np.ndarray          # (n_s, d)
-    live: np.ndarray             # (n_s,) bool
+    live: np.ndarray             # (n_s,) bool, read-only
     counts: np.ndarray           # (n_s,) int, refreshed each epoch
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
-        self.live = np.asarray(self.live, dtype=bool)
+        self.live = np.array(self.live, dtype=bool)  # the caller's stays writable
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.centers.ndim != 2:
             raise ShapeError(f"centers must be 2-d, got {self.centers.shape}")
@@ -37,6 +39,11 @@ class CenterSet:
             raise ShapeError("live/counts length must match center count")
         if not self.live.any():
             raise StateError("a CenterSet needs at least one live center")
+        # unpickling (a worker's final state) makes the flags writable again;
+        # nothing writes them there, as that state trains no further
+        self.live.flags.writeable = False
+        self.index = np.flatnonzero(self.live)
+        self._terms = ref_terms(self.centers[self.index])
 
     @property
     def initial_count(self) -> int:
@@ -44,7 +51,13 @@ class CenterSet:
 
     @property
     def n_live(self) -> int:
-        return int(self.live.sum())
+        return self.index.size
+
+    def nearest(self, points) -> np.ndarray:
+        """Global index of the nearest live center per row (ties -> lowest)."""
+        if len(points) > ROW_BLOCK + 1:  # one row block at a time
+            return self.index[nearest_ref(points, *self._terms)]
+        return self.index[np.argmin(distances_to(points, *self._terms), axis=1)]
 
 
 def ref_terms(refs):
@@ -135,24 +148,8 @@ def kmeans(points, k: int, seed, max_iters: int = 100) -> CenterSet:
                      counts=np.bincount(assign, minlength=k))
 
 
-class LiveCenters:
-    """The live centers between two prunes: indices and ``ref_terms``."""
-
-    def __init__(self, centers: CenterSet):
-        self.index, self.centers = np.flatnonzero(centers.live), centers.centers
-        if self.index.size == 0:
-            raise StateError("no live centers to assign to")
-        self._terms = ref_terms(self.centers[self.index])
-
-    def nearest(self, points) -> np.ndarray:
-        """Global index of the nearest live center per row (ties -> lowest)."""
-        if len(points) > ROW_BLOCK + 1:  # one row block at a time
-            return self.index[nearest_ref(points, *self._terms)]
-        return self.index[np.argmin(distances_to(points, *self._terms), axis=1)]
-
-
 def nearest_live_center(embeddings, centers: CenterSet) -> np.ndarray:
-    return LiveCenters(centers).nearest(embeddings)
+    return centers.nearest(embeddings)
 
 
 def assign_and_count(embeddings, centers: CenterSet) -> np.ndarray:
@@ -169,29 +166,30 @@ def assign_and_count(embeddings, centers: CenterSet) -> np.ndarray:
 
 
 def prune(centers: CenterSet, gamma: float) -> CenterSet:
-    """Tombstone every live center whose count falls under gamma * max.
+    """A new set in which every live center whose count falls under
+    gamma * max is tombstoned; ``centers`` is left as it is.
 
     The threshold uses the pre-prune maximum over live centers, evaluated
     simultaneously for all of them. If the rule would empty the set, the
     max-cardinality center survives.
     """
-    live_idx = np.flatnonzero(centers.live)
-    live_counts = centers.counts[live_idx]
+    live_counts = centers.counts[centers.index]
     threshold = gamma * live_counts.max()
     doomed = live_counts < threshold
     if doomed.all():
         log.warning("prune would remove all centers; keeping the largest")
         doomed[int(np.argmax(live_counts))] = False
-    centers.live[live_idx[doomed]] = False
-    return centers
+    live = centers.live.copy()
+    live[centers.index[doomed]] = False
+    return CenterSet(centers.centers, live, centers.counts)
 
 
 def anomaly_scores(embeddings, centers: CenterSet) -> np.ndarray:
     """Euclidean distance from each row to its nearest live center."""
-    embeddings, live = np.asarray(embeddings, dtype=np.float64), LiveCenters(centers)
+    embeddings = np.asarray(embeddings, dtype=np.float64)
     out = np.empty(len(embeddings))
     for rows in row_blocks(len(embeddings)):
-        delta = embeddings[rows] - centers.centers[live.nearest(embeddings[rows])]
+        delta = embeddings[rows] - centers.centers[centers.nearest(embeddings[rows])]
         np.sqrt(np.einsum("rd,rd->r", delta, delta), out=out[rows])
     return out
 

@@ -32,8 +32,7 @@ from .evaluation import auc, knn_score, replicate_ci, usable_cores
 from .losses import info_nce_loss, mad_loss
 from .numcore import (ADAM, Arena, Mlp, OptimizerState, apply_lr_schedule,
                       init_params, mlp_backward, optimizer_step)
-from .spheres import (CenterSet, LiveCenters, anomaly_scores, assign_and_count,
-                      kmeans, prune)
+from .spheres import CenterSet, anomaly_scores, assign_and_count, kmeans, prune
 from .spheres import nearest_live_center  # noqa: F401 -- a perfbench/tracer.py patch point
 
 log = logging.getLogger(__name__)
@@ -161,7 +160,7 @@ def _record_epoch(state: TrainerState, cfg, view, val_ds, epoch, loss=None):
     before any step if ``loss`` is None: embed the train view, fit k-means
     centers to its presumed-normal rows or count and prune them, and record
     the objective on frozen weights (data terms plus the L2 penalty that
-    the optimizer realizes as decoupled decay). Returns the live centers."""
+    the optimizer realizes as decoupled decay)."""
     fc, model = cfg.finetune, state.mad_model
     try:  # a float fault names its epoch, as a step's does
         emb = model.net.forward(view.features)
@@ -170,10 +169,10 @@ def _record_epoch(state: TrainerState, cfg, view, val_ds, epoch, loss=None):
                                    seed=[cfg.seed, _T_KMEANS])
         else:
             assign_and_count(emb[view.labels >= 0], state.centers)
-            prune(state.centers, fc.gamma)
-        centers, live = state.centers, LiveCenters(state.centers)
+            state.centers = prune(state.centers, fc.gamma)
+        centers = state.centers
         scores = anomaly_scores(model.net.forward(val_ds.features), centers)
-        data_term, _, _ = mad_loss(emb, view.labels, live, fc.eta, len(view),
+        data_term, _, _ = mad_loss(emb, view.labels, centers, fc.eta, len(view),
                                    fc.eps_d)
         state.epochs.append({
             "phase": "finetune", "epoch": 0 if loss is None else epoch + 1,
@@ -185,7 +184,6 @@ def _record_epoch(state: TrainerState, cfg, view, val_ds, epoch, loss=None):
     except FloatingPointError as exc:
         raise NumericsError(
             f"finetune epoch {epoch} bookkeeping: {exc}") from exc
-    return live
 
 
 def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
@@ -193,16 +191,16 @@ def finetune(cfg: ExperimentConfig, view: TrainingView, val_ds: Dataset,
     """Fine-tune ``state.mad_model`` from ``state.epoch`` to ``end_epoch``,
     recording the baseline first and then each epoch (``_record_epoch``)."""
     fc, n = cfg.finetune, len(view)
-    live = (LiveCenters(state.centers) if state.centers is not None
-            else _record_epoch(state, cfg, view, val_ds, 0))
+    if state.centers is None:
+        _record_epoch(state, cfg, view, val_ds, 0)
 
     for epoch in range(state.epoch, end_epoch):
         loss_sum = _run_epoch(
             "finetune", [cfg.seed, _T_SHUF_FT], epoch, fc, state.mad_model,
             state.opt, n, lambda idx: view.features[idx],
-            lambda z, idx: mad_loss(z, view.labels[idx], live, fc.eta, n,
-                                    fc.eps_d)[:2])
-        live = _record_epoch(state, cfg, view, val_ds, epoch, loss_sum)
+            lambda z, idx: mad_loss(z, view.labels[idx], state.centers,
+                                    fc.eta, n, fc.eps_d)[:2])
+        _record_epoch(state, cfg, view, val_ds, epoch, loss_sum)
         state.epoch = epoch + 1
 
 
@@ -554,11 +552,12 @@ def _read_checkpoint(path) -> TrainerState:
         if phase != "pretrain":
             mad = transfer_weights(pretext, cfg)
             _fill(mad.net.parameters(), z, "mad")
-            centers = CenterSet(z["centers"], z["centers_live"], z["centers_counts"])
-            if (centers.centers.shape[1] != cfg.dims.mad_dim
-                    or not np.isfinite(centers.centers).all()):
+            stored = z["centers"]  # checked before the set builds its terms
+            if (stored.shape[1:] != (cfg.dims.mad_dim,)
+                    or not np.isfinite(stored).all()):
                 raise StateError(f"centers must be finite and {cfg.dims.mad_dim} "
-                                 f"wide, got shape {centers.centers.shape}")
+                                 f"wide, got shape {stored.shape}")
+            centers = CenterSet(stored, z["centers_live"], z["centers_counts"])
             if centers.n_live != meta["epochs"][-1]["live"]:
                 raise StateError(f"{centers.n_live} centers are flagged live, not "
                                  f"the {meta['epochs'][-1]['live']} last recorded")

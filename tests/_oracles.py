@@ -13,11 +13,17 @@ to the same bits; and the two-block Lentz loop of the incomplete-beta
 continued fraction, which pins the one-loop version to the same bits; and
 the untaped forward pass, the nearest live center, the anomaly score and
 k-means' assignment steps, whose oracles run each split in one piece: they
-pin the row-blocked versions to the bits of one unblocked pass.
+pin the row-blocked versions to the bits of one unblocked pass. Those
+bits agree at 1 BLAS thread only, so ``run_at_one_blas_thread`` runs such
+comparisons in a child process.
 """
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -296,7 +302,7 @@ def info_nce_reference(z, temperature):
 
 def reference_sq_distances(points, refs):
     """The distance kernel as first written, in one piece: the bits that
-    ``distances_to`` and ``LiveCenters`` must reproduce."""
+    ``distances_to`` and ``CenterSet.nearest`` must reproduce."""
     points = np.asarray(points, dtype=np.float64)
     mean = refs.mean(axis=0)
     p, r = points - mean, refs - mean
@@ -332,3 +338,15 @@ def mad_loss_reference(z, labels, centers, eta, n_rows, eps_d=1e-6):
         coef = np.where(live_grad, -2.0 * eta * scale / d2_floor ** 2, 0.0)
         grad[abn] = coef[:, None] * delta[abn]
     return loss, grad, assignments
+
+
+def run_at_one_blas_thread(script, *args, timeout):
+    """Run ``script`` with ``args`` in a child Python at 1 BLAS thread, with
+    ``src`` and ``tests`` importable; returns the finished process, its
+    output captured as text."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)

@@ -20,7 +20,7 @@ from madlab.evaluation import (auc, replicate_ci, significance_code,
                                welch_t_test)
 from madlab.losses import ABNORMAL, NORMAL, UNLABELED, info_nce_loss, mad_loss
 from madlab.numcore import mlp_backward
-from madlab.spheres import CenterSet, LiveCenters, prune
+from madlab.spheres import CenterSet, prune
 from madlab.trainer import run_replicate, save_checkpoint, load_checkpoint
 
 from _oracles import central_diff, grads_close, pair_count_auc, random_mlp
@@ -83,10 +83,9 @@ def test_criterion_01_gradient_suite():
         z = np.array(rows)
         labels = rng.choice([UNLABELED, NORMAL, ABNORMAL], size=6)
         eta = float(rng.uniform(0.3, 2.0))
-        live = LiveCenters(centers)
-        _, grad, _ = mad_loss(z, labels, live, eta, 10)
+        _, grad, _ = mad_loss(z, labels, centers, eta, 10)
         numeric = central_diff(
-            lambda arr: mad_loss(arr, labels, live, eta, 10)[0], z.copy())
+            lambda arr: mad_loss(arr, labels, centers, eta, 10)[0], z.copy())
         assert grads_close(grad, numeric), "mad"
         checked += 1
 
@@ -106,7 +105,7 @@ def test_criterion_02_loss_oracles():
     two_pair, _ = info_nce_loss(units, 1.0)
     expected = 4.0 * math.log(1.0 + 2.0 * math.exp(-1.0))
 
-    cs = LiveCenters(make_centers([[0.0, 0.0]], [0]))
+    cs = make_centers([[0.0, 0.0]], [0])
     at_center, _, _ = mad_loss(np.zeros((1, 2)), np.array([UNLABELED]), cs,
                                1.0, 1)
     abnormal_one, _, _ = mad_loss(np.array([[1.0, 0.0]]),
@@ -143,18 +142,12 @@ def test_criterion_03_auc_oracle_equivalence():
 
 def test_criterion_04_pruning_rule():
     cs = make_centers([[0.0], [1.0], [2.0]], [100, 4, 50])
-    prune(cs, 0.05)
-    rule_ok = cs.live.tolist() == [True, False, True]
+    rule_ok = prune(cs, 0.05).live.tolist() == [True, False, True]
 
-    zeros = make_centers([[0.0], [1.0]], [0, 0])
-    prune(zeros, 0.05)
-    survivor_ok = zeros.n_live >= 1
+    survivor_ok = prune(make_centers([[0.0], [1.0]], [0, 0]), 0.05).n_live >= 1
 
-    again = make_centers([[0.0], [1.0], [2.0]], [100, 4, 50])
-    prune(again, 0.05)
-    live_once = again.live.copy()
-    prune(again, 0.05)
-    idempotent = np.array_equal(live_once, again.live)
+    once = prune(make_centers([[0.0], [1.0], [2.0]], [100, 4, 50]), 0.05)
+    idempotent = np.array_equal(once.live, prune(once, 0.05).live)
 
     report(4, "gamma pruning rule, survivor guarantee, idempotence",
            rule_ok and survivor_ok and idempotent)

@@ -1013,9 +1013,10 @@ def _main_exit(argv) -> tuple:
     return code, err.getvalue()
 
 
-def _eval_exit(case: Path) -> tuple:
+def _eval_exit(case: Path, *args) -> tuple:
     return _main_exit(["eval", "--checkpoint", str(case / "checkpoint.npz"),
-                       "--data", str(case / "data"), "--out", str(case / "out")])
+                       "--data", str(case / "data"), "--out", str(case / "out"),
+                       *args])
 
 
 def _assert_documented_exit(code, err, allowed):
@@ -1223,9 +1224,24 @@ def test_eval_split_unfit_for_scoring_exits_2(eval_inputs, tmp_path, split,
     header, *rows = path.read_text().splitlines(keepends=True)
     path.write_text(header + "".join(r for r in rows
                                      if r.split(",")[column] == keep))
-    code, err = _eval_exit(case)
+    # eval reads train and the split it scores, so it scores the unfit one
+    code, err = _eval_exit(case, "--split", "val" if split == "train" else split)
     assert code == EXIT_SCHEMA
     assert err.startswith("error:") and f"{split} split" in err
+
+
+def test_eval_reads_only_train_and_the_split_it_scores(eval_inputs, tmp_path):
+    outputs = []
+    for case in (tmp_path / "all", tmp_path / "no_val"):
+        shutil.copytree(eval_inputs / "orig", case / "data")
+        (case / "data" / "checkpoint.npz").rename(case / "checkpoint.npz")
+        if case.name == "no_val":
+            (case / "data" / "val.csv").unlink()
+        code, err = _eval_exit(case, "--split", "test")
+        assert code == EXIT_OK, err
+        outputs.append([(case / "out" / name).read_bytes()
+                        for name in ("scores.csv", "eval_metrics.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_usage_error_exits_1():

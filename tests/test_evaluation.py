@@ -1,12 +1,10 @@
 import math
 import os
 import struct
-import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +20,8 @@ from madlab.evaluation import (auc, knn_score, regularized_incomplete_beta,
 from madlab.numcore import Mlp
 from madlab.spheres import CenterSet, anomaly_scores
 
-from _oracles import (pair_count_auc, two_block_beta_continued_fraction,
-                      unblocked_knn_score)
+from _oracles import (pair_count_auc, run_at_one_blas_thread,
+                      two_block_beta_continued_fraction, unblocked_knn_score)
 
 
 # --- AUC --------------------------------------------------------------------
@@ -143,13 +141,7 @@ for m, most in ((203, 5000), (390, 5000), (1950, 5000), (4400, 5000),
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_threaded_knn_bit_identical_to_one_call(cores):
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _THREADED_KNN_SCRIPT,
-                           str(cores)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_at_one_blas_thread(_THREADED_KNN_SCRIPT, str(cores), timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

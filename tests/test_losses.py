@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from madlab.errors import DomainError, ShapeError, StateError
 from madlab.losses import ABNORMAL, NORMAL, UNLABELED, info_nce_loss, mad_loss
-from madlab.spheres import CenterSet, LiveCenters
+from madlab.spheres import CenterSet
 
 from _oracles import (central_diff, grads_close, info_nce_reference,
                       mad_loss_reference)
@@ -97,7 +97,7 @@ def test_info_nce_matches_reference_expression_bit_for_bit():
 def test_unlabeled_row_at_center_contributes_zero():
     centers = make_centers([[1.0, 2.0], [5.0, 5.0]])
     loss, grad, assign = mad_loss(np.array([[1.0, 2.0]]),
-                                  np.array([UNLABELED]), LiveCenters(centers),
+                                  np.array([UNLABELED]), centers,
                                   eta=1.0, n_rows=1)
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros((1, 2)))
@@ -107,21 +107,21 @@ def test_unlabeled_row_at_center_contributes_zero():
 def test_known_abnormal_at_distance_one():
     centers = make_centers([[0.0, 0.0]])
     loss, _, _ = mad_loss(np.array([[1.0, 0.0]]), np.array([ABNORMAL]),
-                          LiveCenters(centers), eta=1.0, n_rows=1)
+                          centers, eta=1.0, n_rows=1)
     assert loss == 1.0  # (1^2)^(-1)
 
 
 def test_known_normal_at_distance_two():
     centers = make_centers([[0.0, 0.0]])
     loss, _, _ = mad_loss(np.array([[2.0, 0.0]]), np.array([NORMAL]),
-                          LiveCenters(centers), eta=1.0, n_rows=1)
+                          centers, eta=1.0, n_rows=1)
     assert loss == 4.0  # eta * (2^2)^(+1)
 
 
 def test_denominator_uses_full_counts():
     centers = make_centers([[0.0]])
     loss, _, _ = mad_loss(np.array([[2.0]]), np.array([UNLABELED]),
-                          LiveCenters(centers), eta=1.0, n_rows=10)
+                          centers, eta=1.0, n_rows=10)
     assert math.isclose(loss, 4.0 / 10.0, rel_tol=1e-12)
 
 
@@ -144,11 +144,10 @@ def _random_mad_instance(rng, tie_margin=1e-3):
 def test_mad_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(300 + seed)
     centers, z0, labels, eta = _random_mad_instance(rng)
-    live = LiveCenters(centers)
-    _, grad, _ = mad_loss(z0.copy(), labels, live, eta, n_rows=10)
+    _, grad, _ = mad_loss(z0.copy(), labels, centers, eta, n_rows=10)
 
     def loss_at(arr):
-        return mad_loss(arr, labels, live, eta, n_rows=10)[0]
+        return mad_loss(arr, labels, centers, eta, n_rows=10)[0]
 
     numeric = central_diff(loss_at, z0)
     assert grads_close(grad, numeric)
@@ -159,7 +158,7 @@ def test_assignment_minimizes_distance_and_breaks_ties_low():
     z = np.array([[1.5, 0.0],   # nearest is center 2 (distance .5)
                   [1.0, 5.0]])  # equidistant to 0 and 1 -> index 0... no: 2 is nearer
     _, _, assign = mad_loss(z, np.array([UNLABELED, UNLABELED]),
-                            LiveCenters(centers), 1.0, 2)
+                            centers, 1.0, 2)
     live = centers.centers[assign]
     for i in range(len(z)):
         d_assigned = np.linalg.norm(z[i] - live[i])
@@ -170,7 +169,7 @@ def test_assignment_minimizes_distance_and_breaks_ties_low():
 def test_tie_breaks_to_lowest_index():
     centers = make_centers([[-1.0, 0.0], [1.0, 0.0]])
     _, _, assign = mad_loss(np.array([[0.0, 3.0]]), np.array([UNLABELED]),
-                            LiveCenters(centers), 1.0, 1)
+                            centers, 1.0, 1)
     assert assign[0] == 0
 
 
@@ -179,7 +178,7 @@ def test_abnormal_descent_step_pushes_away_from_center():
     centers = make_centers(rng.normal(size=(2, 4)))
     z = rng.normal(size=(6, 4))
     _, grad, assign = mad_loss(z, np.full(6, ABNORMAL),
-                               LiveCenters(centers), eta=1.0, n_rows=6)
+                               centers, eta=1.0, n_rows=6)
     toward = centers.centers[assign] - z
     # descent direction -grad must point away from the assigned center
     assert np.all(np.einsum("ij,ij->i", -grad, toward) < 0.0)
@@ -190,7 +189,7 @@ def test_abnormal_loss_decreases_with_distance():
     losses = []
     for d in (0.5, 1.0, 2.0, 4.0):
         losses.append(mad_loss(np.array([[d]]), np.array([ABNORMAL]),
-                               LiveCenters(centers), 1.0, 1)[0])
+                               centers, 1.0, 1)[0])
     assert all(a > b > 0.0 for a, b in zip(losses, losses[1:]))
 
 
@@ -198,7 +197,7 @@ def test_eps_d_floor_bounds_loss_and_kills_gradient():
     centers = make_centers([[0.0, 0.0]])
     z = np.array([[1e-9, 0.0]])  # d^2 = 1e-18 < eps_d
     loss, grad, _ = mad_loss(z, np.array([ABNORMAL]),
-                             LiveCenters(centers), 1.0, 1, eps_d=1e-6)
+                             centers, 1.0, 1, eps_d=1e-6)
     assert loss == 1e6
     assert np.array_equal(grad, np.zeros_like(z))
 
@@ -208,7 +207,7 @@ def test_huge_eps_d_squares_no_floored_distance():
     z = np.array([[3.0, 0.0]])
     with np.errstate(over="raise"):
         loss, grad, _ = mad_loss(z, np.array([ABNORMAL]),
-                                 LiveCenters(make_centers([[0.0, 0.0]])),
+                                 make_centers([[0.0, 0.0]]),
                                  1.0, 1, eps_d=1e300)
     assert loss == 1e-300
     assert np.array_equal(grad, np.zeros_like(z))
@@ -219,27 +218,24 @@ def test_unlabeled_and_normal_terms_non_negative():
     centers = make_centers(rng.normal(size=(3, 3)))
     z = rng.normal(size=(10, 3))
     labels = rng.choice([UNLABELED, NORMAL], size=10)
-    loss, _, _ = mad_loss(z, labels, LiveCenters(centers), 1.3, 10)
+    loss, _, _ = mad_loss(z, labels, centers, 1.3, 10)
     assert loss >= 0.0
 
 
 def test_all_pruned_raises_state_error():
-    centers = make_centers([[0.0], [1.0]])
-    centers.live[:] = False  # bypasses the constructor guard
-    with pytest.raises(StateError):
+    with pytest.raises(StateError):  # no set without a live center is built
         mad_loss(np.array([[0.5]]), np.array([UNLABELED]),
-                 LiveCenters(centers), 1.0, 1)
+                 CenterSet([[0.0], [1.0]], [False, False], [0, 0]), 1.0, 1)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_mad_loss_matches_reference_through_prunes(seed):
-    # loss, gradient and assignments bit for bit, snapshot rebuilt per prune
+    # loss, gradient and assignments bit for bit, the set rebuilt per prune
     rng = np.random.default_rng(500 + seed)
     d = int(rng.integers(2, 17))
     offset = 10.0 ** rng.uniform(-1, 4)
     centers = make_centers(offset + rng.normal(size=(int(rng.integers(1, 60)), d)))
     while True:
-        live = LiveCenters(centers)
         for _ in range(5):
             n = int(rng.integers(1, 40))
             z = offset + rng.normal(size=(n, d))
@@ -247,14 +243,16 @@ def test_mad_loss_matches_reference_through_prunes(seed):
                                 size=n, p=rng.dirichlet(np.ones(3)))
             eta, n_rows = float(rng.uniform(0.0, 3.0)), int(rng.integers(n, 5000))
             eps_d = float(10.0 ** rng.uniform(-8, 1))
-            got = mad_loss(z, labels, live, eta, n_rows, eps_d)
+            got = mad_loss(z, labels, centers, eta, n_rows, eps_d)
             want = mad_loss_reference(z, labels, centers, eta, n_rows, eps_d)
             assert got[0] == want[0]
             assert np.array_equal(got[1], want[1])
             assert np.array_equal(got[2], want[2])
         if centers.n_live == 1:
             return
-        centers.live[rng.choice(np.flatnonzero(centers.live))] = False
+        live = centers.live.copy()
+        live[rng.choice(np.flatnonzero(live))] = False
+        centers = CenterSet(centers.centers, live, centers.counts)
 
 
 _ROW = np.array([[1.0, 0.0]])
@@ -278,7 +276,7 @@ _UNL = np.array([UNLABELED])
         "mad_label_int8", "mad_eta", "mad_n_rows"])
 def test_loss_argument_guards(call, error):
     with pytest.raises(error):
-        call(LiveCenters(make_centers([[0.0, 0.0]])))
+        call(make_centers([[0.0, 0.0]]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,11 +1,6 @@
-import copy
 import json
 import logging
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,17 +8,19 @@ import pytest
 from madlab.errors import DomainError, NumericsError, ShapeError, StateError
 from madlab.evaluation import knn_score
 from madlab.losses import UNLABELED, mad_loss
-from madlab.spheres import (CenterSet, LiveCenters, anomaly_scores,
-                            assign_and_count, distances_to, kmeans,
-                            nearest_live_center, prune, ref_terms)
+from madlab.spheres import (CenterSet, anomaly_scores, assign_and_count,
+                            distances_to, kmeans, nearest_live_center, prune,
+                            ref_terms)
 
-from _oracles import direct_sq_distances, reference_sq_distances
+from _oracles import (direct_sq_distances, reference_sq_distances,
+                      run_at_one_blas_thread)
 
 
-def make_centers(points, counts=None):
+def make_centers(points, counts=None, live=None):
     points = np.asarray(points, dtype=np.float64)
     counts = np.zeros(len(points)) if counts is None else np.asarray(counts)
-    return CenterSet(points, np.ones(len(points), dtype=bool), counts)
+    live = np.ones(len(points), dtype=bool) if live is None else live
+    return CenterSet(points, live, counts)
 
 
 # --- kmeans ----------------------------------------------------------------
@@ -89,7 +86,7 @@ _KMEANS_K = [200, 2000]
 _BLOCKED_SCRIPT = """
 import json
 import numpy as np
-from madlab.spheres import LiveCenters, anomaly_scores, kmeans
+from madlab.spheres import anomaly_scores, kmeans
 from _oracles import unblocked_anomaly_scores, unblocked_kmeans, unblocked_nearest
 from test_spheres import (_KMEANS_K, _NEAREST_LIVE, _NEAREST_ROWS,
                           _lattice_points, _tied_centers)
@@ -99,7 +96,7 @@ for n_live in _NEAREST_LIVE:
         cs, points = _tied_centers(np.random.default_rng([16, n_live, rows]),
                                    n_live, rows)
         same[f"nearest {n_live} {rows}"] = [
-            np.array_equal(LiveCenters(cs).nearest(points),
+            np.array_equal(cs.nearest(points),
                            unblocked_nearest(points, cs)),
             np.array_equal(anomaly_scores(points, cs),
                            unblocked_anomaly_scores(points, cs))]
@@ -115,12 +112,7 @@ print(json.dumps(same))
 
 @pytest.fixture(scope="module")
 def same_bits_at_one_blas_thread() -> dict:
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _BLOCKED_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_at_one_blas_thread(_BLOCKED_SCRIPT, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -187,15 +179,13 @@ def test_assign_empty_embeddings_all_zero():
 
 
 def test_pruned_centers_never_receive_assignments():
-    cs = make_centers([[0.0], [10.0]], counts=[1, 5])
-    cs.live[0] = False
+    cs = make_centers([[0.0], [10.0]], counts=[1, 5], live=[False, True])
     counts = assign_and_count(np.array([[0.1], [0.2]]), cs)
     assert counts.tolist() == [0, 2]
 
 
 def test_nearest_live_center_skips_pruned():
-    cs = make_centers([[0.0], [10.0]])
-    cs.live[0] = False
+    cs = make_centers([[0.0], [10.0]], live=[False, True])
     assert nearest_live_center(np.array([[0.5]]), cs).tolist() == [1]
 
 
@@ -203,40 +193,36 @@ def test_nearest_live_center_skips_pruned():
 
 def test_prune_rule_direct_application():
     cs = make_centers([[0.0], [1.0], [2.0]], counts=[100, 4, 50])
-    prune(cs, 0.05)  # threshold 5
-    assert cs.live.tolist() == [True, False, True]
+    assert prune(cs, 0.05).live.tolist() == [True, False, True]  # threshold 5
 
 
 def test_prune_all_at_max_keeps_everything():
     cs = make_centers([[0.0], [1.0]], counts=[10, 10])
-    prune(cs, 0.05)
-    assert cs.live.tolist() == [True, True]
+    assert prune(cs, 0.05).live.tolist() == [True, True]
 
 
 def test_prune_zero_count_centers():
     cs = make_centers([[0.0], [1.0], [2.0]], counts=[0, 0, 7])
-    prune(cs, 0.05)
-    assert cs.live.tolist() == [False, False, True]
+    assert prune(cs, 0.05).live.tolist() == [False, False, True]
 
 
 def test_prune_all_zero_counts_keeps_all():
     cs = make_centers([[0.0], [1.0]], counts=[0, 0])
-    prune(cs, 0.05)
-    assert cs.live.tolist() == [True, True]
+    assert prune(cs, 0.05).live.tolist() == [True, True]
 
 
 def test_prune_idempotent_with_unchanged_counts():
     cs = make_centers([[0.0], [1.0], [2.0], [3.0]],
                       counts=[50, 2, 30, 1])
-    once = copy.deepcopy(prune(cs, 0.1))
-    twice = prune(cs, 0.1)
+    once = prune(cs, 0.1)
+    twice = prune(once, 0.1)
     assert np.array_equal(once.live, twice.live)
 
 
 def test_prune_survivor_guard():
     cs = make_centers([[0.0], [1.0]], counts=[3, 7])
-    prune(cs, 1.5)  # force the (otherwise unreachable) all-pruned branch
-    assert cs.live.tolist() == [False, True]
+    # force the (otherwise unreachable) all-pruned branch
+    assert prune(cs, 1.5).live.tolist() == [False, True]
 
 
 def test_monotone_live_shrinkage():
@@ -246,7 +232,7 @@ def test_monotone_live_shrinkage():
     live_history = [cs.n_live]
     for _ in range(4):
         assign_and_count(emb, cs)
-        prune(cs, 0.05)
+        cs = prune(cs, 0.05)
         live_history.append(cs.n_live)
     assert all(a >= b for a, b in zip(live_history, live_history[1:]))
     assert live_history[-1] >= 1
@@ -271,8 +257,7 @@ def test_score_single_live_center_plain_distance():
 
 
 def test_score_ignores_pruned_centers():
-    cs = make_centers([[0.0, 0.0], [3.0, 4.0]])
-    cs.live[1] = False
+    cs = make_centers([[0.0, 0.0], [3.0, 4.0]], live=[True, False])
     assert anomaly_scores(np.array([[3.0, 4.0]]), cs)[0] == 5.0
 
 
@@ -290,10 +275,8 @@ def test_score_zero_iff_on_live_center_and_lipschitz():
 
 
 def test_scores_error_when_no_live():
-    cs = make_centers([[0.0]])
-    cs.live[:] = False
-    with pytest.raises(StateError):
-        anomaly_scores(np.array([[1.0]]), cs)
+    with pytest.raises(StateError):  # no set without a live center is built
+        anomaly_scores(np.array([[1.0]]), make_centers([[0.0]], live=[False]))
 
 
 # --- one distance kernel at extreme scales ------------------------------------
@@ -306,15 +289,14 @@ def test_distances_match_direct_oracle_at_extreme_scale(offset, spread):
     rng = np.random.default_rng(17)
     refs = offset + spread * rng.normal(size=(100, 16))
     z = offset + spread * rng.normal(size=(400, 16))
-    cs = make_centers(refs)
-    cs.live[::3] = False
+    cs = make_centers(refs, live=np.arange(len(refs)) % 3 != 0)
     live_idx = np.flatnonzero(cs.live)
     d2 = direct_sq_distances(z, refs[live_idx])
     nearest = live_idx[np.argmin(d2, axis=1)]
 
     assert np.array_equal(nearest_live_center(z, cs), nearest)
     assert np.array_equal(
-        mad_loss(z, np.full(len(z), UNLABELED), LiveCenters(cs), 1.0,
+        mad_loss(z, np.full(len(z), UNLABELED), cs, 1.0,
                  len(z))[2], nearest)
     assert np.allclose(anomaly_scores(z, cs), np.sqrt(d2.min(axis=1)),
                        rtol=1e-12, atol=0.0)
@@ -324,20 +306,22 @@ def test_distances_match_direct_oracle_at_extreme_scale(offset, spread):
                        rtol=1e-9, atol=0.0)
 
 
-# --- the live-center snapshot ------------------------------------------------
+# --- the live centers' index and distance terms --------------------------------
 
-def _pruned_snapshots(rng, cs, points, gamma):
-    """(snapshot, live index) after each of a random sequence of prunes."""
+def _pruned_sets(rng, cs, points, gamma):
+    """The set after each of a random sequence of prunes, ``cs`` first."""
     while True:
+        yield cs
         live_idx = np.flatnonzero(cs.live)
-        yield LiveCenters(cs), live_idx
         if live_idx.size == 1:
             return
         assign_and_count(points[rng.permutation(len(points))[:40]], cs)
-        before = cs.n_live
-        prune(cs, gamma)
-        if cs.n_live == before:  # counts that prune nothing: drop one at random
-            cs.live[rng.choice(live_idx)] = False
+        pruned = prune(cs, gamma)
+        if pruned.n_live == cs.n_live:  # counts that prune nothing: drop one at random
+            live = cs.live.copy()
+            live[rng.choice(live_idx)] = False
+            pruned = CenterSet(cs.centers, live, cs.counts)
+        cs = pruned
 
 
 @pytest.mark.parametrize("offset, spread",
@@ -347,14 +331,14 @@ def test_snapshot_nearest_is_the_kernel_argmin_bit_for_bit(offset, spread):
     rng = np.random.default_rng(17)
     refs = offset + spread * rng.normal(size=(100, 16))
     z = offset + spread * rng.normal(size=(400, 16))
-    cs = make_centers(refs)
     steps = 0
-    for live, live_idx in _pruned_snapshots(rng, cs, z, 0.3):
+    for cs in _pruned_sets(rng, make_centers(refs), z, 0.3):
+        live_idx = np.flatnonzero(cs.live)
         kernel = distances_to(z, *ref_terms(refs[live_idx]))
         assert np.array_equal(kernel, reference_sq_distances(z, refs[live_idx]))
-        assert np.array_equal(live.nearest(z),
+        assert np.array_equal(cs.nearest(z),
                               live_idx[np.argmin(kernel, axis=1)])
-        assert np.array_equal(live.nearest(z), nearest_live_center(z, cs))
+        assert np.array_equal(cs.nearest(z), nearest_live_center(z, cs))
         steps += 1
     assert steps > 3
 
@@ -386,25 +370,26 @@ def test_blocked_nearest_and_scores_bit_identical_to_one_pass(
         True, True]
 
 
-def test_snapshot_is_unchanged_by_later_prunes():
+def test_prune_returns_a_new_set_and_leaves_its_input_unchanged():
     cs = make_centers([[0.0], [1.0], [2.0]], counts=[5, 5, 0])
-    live = LiveCenters(cs)
-    prune(cs, 0.05)
-    assert live.nearest(np.array([[2.1]])).tolist() == [2]
-    assert LiveCenters(cs).nearest(np.array([[2.1]])).tolist() == [1]
-
-
-def test_snapshot_over_no_live_center_raises_state_error():
-    cs = make_centers([[0.0], [1.0]])
-    cs.live[:] = False  # bypasses the constructor guard
-    with pytest.raises(StateError):
-        LiveCenters(cs)
+    pruned = prune(cs, 0.05)
+    assert pruned is not cs
+    assert cs.live.tolist() == [True, True, True]
+    assert cs.nearest(np.array([[2.1]])).tolist() == [2]
+    assert pruned.live.tolist() == [True, True, False]
+    assert pruned.nearest(np.array([[2.1]])).tolist() == [1]
+    for live in (cs.live, pruned.live):  # a write would leave stale terms
+        with pytest.raises(ValueError):
+            live[0] = False
 
 
 # --- structure ---------------------------------------------------------------
 
 def test_centerset_invariants():
-    with pytest.raises(StateError):
+    with pytest.raises(StateError):  # no live center to assign or score to
         CenterSet(np.zeros((2, 2)), np.zeros(2, dtype=bool), np.zeros(2))
+    flags = np.ones(2, dtype=bool)
+    CenterSet(np.zeros((2, 2)), flags, np.zeros(2))
+    flags[0] = False  # the set froze its own copy
     with pytest.raises(ShapeError):
         CenterSet(np.zeros((2, 2)), np.ones(3, dtype=bool), np.zeros(2))

@@ -5,13 +5,11 @@ import itertools
 import json
 import multiprocessing
 import os
-import subprocess
 import sys
 import tracemalloc
 import warnings
 import weakref
 from dataclasses import asdict, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +26,8 @@ from madlab.trainer import (ExperimentConfig, TrainerState,
                             experiment_from_dict, experiment_hash, finetune,
                             load_checkpoint, pretrain, run_experiment,
                             run_replicate, save_checkpoint, transfer_weights)
+
+from _oracles import run_at_one_blas_thread
 
 
 SMALL_OVERRIDES = [
@@ -836,12 +836,7 @@ for m, c in ((300, 5280), (1100, 4320)):
 
 
 def test_chunked_scores_bit_identical_to_one_pass():
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _CHUNKED_SCORES_SCRIPT],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = run_at_one_blas_thread(_CHUNKED_SCORES_SCRIPT, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 
