@@ -383,6 +383,18 @@ def test_prune_returns_a_new_set_and_leaves_its_input_unchanged():
             live[0] = False
 
 
+def test_snapshot_over_no_live_center_raises_state_error():
+    # the set's live index and terms are its snapshot: the flags it was built
+    # from cannot be cleared behind it, and a set over no live center is refused
+    cs = make_centers([[0.0], [1.0]])
+    with pytest.raises(ValueError):
+        cs.live[:] = False
+    assert cs.live.tolist() == [True, True]
+    assert cs.nearest(np.array([[0.9]])).tolist() == [1]
+    with pytest.raises(StateError):
+        CenterSet(cs.centers, np.zeros(2, dtype=bool), cs.counts)
+
+
 # --- structure ---------------------------------------------------------------
 
 def test_centerset_invariants():
