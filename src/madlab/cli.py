@@ -129,10 +129,16 @@ def _train_once(cfg: dict, exp, data_dir: str, out_dir: str, workers) -> int:
     return EXIT_OK
 
 
+def _refuse_used_dir(path: str) -> None:
+    if os.path.exists(path) and (not os.path.isdir(path) or os.listdir(path)):
+        raise ConfigError(f"{path} is not a new or empty directory")
+
+
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     ratios = args.labeled_ratio
     if not ratios:
+        _refuse_used_dir(args.out)
         return _train_once(cfg, to_experiment(cfg), args.data, args.out,
                            args.workers)
     # every ratio's config is checked before any ratio trains
@@ -144,6 +150,7 @@ def cmd_train(args) -> int:
         if out_dir in dirs[:i]:
             raise ConfigError(f"labeled ratios {ratios[dirs.index(out_dir)]!r}"
                               f" and {ratios[i]!r} share the directory {out_dir}")
+        _refuse_used_dir(out_dir)
     status = EXIT_OK
     for ratio, sub, exp, out_dir in zip(ratios, subs, exps, dirs):
         print(f"== labeled ratio {ratio:g} -> {out_dir}")

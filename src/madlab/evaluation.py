@@ -68,9 +68,11 @@ def usable_cores() -> int:
 def knn_score(queries, references, k: int = 100, buffers=None) -> np.ndarray:
     """Mean Euclidean distance to the k nearest reference rows, per query.
 
-    Brute force over ``row_blocks(n, references)``, exact and bit-identical
-    to one unblocked call. k larger than the reference set is clamped with a
-    warning. Calls made one after another may share one dict as ``buffers``.
+    Brute force over ``row_blocks(n, references)``, rooting only the k kept
+    squared distances: the bits of one unblocked call that roots them all,
+    but for an ulp where duplicated references tie after the root. k above
+    the reference count is clamped with a warning. Calls made one after
+    another may share one dict as ``buffers``.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     references = np.atleast_2d(np.asarray(references, dtype=np.float64))
@@ -94,10 +96,10 @@ def knn_score(queries, references, k: int = 100, buffers=None) -> np.ndarray:
         buf = flat[:size].reshape(-1, m)
         for rows in blocks:
             d = distances_to(queries[rows], *terms, out=buf[:rows.stop - rows.start])
-            np.sqrt(d, out=d)
             if k < references.shape[0]:
                 d.partition(k - 1, axis=1)
                 d = d[:, :k]
+            np.sqrt(d, out=d)
             d.mean(axis=1, out=out[rows])
 
     with ThreadPoolExecutor() as pool:  # its exit joins the pool threads

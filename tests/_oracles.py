@@ -6,7 +6,10 @@ gradients, exhaustive pair counting for AUC, scipy for the t-distribution,
 a per-array loop for the whole-vector optimizer step, ``csv.writer`` for
 the split files. The exceptions are the kNN score, whose oracle is one
 unblocked call of the same distance kernel: it pins the blocked scores to
-the bits of a single call; and the first-written expressions of
+the bits of a single call, and its first-written order, every distance
+rooted before the k nearest are selected, pins the scorer's selection on
+squared distances to the same bits (to 2 ulps where duplicated references
+tie after the root); and the first-written expressions of
 ``info_nce_loss``, the distance kernel, ``mad_loss`` and the reverse
 sweep of ``mlp_backward``, which pin their trimmed, precomputing versions
 to the same bits; and the two-block Lentz loop of the incomplete-beta

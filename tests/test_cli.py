@@ -447,6 +447,34 @@ def test_signal_stops_the_workers_inside_a_long_replicate(tmp_path, data_dir,
         proc.wait()
 
 
+# an interrupted run into a used directory would leave its new checkpoints
+# beside the old metrics.json: the train is refused before any worker
+# starts, and a run that starts anyway is interrupted as a user would
+def test_train_into_a_used_dir_starts_no_worker(tmp_path, data_dir,
+                                                 trained_dir):
+    before = _tree_bytes(trained_dir)
+    proc, pids, stderr = _slow_train(tmp_path, data_dir)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while (proc.poll() is None and not workers
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+            workers = [int(p.name) for p in pids.iterdir()]
+        if workers:
+            proc.send_signal(signal.SIGINT)
+        code = proc.wait(timeout=60)
+    finally:
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+    assert (code, workers) == (EXIT_CONFIG, []), stderr.read_text()
+    assert stderr.read_text().splitlines() == [
+        f"error: {trained_dir} is not a new or empty directory"]
+    assert _tree_bytes(trained_dir) == before
+
+
 def _running(pid: int) -> bool:
     """Alive and not a zombie: an orphan's new parent may never reap it."""
     try:
@@ -516,6 +544,43 @@ def test_train_metrics_deterministic(tmp_path, data_dir):
                     + SMALL_SETS) == EXIT_OK
         blobs.append((out / "metrics.json").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_train_refuses_a_used_out_dir(tmp_path, data_dir, trained_dir, capsys):
+    """A second run into a used directory would leave the first run's
+    replicate 1 files beside its own metrics: refused, before the data is
+    read (a missing data directory is not reached), and nothing changes.
+    An ``--out`` that names a file is refused the same way."""
+    before = _tree_bytes(trained_dir)
+    capsys.readouterr()
+    for data, out in ((data_dir, trained_dir),
+                      (tmp_path / "missing", trained_dir),
+                      (data_dir, trained_dir / "metrics.json")):
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     "--replicates", "1", "--seed", "2"] + SMALL_SETS
+                    ) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out} is not a new or empty directory"]
+    assert _tree_bytes(trained_dir) == before
+
+
+def test_sweep_refuses_a_used_arm_dir_before_any_arm_trains(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    (out / "labeled_0.1").mkdir(parents=True)  # empty: accepted
+    (out / "labeled_0.2").mkdir()
+    (out / "labeled_0.2" / "metrics.json").write_text("{}")
+    assert main(["train", "--data", str(tmp_path / "missing"), "--out",
+                 str(out), "--labeled-ratio", "0.1",
+                 "--labeled-ratio", "0.2"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {out / 'labeled_0.2'} is not a new or empty directory"]
+    assert _tree_bytes(out) == {"labeled_0.2/metrics.json": b"{}"}
+    assert not any((out / "labeled_0.1").iterdir())
 
 
 def test_train_set_override_changes_hash(tmp_path, data_dir, trained_dir):

@@ -112,11 +112,18 @@ def test_knn_permutation_invariance_and_lipschitz():
 # reference count: 240 rows at 203 and 390 references, on both sides of the
 # kernel's 256-column edge (neither a multiple of 8), then 120, 48 and 24 rows
 # at 1 950, 4 400 and 12 000 (the last with at most 1 000 queries, which keeps
-# the oracle's matrix under 100 MB); k at 1, at the reference count and
-# clamped above it; the scoring threads are the caller plus one helper per
-# further core the patched affinity reports. The last references sit nearest
-# every query, so k=1 reads the last columns of the distance matrix, where a
-# BLAS GEMM's edge tiles round differently from its interior.
+# the oracle's matrix under 100 MB); k at 1, 2, 100, one below the reference
+# count, at it and clamped above it: at 2 to m - 1 the mean sums the kept k
+# in the order the partition leaves them, which selecting on squared
+# distances must share with the oracle's roots of all m; the scoring
+# threads are the caller plus one helper per further core the patched
+# affinity reports. The last references sit nearest every query, so k=1
+# reads the last columns of the distance matrix, where a BLAS GEMM's edge
+# tiles round differently from its interior. In the last layout every
+# reference appears twice, 975 columns apart, and a third of the queries sit
+# on a reference: the copies' squared distances can differ by an ulp and
+# share one root, where selecting before the root may keep the other copy,
+# so the scores agree to 2 ulps there.
 _THREADED_KNN_SCRIPT = """
 import logging, os, sys
 import numpy as np
@@ -132,10 +139,18 @@ for m, most in ((203, 5000), (390, 5000), (1950, 5000), (4400, 5000),
                            0.5 * rng.normal(size=(6, 16))])
     for n in (*heights, most):
         queries = rng.normal(size=(n, 16))
-        for k in (1, m, m + 7):
+        for k in (1, 2, 100, m - 1, m, m + 7):
             got = knn_score(queries, refs, k)
             want = unblocked_knn_score(queries, refs, min(k, m))
             assert np.array_equal(got, want), (m, n, k, np.sum(got != want))
+refs = np.tile(rng.normal(size=(975, 16)), (2, 1))
+for n in (*heights, 5000):
+    queries = rng.normal(size=(n, 16))
+    queries[::3] = refs[rng.integers(0, len(refs), size=len(queries[::3]))]
+    for k in (1, 2, 100, 1949):
+        got = knn_score(queries, refs, k)
+        np.testing.assert_array_max_ulp(got, unblocked_knn_score(
+            queries, refs, k), maxulp=2)
 """
 
 
@@ -194,6 +209,32 @@ def test_knn_distance_buffers_hold_one_byte_bounded_block(monkeypatch, m):
     rng = np.random.default_rng(m)
     knn_score(rng.normal(size=(600, 16)), rng.normal(size=(m, 16)), 10)
     assert sizes and max(sizes) <= max(numcore.BLOCK_BYTES, 24 * m * 8) + m * 8
+
+
+class _RootCountingNumpy:
+    """numpy as ``madlab.evaluation`` sees it, recording the size of every
+    array ``np.sqrt`` roots."""
+
+    def __init__(self):
+        self.rooted = []  # list.append is atomic: the helper threads share it
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sqrt(self, x, *args, **kwargs):
+        self.rooted.append(np.size(x))
+        return np.sqrt(x, *args, **kwargs)
+
+
+def test_knn_roots_only_the_kept_distances(monkeypatch):
+    """Counted cost: one kNN score of n queries roots at most n * k
+    distances, not all n * m of them, on every scoring thread."""
+    counter, n, k = _RootCountingNumpy(), 600, 10
+    monkeypatch.setattr(evaluation, "np", counter)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rng = np.random.default_rng(5)
+    knn_score(rng.normal(size=(n, 16)), rng.normal(size=(2000, 16)), k)
+    assert 0 < sum(counter.rooted) <= n * k
 
 
 def _stub_distances(monkeypatch, calls, fail=None, where=None):

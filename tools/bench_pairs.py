@@ -13,7 +13,9 @@ odd pairs the change first. Before each pair a CPU probe times a 3 000 000-step
 Python loop in one process, then in two processes at once: two as fast as one
 mean that a second core was free at that moment.
 
-``FILE`` gets the workload's seed, pair order, fingerprints, failed/attempted
+``FILE`` gets the workload's seed, pair order, fingerprints,
+``fingerprints_equal`` (every pair's parent and change printed one and the
+same fingerprint; a warning goes to stderr where not), failed/attempted
 counts, exit codes, each metric's median, q1, q3 and runs per side, the
 pairs the change is better in (direction from ``BENCHMARK.json``), the CPU
 probes, the host, the commits and the lines under ``src/``. An existing
@@ -115,6 +117,12 @@ def summarise(args, runs, better) -> dict:
             sum(r["result"]["failed"] for r in mine),
             sum(r["result"]["attempted"] for r in mine))
         entry["exit_codes"][side] = [r["exit_code"] for r in mine]
+    entry["fingerprints_equal"] = all(
+        pair["parent"]["fingerprint"] == pair["change"]["fingerprint"]
+        is not None for pair in runs)
+    if not entry["fingerprints_equal"]:
+        print(f"warning: {args.workload}: parent and change fingerprints "
+              f"do not all match: {entry['fingerprint']}", file=sys.stderr)
     names = [name for name in runs[0]["parent"]["result"]["metrics"]
              if all(name in pair[side]["result"]["metrics"]
                     for pair in runs for side in SIDES)]
