@@ -136,16 +136,15 @@ def _refuse_used_dir(path: str) -> None:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    ratios = args.labeled_ratio
-    if not ratios:
-        _refuse_used_dir(args.out)
-        return _train_once(cfg, to_experiment(cfg), args.data, args.out,
-                           args.workers)
+    ratios = args.labeled_ratio or [None]  # None: the config's own ratio
     # every ratio's config is checked before any ratio trains
-    subs = [apply_overrides(cfg, [f"data.labeled_ratio={r}"]) for r in ratios]
+    subs = [cfg if r is None else apply_overrides(
+        cfg, [f"data.labeled_ratio={r}"]) for r in ratios]
     exps = [to_experiment(sub) for sub in subs]
     dirs = ([args.out] if len(ratios) == 1 else
             [os.path.join(args.out, f"labeled_{r:g}") for r in ratios])
+    if not os.path.isdir(args.out):  # a file; a sweep may add arms to a dir
+        _refuse_used_dir(args.out)
     for i, out_dir in enumerate(dirs):
         if out_dir in dirs[:i]:
             raise ConfigError(f"labeled ratios {ratios[dirs.index(out_dir)]!r}"
@@ -153,7 +152,8 @@ def cmd_train(args) -> int:
         _refuse_used_dir(out_dir)
     status = EXIT_OK
     for ratio, sub, exp, out_dir in zip(ratios, subs, exps, dirs):
-        print(f"== labeled ratio {ratio:g} -> {out_dir}")
+        if ratio is not None:
+            print(f"== labeled ratio {ratio:g} -> {out_dir}")
         status = max(status, _train_once(sub, exp, args.data, out_dir,
                                          args.workers))
     return status

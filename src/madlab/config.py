@@ -269,19 +269,22 @@ def default_config() -> dict:
     return {key: default for key, (_, default, _) in _SCHEMA.items()}
 
 
+def _assign(cfg: dict, text: str, where: str) -> None:
+    """Parse one ``key=value`` into ``cfg``; errors name ``where`` it came from."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    key, value = (part.strip() for part in text.split("=", 1))
+    if key not in _SCHEMA:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    cfg[key] = _parse_value(key, value)
+
+
 def parse_config(text: str) -> dict:
     """Full config dict: documented defaults overridden by the file."""
     cfg = default_config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        cfg[key] = _parse_value(key, value)
+        if line := raw.split("#", 1)[0].strip():
+            _assign(cfg, line, f"line {lineno}")
     return cfg
 
 
@@ -309,12 +312,7 @@ def apply_overrides(cfg: dict, pairs) -> dict:
     """--set KEY=VALUE overrides; returns a new dict."""
     out = dict(cfg)
     for pair in pairs or ():
-        if "=" not in pair:
-            raise ConfigError(f"--set needs KEY=VALUE, got {pair!r}")
-        key, value = (part.strip() for part in pair.split("=", 1))
-        if key not in _SCHEMA:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        out[key] = _parse_value(key, value)
+        _assign(out, pair, "--set")
     return out
 
 

@@ -322,13 +322,12 @@ def save_csv(dataset: Dataset, path):
     """Write one split: decimal features at 9 significant digits.
 
     One ``%``-format per row writes the bytes ``csv.writer`` wrote for the
-    same fields; the arrays become Python values 1024 rows at a time.
+    same fields, made Python values one ``row_blocks`` block at a time.
     """
     row = "%d,%d,%s,%s" + ",%.9g" * dataset.dim + "\r\n"
     with atomic_write(path, newline="") as fh:
         fh.write(",".join(_header(dataset.dim)) + "\r\n")
-        for start in range(0, len(dataset), 1024):
-            block = slice(start, start + 1024)
+        for block in row_blocks(len(dataset)):
             fh.writelines(
                 row % (g, m, LABEL_NAMES[gt], LABEL_NAMES[label], *feats)
                 for g, m, gt, label, feats in zip(

@@ -2,8 +2,8 @@
 
 Centers are tombstoned rather than deleted when pruned so the per-epoch
 trajectory (how many centers the model settles on) stays reportable. A
-``CenterSet``'s live flags are read-only: ``prune`` returns a new set, so
-the live index and distance terms a set builds once always match its flags.
+``CenterSet``'s arrays are read-only: counting and pruning each return a
+new set, so the live index and distance terms a set builds once hold.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError, ShapeError, StateError
-from .numcore import ROW_BLOCK, row_blocks
+from .numcore import block_rows, row_blocks
 
 log = logging.getLogger(__name__)
 
@@ -26,12 +26,12 @@ class CenterSet:
 
     centers: np.ndarray          # (n_s, d)
     live: np.ndarray             # (n_s,) bool, read-only
-    counts: np.ndarray           # (n_s,) int, refreshed each epoch
+    counts: np.ndarray           # (n_s,) int, read-only
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64)
-        self.live = np.array(self.live, dtype=bool)  # the caller's stays writable
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.live = np.array(self.live, dtype=bool)  # the caller's stay writable
+        self.counts = np.array(self.counts, dtype=np.int64)
         if self.centers.ndim != 2:
             raise ShapeError(f"centers must be 2-d, got {self.centers.shape}")
         n_s = self.centers.shape[0]
@@ -39,9 +39,9 @@ class CenterSet:
             raise ShapeError("live/counts length must match center count")
         if not self.live.any():
             raise StateError("a CenterSet needs at least one live center")
-        # unpickling (a worker's final state) makes the flags writable again;
+        # unpickling (a worker's final state) makes the arrays writable again;
         # nothing writes them there, as that state trains no further
-        self.live.flags.writeable = False
+        self.live.flags.writeable = self.counts.flags.writeable = False
         self.index = np.flatnonzero(self.live)
         self._terms = ref_terms(self.centers[self.index])
 
@@ -55,9 +55,7 @@ class CenterSet:
 
     def nearest(self, points) -> np.ndarray:
         """Global index of the nearest live center per row (ties -> lowest)."""
-        if len(points) > ROW_BLOCK + 1:  # one row block at a time
-            return self.index[nearest_ref(points, *self._terms)]
-        return self.index[np.argmin(distances_to(points, *self._terms), axis=1)]
+        return self.index[nearest_ref(points, *self._terms)]
 
 
 def ref_terms(refs):
@@ -82,6 +80,8 @@ def distances_to(points, mean, r_t, r2, out=None) -> np.ndarray:
 
 def nearest_ref(points, mean, r_t, r2) -> np.ndarray:
     """Each point's nearest ref (ties -> lowest), one row block at a time."""
+    if len(points) <= block_rows(len(r2)) + 1:  # one block: one call, no loop
+        return np.argmin(distances_to(points, mean, r_t, r2), axis=1)
     out = np.empty(len(points), dtype=np.intp)
     for rows in row_blocks(len(points), len(r2)):
         out[rows] = np.argmin(distances_to(points[rows], mean, r_t, r2), axis=1)
@@ -152,17 +152,16 @@ def nearest_live_center(embeddings, centers: CenterSet) -> np.ndarray:
     return centers.nearest(embeddings)
 
 
-def assign_and_count(embeddings, centers: CenterSet) -> np.ndarray:
-    """Refresh per-center cardinalities from one pass over the embeddings.
+def assign_and_count(embeddings, centers: CenterSet) -> CenterSet:
+    """A new set holding per-center cardinalities from one pass over the
+    embeddings; ``centers`` is left as it is.
 
     Each row goes to its nearest live center (ties -> lowest index); pruned
-    centers always count 0. Updates ``centers.counts`` in place and returns
-    the new counts.
+    centers always count 0.
     """
     counts = np.bincount(nearest_live_center(embeddings, centers),
                          minlength=centers.initial_count)
-    centers.counts = counts.astype(np.int64)
-    return centers.counts
+    return CenterSet(centers.centers, centers.live, counts)
 
 
 def prune(centers: CenterSet, gamma: float) -> CenterSet:

@@ -168,8 +168,8 @@ def _record_epoch(state: TrainerState, cfg, view, val_ds, epoch, loss=None):
             state.centers = kmeans(emb[view.labels >= 0], fc.n_s,
                                    seed=[cfg.seed, _T_KMEANS])
         else:
-            assign_and_count(emb[view.labels >= 0], state.centers)
-            state.centers = prune(state.centers, fc.gamma)
+            state.centers = prune(assign_and_count(emb[view.labels >= 0],
+                                                   state.centers), fc.gamma)
         centers = state.centers
         scores = anomaly_scores(model.net.forward(val_ds.features), centers)
         data_term, _, _ = mad_loss(emb, view.labels, centers, fc.eta, len(view),

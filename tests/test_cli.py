@@ -569,6 +569,38 @@ def test_train_refuses_a_used_out_dir(tmp_path, data_dir, trained_dir, capsys):
     assert _tree_bytes(trained_dir) == before
 
 
+@pytest.mark.parametrize("ratios", [["0.1"], ["0.025", "0.1"]],
+                         ids=["one_arm", "sweep"])
+def test_train_refuses_an_out_that_is_a_file(tmp_path, capsys, ratios):
+    """A sweep's arms would sit under the file: refused as a plain run's
+    file is (above), before the data is read and before any arm is
+    announced."""
+    out = tmp_path / "file"
+    out.write_text("kept")
+    assert main(["train", "--data", str(tmp_path / "missing"), "--out",
+                 str(out)] + [a for r in ratios for a in ("--labeled-ratio", r)]
+                ) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"error: {out} is not a new or empty directory\n")
+    assert out.read_text() == "kept"
+
+
+def test_plain_train_is_the_one_arm_sweep_at_the_configs_ratio(tmp_path,
+                                                               data_dir):
+    """Without ``--labeled-ratio`` a run trains the config's own ratio, the
+    same bytes as naming that ratio; only the wall times in run_info.json
+    differ."""
+    trees = []
+    for name, extra in (("plain", []), ("arm", ["--labeled-ratio", "0.1"])):
+        out = tmp_path / name
+        assert main(["train", "--data", str(data_dir), "--out", str(out),
+                     "--replicates", "1"] + SMALL_SETS + extra) == EXIT_OK
+        trees.append(_tree_bytes(out))
+    assert "data.labeled_ratio=0.1  #" in trees[0]["config.cfg"].decode()
+    assert trees[0].pop("run_info.json") and trees[1].pop("run_info.json")
+    assert trees[0] == trees[1]
+
+
 def test_sweep_refuses_a_used_arm_dir_before_any_arm_trains(tmp_path, capsys):
     out = tmp_path / "sweep"
     (out / "labeled_0.1").mkdir(parents=True)  # empty: accepted

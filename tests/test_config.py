@@ -36,6 +36,18 @@ def test_unknown_key_rejected():
         apply_overrides(default_config(), ["nope=2"])
 
 
+@pytest.mark.parametrize("text, message", [
+    ("just a line", "expected key=value, got 'just a line'"),
+    ("data.bogus=1", "unknown key 'data.bogus'")])
+def test_file_lines_and_set_pairs_share_one_parser(text, message):
+    """One parser for both sources; each error names where its text came
+    from: the line of a config file, or ``--set``."""
+    with pytest.raises(ConfigError, match=re.escape(f"line 2: {message}")):
+        parse_config(f"data.dim=8\n{text}  # note\n")
+    with pytest.raises(ConfigError, match=re.escape(f"--set: {message}")):
+        apply_overrides(default_config(), ["data.dim=8", text])
+
+
 def test_bad_values_rejected():
     with pytest.raises(ConfigError):
         parse_config("data.dim=abc\n")

@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import madlab.spheres as spheres_mod
 from madlab.errors import DomainError, NumericsError, ShapeError, StateError
 from madlab.evaluation import knn_score
 from madlab.losses import UNLABELED, mad_loss
+from madlab.numcore import block_rows
 from madlab.spheres import (CenterSet, anomaly_scores, assign_and_count,
                             distances_to, kmeans, nearest_live_center, prune,
                             ref_terms)
@@ -160,28 +162,39 @@ def test_kmeans_deterministic():
 def test_assign_and_count_basic():
     cs = make_centers([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
     emb = np.array([[0.1, 0.0], [-0.2, 0.1], [0.5, 0.5]])
-    counts = assign_and_count(emb, cs)
-    assert counts.tolist() == [3, 0, 0]
-    assert np.array_equal(cs.counts, counts)
+    counted = assign_and_count(emb, cs)
+    assert counted.counts.tolist() == [3, 0, 0]
+    assert np.array_equal(counted.live, cs.live)
 
 
 def test_assign_tie_goes_to_lower_index():
     cs = make_centers([[5.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
     # equidistant between centers 1 and 2 -> lower index 1
-    counts = assign_and_count(np.array([[0.0, 2.0]]), cs)
-    assert counts.tolist() == [0, 1, 0]
+    counted = assign_and_count(np.array([[0.0, 2.0]]), cs)
+    assert counted.counts.tolist() == [0, 1, 0]
 
 
 def test_assign_empty_embeddings_all_zero():
     cs = make_centers([[0.0], [1.0]])
-    counts = assign_and_count(np.empty((0, 1)), cs)
-    assert counts.tolist() == [0, 0]
+    counted = assign_and_count(np.empty((0, 1)), cs)
+    assert counted.counts.tolist() == [0, 0]
 
 
 def test_pruned_centers_never_receive_assignments():
     cs = make_centers([[0.0], [10.0]], counts=[1, 5], live=[False, True])
-    counts = assign_and_count(np.array([[0.1], [0.2]]), cs)
-    assert counts.tolist() == [0, 2]
+    counted = assign_and_count(np.array([[0.1], [0.2]]), cs)
+    assert counted.counts.tolist() == [0, 2]
+
+
+def test_assign_and_count_returns_a_new_set_and_leaves_its_input_unchanged():
+    cs = make_centers([[0.0], [10.0]], counts=[4, 1])
+    counted = assign_and_count(np.array([[0.1], [0.2], [9.0]]), cs)
+    assert counted is not cs
+    assert cs.counts.tolist() == [4, 1]
+    assert counted.counts.tolist() == [2, 1]
+    for counts in (cs.counts, counted.counts):  # prune reads them as built
+        with pytest.raises(ValueError):
+            counts[0] = 0
 
 
 def test_nearest_live_center_skips_pruned():
@@ -231,8 +244,7 @@ def test_monotone_live_shrinkage():
     emb = rng.normal(size=(100, 2)) * 0.3
     live_history = [cs.n_live]
     for _ in range(4):
-        assign_and_count(emb, cs)
-        cs = prune(cs, 0.05)
+        cs = prune(assign_and_count(emb, cs), 0.05)
         live_history.append(cs.n_live)
     assert all(a >= b for a, b in zip(live_history, live_history[1:]))
     assert live_history[-1] >= 1
@@ -315,12 +327,13 @@ def _pruned_sets(rng, cs, points, gamma):
         live_idx = np.flatnonzero(cs.live)
         if live_idx.size == 1:
             return
-        assign_and_count(points[rng.permutation(len(points))[:40]], cs)
-        pruned = prune(cs, gamma)
+        counted = assign_and_count(
+            points[rng.permutation(len(points))[:40]], cs)
+        pruned = prune(counted, gamma)
         if pruned.n_live == cs.n_live:  # counts that prune nothing: drop one at random
             live = cs.live.copy()
             live[rng.choice(live_idx)] = False
-            pruned = CenterSet(cs.centers, live, cs.counts)
+            pruned = CenterSet(cs.centers, live, counted.counts)
         cs = pruned
 
 
@@ -368,6 +381,26 @@ def test_blocked_nearest_and_scores_bit_identical_to_one_pass(
     pass over the ``_tied_centers`` points (at 1 BLAS thread)."""
     assert same_bits_at_one_blas_thread[f"nearest {n_live} {rows}"] == [
         True, True]
+
+
+def test_nearest_keeps_each_distance_block_within_block_bytes(monkeypatch):
+    """241 rows fit the one-call batch only while 241 rows of distances fit
+    ``BLOCK_BYTES``: against 2 000 live centers every block holds at most
+    ``block_rows(2000) + 1`` rows (a whole 241-row matrix is 3.9 MB)."""
+    rng = np.random.default_rng(8)
+    cs = make_centers(rng.normal(size=(2000, 4)))
+    points = rng.normal(size=(241, 4))
+    rows, kernel = [], spheres_mod.distances_to
+
+    def spy(block, *terms):
+        rows.append(len(block))
+        return kernel(block, *terms)
+
+    monkeypatch.setattr(spheres_mod, "distances_to", spy)
+    nearest = cs.nearest(points)
+    assert sum(rows) == 241 and max(rows) <= block_rows(2000) + 1
+    assert np.array_equal(nearest, np.argmin(kernel(points, *ref_terms(
+        cs.centers)), axis=1))
 
 
 def test_prune_returns_a_new_set_and_leaves_its_input_unchanged():
