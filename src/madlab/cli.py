@@ -18,8 +18,8 @@ import signal
 import sys
 
 from . import __version__
-from .config import (apply_overrides, default_config, load_config,
-                     serialize_config, to_experiment)
+from .config import (ExperimentConfig, apply_overrides, default_config,
+                     load_config, serialize_config, to_experiment)
 from .data import (ABNORMAL, LABEL_NAMES, atomic_write, generate_synthetic,
                    load_splits, save_splits)
 from .errors import (ConfigError, MadlabError, NumericsError, SchemaError,
@@ -65,14 +65,17 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_cfg(args) -> dict:
+def _load_cfg(args, ratio=None) -> ExperimentConfig:
+    """--config, --set, --seed, --replicates, then an arm's ratio, in order."""
     cfg = load_config(args.config) if args.config else default_config()
-    cfg = apply_overrides(cfg, getattr(args, "set", None))
-    if getattr(args, "seed", None) is not None:
+    cfg = apply_overrides(cfg, args.set)
+    if args.seed is not None:
         cfg["run.seed"] = args.seed
     if getattr(args, "replicates", None) is not None:
         cfg["run.replicates"] = args.replicates
-    return cfg
+    if ratio is not None:
+        cfg["data.labeled_ratio"] = ratio
+    return to_experiment(cfg)
 
 
 def _write_json(path, obj):
@@ -82,8 +85,7 @@ def _write_json(path, obj):
 
 
 def cmd_generate(args) -> int:
-    cfg = _load_cfg(args)
-    datasets = generate_synthetic(to_experiment(cfg).data)
+    datasets = generate_synthetic(_load_cfg(args).data)
     os.makedirs(args.out, exist_ok=True)
     paths = save_splits(datasets, args.out)
     for ds, p in zip(datasets, paths):
@@ -93,9 +95,8 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _train_once(cfg: dict, exp, data_dir: str, out_dir: str, workers) -> int:
+def _train_once(exp, data_dir: str, out_dir: str, workers) -> int:
     datasets = load_splits(data_dir, exp.data)
-    os.makedirs(out_dir, exist_ok=True)
 
     def persist(r, state):
         save_checkpoint(os.path.join(out_dir, f"checkpoint_r{r}.npz"), state)
@@ -107,7 +108,7 @@ def _train_once(cfg: dict, exp, data_dir: str, out_dir: str, workers) -> int:
                             workers=workers)
 
     with atomic_write(os.path.join(out_dir, "config.cfg")) as fh:
-        fh.write(serialize_config(cfg))
+        fh.write(serialize_config(exp))
     _write_json(os.path.join(out_dir, "metrics.json"), result.metrics_dict())
     _write_json(os.path.join(out_dir, "run_info.json"),
                 {"config_hash": result.config_hash,
@@ -135,12 +136,9 @@ def _refuse_used_dir(path: str) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
     ratios = args.labeled_ratio or [None]  # None: the config's own ratio
     # every ratio's config is checked before any ratio trains
-    subs = [cfg if r is None else apply_overrides(
-        cfg, [f"data.labeled_ratio={r}"]) for r in ratios]
-    exps = [to_experiment(sub) for sub in subs]
+    exps = [_load_cfg(args, r) for r in ratios]
     dirs = ([args.out] if len(ratios) == 1 else
             [os.path.join(args.out, f"labeled_{r:g}") for r in ratios])
     if not os.path.isdir(args.out):  # a file; a sweep may add arms to a dir
@@ -150,11 +148,13 @@ def cmd_train(args) -> int:
             raise ConfigError(f"labeled ratios {ratios[dirs.index(out_dir)]!r}"
                               f" and {ratios[i]!r} share the directory {out_dir}")
         _refuse_used_dir(out_dir)
+    for out_dir in dirs:  # an --out under a plain file fails before any data
+        os.makedirs(out_dir, exist_ok=True)
     status = EXIT_OK
-    for ratio, sub, exp, out_dir in zip(ratios, subs, exps, dirs):
+    for ratio, exp, out_dir in zip(ratios, exps, dirs):
         if ratio is not None:
             print(f"== labeled ratio {ratio:g} -> {out_dir}")
-        status = max(status, _train_once(sub, exp, args.data, out_dir,
+        status = max(status, _train_once(exp, args.data, out_dir,
                                          args.workers))
     return status
 

@@ -18,12 +18,13 @@ whenever a dataclass is built; only the rules that relate two fields are
 written out by hand in ``__post_init__``.
 
 Config files hold one dotted ``key=value`` per line with ``#`` comments;
-unknown keys are rejected, and ``parse(serialize(c)) == c`` holds for any
-config dict c.
+unknown keys are rejected, and ``to_experiment(parse_config(
+serialize_config(e))) == e`` holds for any e that ``to_experiment`` returns.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -296,16 +297,11 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def serialize_config(cfg: dict) -> str:
-    """Canonical text form (schema order, doc comments)."""
-    unknown = set(cfg) - set(_SCHEMA)
-    if unknown:
-        raise ConfigError(f"unknown keys: {sorted(unknown)}")
-    lines = []
-    for key, (_, default, meta) in _SCHEMA.items():
-        value = _format_value(key, cfg.get(key, default))
-        lines.append(f"{key}={value}  # {meta['doc']}")
-    return "\n".join(lines) + "\n"
+def serialize_config(exp: ExperimentConfig) -> str:
+    """Canonical text form of every key (schema order, doc comments)."""
+    return "".join(
+        f"{key}={_format_value(key, functools.reduce(getattr, path, exp))}"
+        f"  # {meta['doc']}\n" for key, (path, _, meta) in _SCHEMA.items())
 
 
 def apply_overrides(cfg: dict, pairs) -> dict:

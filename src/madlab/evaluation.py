@@ -65,7 +65,7 @@ def usable_cores() -> int:
 # per further usable core, thread i in one buffer it reuses, ``buffers[i]``: a
 # new array under 4 MB faults in page by page. Pool threads copy the caller's
 # context (errstate) and call nothing the tracer patches.
-def knn_score(queries, references, k: int = 100, buffers=None) -> np.ndarray:
+def knn_score(queries, references, k: int, buffers=None) -> np.ndarray:
     """Mean Euclidean distance to the k nearest reference rows, per query.
 
     Brute force over ``row_blocks(n, references)``, rooting only the k kept

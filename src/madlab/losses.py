@@ -80,7 +80,7 @@ def info_nce_loss(z, temperature: float):
     return loss, grad
 
 
-def mad_loss(z, labels, centers, eta: float, n_rows: int, eps_d: float = 1e-6):
+def mad_loss(z, labels, centers, eta: float, n_rows: int, eps_d: float):
     """Multi-center detection objective over one batch.
 
     Each row is assigned to its nearest live center of the ``CenterSet``

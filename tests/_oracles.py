@@ -19,6 +19,9 @@ k-means' assignment steps, whose oracles run each split in one piece: they
 pin the row-blocked versions to the bits of one unblocked pass. Those
 bits agree at 1 BLAS thread only, so ``run_at_one_blas_thread`` runs such
 comparisons in a child process.
+
+``make_centers`` is no oracle: it is the suites' one way to build a
+``CenterSet`` from a list of points.
 """
 
 import csv
@@ -315,7 +318,7 @@ def reference_sq_distances(points, refs):
     return np.maximum(d2, 0.0, out=d2)
 
 
-def mad_loss_reference(z, labels, centers, eta, n_rows, eps_d=1e-6):
+def mad_loss_reference(z, labels, centers, eta, n_rows, eps_d):
     """``mad_loss`` as first written, over a ``CenterSet`` whose live
     centers it finds on every call: (loss, gradient, assignments)."""
     z = np.asarray(z, dtype=np.float64)
@@ -353,3 +356,13 @@ def run_at_one_blas_thread(script, *args, timeout):
         str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def make_centers(points, counts=None, live=None):
+    """A ``CenterSet`` over ``points``; every center is live and has count 0
+    unless ``live`` or ``counts`` says otherwise."""
+    from madlab.spheres import CenterSet
+    points = np.asarray(points, dtype=np.float64)
+    counts = np.zeros(len(points)) if counts is None else np.asarray(counts)
+    live = np.ones(len(points), dtype=bool) if live is None else live
+    return CenterSet(points, live, counts)

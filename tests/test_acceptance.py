@@ -20,10 +20,11 @@ from madlab.evaluation import (auc, replicate_ci, significance_code,
                                welch_t_test)
 from madlab.losses import ABNORMAL, NORMAL, UNLABELED, info_nce_loss, mad_loss
 from madlab.numcore import mlp_backward
-from madlab.spheres import CenterSet, prune
+from madlab.spheres import prune
 from madlab.trainer import run_replicate, save_checkpoint, load_checkpoint
 
-from _oracles import central_diff, grads_close, pair_count_auc, random_mlp
+from _oracles import (central_diff, grads_close, make_centers,
+                      pair_count_auc, random_mlp)
 from conftest import ACCEPTANCE_LINES
 
 
@@ -35,12 +36,6 @@ def report(criterion: int, desc: str, passed: bool, detail: str = ""):
     print(line, flush=True)           # live with -s
     ACCEPTANCE_LINES.append(line)     # terminal summary otherwise
     assert passed, line
-
-
-def make_centers(points, counts):
-    points = np.asarray(points, dtype=np.float64)
-    return CenterSet(points, np.ones(len(points), dtype=bool),
-                     np.asarray(counts))
 
 
 # --- 1: gradient suite ------------------------------------------------------
@@ -83,9 +78,10 @@ def test_criterion_01_gradient_suite():
         z = np.array(rows)
         labels = rng.choice([UNLABELED, NORMAL, ABNORMAL], size=6)
         eta = float(rng.uniform(0.3, 2.0))
-        _, grad, _ = mad_loss(z, labels, centers, eta, 10)
+        _, grad, _ = mad_loss(z, labels, centers, eta, 10, 1e-6)
         numeric = central_diff(
-            lambda arr: mad_loss(arr, labels, centers, eta, 10)[0], z.copy())
+            lambda arr: mad_loss(arr, labels, centers, eta, 10, 1e-6)[0],
+            z.copy())
         assert grads_close(grad, numeric), "mad"
         checked += 1
 
@@ -107,9 +103,9 @@ def test_criterion_02_loss_oracles():
 
     cs = make_centers([[0.0, 0.0]], [0])
     at_center, _, _ = mad_loss(np.zeros((1, 2)), np.array([UNLABELED]), cs,
-                               1.0, 1)
+                               1.0, 1, 1e-6)
     abnormal_one, _, _ = mad_loss(np.array([[1.0, 0.0]]),
-                                  np.array([ABNORMAL]), cs, 1.0, 1)
+                                  np.array([ABNORMAL]), cs, 1.0, 1, 1e-6)
 
     report(2, "loss oracle values",
            single == 0.0 and abs(two_pair - expected) < 1e-9

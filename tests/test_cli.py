@@ -585,6 +585,52 @@ def test_train_refuses_an_out_that_is_a_file(tmp_path, capsys, ratios):
     assert out.read_text() == "kept"
 
 
+@pytest.mark.parametrize("ratios", [[], ["0.025", "0.1"]],
+                         ids=["plain", "sweep"])
+def test_train_out_under_a_file_exits_1_before_the_data_is_read(tmp_path,
+                                                               capsys, ratios):
+    """Every arm's directory is made before the first split is read, so an
+    ``--out`` below a plain file exits 1 for the directory, not 2 for the
+    missing data, and announces no arm."""
+    (tmp_path / "file").write_text("kept")
+    out = tmp_path / "file" / "sub"
+    assert main(["train", "--data", str(tmp_path / "missing"), "--out",
+                 str(out)] + [a for r in ratios for a in ("--labeled-ratio", r)]
+                ) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: [Errno {errno.ENOTDIR}] "
+                                   f"{os.strerror(errno.ENOTDIR)}: '{out}'\n")
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_train_failing_on_its_data_leaves_an_empty_dir_a_rerun_accepts(
+        tmp_path, capsys):
+    out = tmp_path / "run"
+    for _ in range(2):
+        assert main(["train", "--data", str(tmp_path / "missing"), "--out",
+                     str(out)]) == EXIT_SCHEMA
+        assert "missing data file" in capsys.readouterr().err
+        assert out.is_dir() and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("ratios, arm", [([], ""),
+                                         (["0.025", "0.1"], "labeled_0.025")],
+                         ids=["plain", "sweep_arm"])
+def test_config_cfg_reproduces_its_run(tmp_path, data_dir, ratios, arm):
+    """A run's config.cfg, given back as ``--config`` (a sweep arm's without
+    ``--labeled-ratio``), trains the same bytes in every file but the wall
+    times of run_info.json."""
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--out", str(run),
+                 "--replicates", "1"] + SMALL_SETS
+                + [a for r in ratios for a in ("--labeled-ratio", r)]) == EXIT_OK
+    again = tmp_path / "again"
+    assert main(["train", "--config", str(run / arm / "config.cfg"),
+                 "--data", str(data_dir), "--out", str(again)]) == EXIT_OK
+    want, got = _tree_bytes(run / arm), _tree_bytes(again)
+    assert want.pop("run_info.json") and got.pop("run_info.json")
+    assert got == want
+
+
 def test_plain_train_is_the_one_arm_sweep_at_the_configs_ratio(tmp_path,
                                                                data_dir):
     """Without ``--labeled-ratio`` a run trains the config's own ratio, the
@@ -1203,8 +1249,9 @@ def test_train_on_damaged_split_exits_documented_code(
 def test_generate_on_damaged_config_exits_documented_code(
         eval_inputs, damage, position, mask, replacement):
     path = eval_inputs / "config.cfg"
-    path.write_bytes(_damaged(serialize_config(default_config()).encode(),
-                              damage, position, mask, replacement))
+    path.write_bytes(_damaged(
+        serialize_config(config_mod.ExperimentConfig()).encode(),
+        damage, position, mask, replacement))
     code, err = _main_exit([
         "generate", "--config", str(path), "--out", str(eval_inputs / "gen"),
         "--set", "data.train_size=40", "--set", "data.val_size=20",

@@ -13,8 +13,9 @@ from madlab.errors import ConfigError
 
 
 def test_parse_serialize_round_trip_defaults():
-    cfg = default_config()
-    assert parse_config(serialize_config(cfg)) == cfg
+    text = serialize_config(ExperimentConfig())
+    assert parse_config(text) == default_config()
+    assert to_experiment(parse_config(text)) == ExperimentConfig()
 
 
 def test_parse_serialize_round_trip_modified():
@@ -22,8 +23,10 @@ def test_parse_serialize_round_trip_modified():
         "finetune.eta=2.5", "pretrain.milestones=10,20,30", "data.dim=16",
         "pretrain.lr=3.25e-05", "finetune.milestones=",
         "pretrain.optimizer=sgd"])
-    again = parse_config(serialize_config(cfg))
+    exp = to_experiment(cfg)
+    again = parse_config(serialize_config(exp))
     assert again == cfg
+    assert to_experiment(again) == exp
     assert again["pretrain.milestones"] == (10, 20, 30)
     assert again["finetune.milestones"] == ()
     assert again["pretrain.lr"] == 3.25e-05
@@ -64,7 +67,7 @@ def test_comments_and_blanks_ignored():
 def test_every_key_documented():
     cfg = default_config()
     assert len(cfg) == 46
-    for line in serialize_config(cfg).splitlines():
+    for line in serialize_config(to_experiment(cfg)).splitlines():
         key, doc = line.split("  # ", 1)
         assert doc.strip(), f"{key} lacks documentation"
 
@@ -92,7 +95,7 @@ def test_hash_reflects_overrides():
 
 def test_default_config_text_pinned():
     # config.cfg of a default run; a schema edit that changes it fails here
-    text = serialize_config(default_config())
+    text = serialize_config(ExperimentConfig())
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "cd79362234b8322928cd9530341c60dc5d26998656538f1758477f2bfcedb8ca")
 

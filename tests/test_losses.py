@@ -9,13 +9,7 @@ from madlab.losses import ABNORMAL, NORMAL, UNLABELED, info_nce_loss, mad_loss
 from madlab.spheres import CenterSet
 
 from _oracles import (central_diff, grads_close, info_nce_reference,
-                      mad_loss_reference)
-
-
-def make_centers(points):
-    points = np.asarray(points, dtype=np.float64)
-    return CenterSet(points, np.ones(len(points), dtype=bool),
-                     np.zeros(len(points), dtype=np.int64))
+                      mad_loss_reference, make_centers)
 
 
 # --- InfoNCE --------------------------------------------------------------
@@ -98,7 +92,7 @@ def test_unlabeled_row_at_center_contributes_zero():
     centers = make_centers([[1.0, 2.0], [5.0, 5.0]])
     loss, grad, assign = mad_loss(np.array([[1.0, 2.0]]),
                                   np.array([UNLABELED]), centers,
-                                  eta=1.0, n_rows=1)
+                                  eta=1.0, n_rows=1, eps_d=1e-6)
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros((1, 2)))
     assert assign[0] == 0
@@ -107,21 +101,21 @@ def test_unlabeled_row_at_center_contributes_zero():
 def test_known_abnormal_at_distance_one():
     centers = make_centers([[0.0, 0.0]])
     loss, _, _ = mad_loss(np.array([[1.0, 0.0]]), np.array([ABNORMAL]),
-                          centers, eta=1.0, n_rows=1)
+                          centers, eta=1.0, n_rows=1, eps_d=1e-6)
     assert loss == 1.0  # (1^2)^(-1)
 
 
 def test_known_normal_at_distance_two():
     centers = make_centers([[0.0, 0.0]])
     loss, _, _ = mad_loss(np.array([[2.0, 0.0]]), np.array([NORMAL]),
-                          centers, eta=1.0, n_rows=1)
+                          centers, eta=1.0, n_rows=1, eps_d=1e-6)
     assert loss == 4.0  # eta * (2^2)^(+1)
 
 
 def test_denominator_uses_full_counts():
     centers = make_centers([[0.0]])
     loss, _, _ = mad_loss(np.array([[2.0]]), np.array([UNLABELED]),
-                          centers, eta=1.0, n_rows=10)
+                          centers, eta=1.0, n_rows=10, eps_d=1e-6)
     assert math.isclose(loss, 4.0 / 10.0, rel_tol=1e-12)
 
 
@@ -144,10 +138,11 @@ def _random_mad_instance(rng, tie_margin=1e-3):
 def test_mad_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(300 + seed)
     centers, z0, labels, eta = _random_mad_instance(rng)
-    _, grad, _ = mad_loss(z0.copy(), labels, centers, eta, n_rows=10)
+    _, grad, _ = mad_loss(z0.copy(), labels, centers, eta, n_rows=10,
+                          eps_d=1e-6)
 
     def loss_at(arr):
-        return mad_loss(arr, labels, centers, eta, n_rows=10)[0]
+        return mad_loss(arr, labels, centers, eta, n_rows=10, eps_d=1e-6)[0]
 
     numeric = central_diff(loss_at, z0)
     assert grads_close(grad, numeric)
@@ -158,7 +153,7 @@ def test_assignment_minimizes_distance_and_breaks_ties_low():
     z = np.array([[1.5, 0.0],   # nearest is center 2 (distance .5)
                   [1.0, 5.0]])  # equidistant to 0 and 1 -> index 0... no: 2 is nearer
     _, _, assign = mad_loss(z, np.array([UNLABELED, UNLABELED]),
-                            centers, 1.0, 2)
+                            centers, 1.0, 2, 1e-6)
     live = centers.centers[assign]
     for i in range(len(z)):
         d_assigned = np.linalg.norm(z[i] - live[i])
@@ -169,7 +164,7 @@ def test_assignment_minimizes_distance_and_breaks_ties_low():
 def test_tie_breaks_to_lowest_index():
     centers = make_centers([[-1.0, 0.0], [1.0, 0.0]])
     _, _, assign = mad_loss(np.array([[0.0, 3.0]]), np.array([UNLABELED]),
-                            centers, 1.0, 1)
+                            centers, 1.0, 1, 1e-6)
     assert assign[0] == 0
 
 
@@ -178,7 +173,7 @@ def test_abnormal_descent_step_pushes_away_from_center():
     centers = make_centers(rng.normal(size=(2, 4)))
     z = rng.normal(size=(6, 4))
     _, grad, assign = mad_loss(z, np.full(6, ABNORMAL),
-                               centers, eta=1.0, n_rows=6)
+                               centers, eta=1.0, n_rows=6, eps_d=1e-6)
     toward = centers.centers[assign] - z
     # descent direction -grad must point away from the assigned center
     assert np.all(np.einsum("ij,ij->i", -grad, toward) < 0.0)
@@ -189,7 +184,7 @@ def test_abnormal_loss_decreases_with_distance():
     losses = []
     for d in (0.5, 1.0, 2.0, 4.0):
         losses.append(mad_loss(np.array([[d]]), np.array([ABNORMAL]),
-                               centers, 1.0, 1)[0])
+                               centers, 1.0, 1, 1e-6)[0])
     assert all(a > b > 0.0 for a, b in zip(losses, losses[1:]))
 
 
@@ -218,14 +213,15 @@ def test_unlabeled_and_normal_terms_non_negative():
     centers = make_centers(rng.normal(size=(3, 3)))
     z = rng.normal(size=(10, 3))
     labels = rng.choice([UNLABELED, NORMAL], size=10)
-    loss, _, _ = mad_loss(z, labels, centers, 1.3, 10)
+    loss, _, _ = mad_loss(z, labels, centers, 1.3, 10, 1e-6)
     assert loss >= 0.0
 
 
 def test_all_pruned_raises_state_error():
     with pytest.raises(StateError):  # no set without a live center is built
         mad_loss(np.array([[0.5]]), np.array([UNLABELED]),
-                 CenterSet([[0.0], [1.0]], [False, False], [0, 0]), 1.0, 1)
+                 CenterSet([[0.0], [1.0]], [False, False], [0, 0]), 1.0, 1,
+                 1e-6)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -263,14 +259,14 @@ _UNL = np.array([UNLABELED])
     (lambda c: info_nce_loss(np.ones(4), 0.5), ShapeError),
     (lambda c: info_nce_loss(np.ones((3, 2)), 0.5), ShapeError),
     (lambda c: info_nce_loss(np.ones((4, 2)), 0.0), DomainError),
-    (lambda c: mad_loss(np.ones(2), _UNL, c, 1.0, 1), ShapeError),
-    (lambda c: mad_loss(_ROW, np.array([0, 0]), c, 1.0, 1), ShapeError),
-    (lambda c: mad_loss(_ROW, np.array([2]), c, 1.0, 1), DomainError),
-    (lambda c: mad_loss(_ROW, np.array([0.5]), c, 1.0, 1), DomainError),
-    (lambda c: mad_loss(_ROW, np.array([2], dtype=np.int8), c, 1.0, 1),
+    (lambda c: mad_loss(np.ones(2), _UNL, c, 1.0, 1, 1e-6), ShapeError),
+    (lambda c: mad_loss(_ROW, np.array([0, 0]), c, 1.0, 1, 1e-6), ShapeError),
+    (lambda c: mad_loss(_ROW, np.array([2]), c, 1.0, 1, 1e-6), DomainError),
+    (lambda c: mad_loss(_ROW, np.array([0.5]), c, 1.0, 1, 1e-6), DomainError),
+    (lambda c: mad_loss(_ROW, np.array([2], dtype=np.int8), c, 1.0, 1, 1e-6),
      DomainError),
-    (lambda c: mad_loss(_ROW, _UNL, c, -0.5, 1), DomainError),
-    (lambda c: mad_loss(_ROW, _UNL, c, 1.0, 0), DomainError),
+    (lambda c: mad_loss(_ROW, _UNL, c, -0.5, 1, 1e-6), DomainError),
+    (lambda c: mad_loss(_ROW, _UNL, c, 1.0, 0, 1e-6), DomainError),
 ], ids=["nce_not_2d", "nce_odd_rows", "nce_temperature", "mad_not_2d",
         "mad_label_shape", "mad_label_value", "mad_label_float",
         "mad_label_int8", "mad_eta", "mad_n_rows"])
