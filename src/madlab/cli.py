@@ -20,8 +20,8 @@ import sys
 from . import __version__
 from .config import (ExperimentConfig, apply_overrides, default_config,
                      load_config, serialize_config, to_experiment)
-from .data import (ABNORMAL, LABEL_NAMES, atomic_write, generate_synthetic,
-                   load_splits, save_splits)
+from .data import (ABNORMAL, LABEL_NAMES, as_configured, atomic_write,
+                   generate_synthetic, load_splits, save_splits)
 from .errors import (ConfigError, MadlabError, NumericsError, SchemaError,
                      StateError)
 from .evaluation import (  # noqa: F401 -- knn_score: a perfbench/tracer.py patch point
@@ -95,9 +95,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _train_once(exp, data_dir: str, out_dir: str, workers) -> int:
-    datasets = load_splits(data_dir, exp.data)
-
+def _train_once(exp, datasets, out_dir: str, workers) -> int:
     def persist(r, state):
         save_checkpoint(os.path.join(out_dir, f"checkpoint_r{r}.npz"), state)
         with atomic_write(os.path.join(out_dir, f"centers_r{r}.jsonl")) as fh:
@@ -150,11 +148,13 @@ def cmd_train(args) -> int:
         _refuse_used_dir(out_dir)
     for out_dir in dirs:  # an --out under a plain file fails before any data
         os.makedirs(out_dir, exist_ok=True)
+    train, *rest = load_splits(args.data, exps[0].data)  # arms differ in ratio
     status = EXIT_OK
     for ratio, exp, out_dir in zip(ratios, exps, dirs):
         if ratio is not None:
             print(f"== labeled ratio {ratio:g} -> {out_dir}")
-        status = max(status, _train_once(exp, args.data, out_dir,
+        arm = as_configured(train, exp.data, args.data)  # from on-disk labels
+        status = max(status, _train_once(exp, (arm, *rest), out_dir,
                                          args.workers))
     return status
 
@@ -167,8 +167,9 @@ def cmd_eval(args) -> int:
     exp = state.config
     train, target = load_splits(args.data, exp.data, [args.split])
     [(scores, knn)] = score_splits(exp, state.pretext_model, state.mad_model,
-                                   state.centers, train, [target],
-                                   args.embedding)
+                                   state.centers,
+                                   as_configured(train, exp.data, args.data),
+                                   [target], args.embedding)
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)

@@ -71,9 +71,10 @@ class Dataset:
         extremes = [self.features.min(initial=0), self.features.max(initial=0)]
         if not np.isfinite(extremes).all():  # no (n, dim) temporary
             raise SchemaError("non-finite feature values")
-        if not set(np.unique(self.labels)) <= set(LABEL_NAMES):
+        # membership, not np.unique: no sort, and numpy.ma stays unimported
+        if not np.isin(self.labels, list(LABEL_NAMES)).all():
             raise SchemaError("labels must be in {0, +1, -1}")
-        if not set(np.unique(self.ground_truth)) <= {NORMAL, ABNORMAL}:
+        if not np.isin(self.ground_truth, [NORMAL, ABNORMAL]).all():
             raise SchemaError("ground_truth must be in {+1, -1}")
         labeled = self.labels != UNLABELED
         if np.any(self.labels[labeled] != self.ground_truth[labeled]):
@@ -437,11 +438,10 @@ def save_splits(datasets, out_dir):
 
 
 def load_splits(data_dir, cfg: GeneratorConfig, splits=SPLITS[1:]):
-    """Load the train split and the named ``splits`` from ``data_dir`` as
-    ``cfg`` trains on them: ``cfg.dim`` features, a presumed-normal train
-    row, both classes in every other split; a train split whose labeled
-    count is more than one row off ``cfg.labeled_ratio`` is relabeled at
-    that ratio with ``cfg.seed``. Returns (train, *splits)."""
+    """Load the train split and the named ``splits`` from ``data_dir``, fit
+    for ``cfg``: ``cfg.dim`` features, a presumed-normal train row, both
+    classes in every other split. Train keeps its labels as on disk
+    (``as_configured`` relabels it). Returns (train, *splits)."""
     out = []
     for split in (SPLITS[0], *splits):
         p = os.path.join(data_dir, f"{split}.csv")
@@ -455,14 +455,21 @@ def load_splits(data_dir, cfg: GeneratorConfig, splits=SPLITS[1:]):
     if not np.any(train.labels >= 0):
         raise SchemaError(f"{data_dir}: train split has no presumed-normal row")
     for ds in out[1:]:
-        if np.unique(ds.ground_truth).size < 2:
+        if not np.isin([NORMAL, ABNORMAL], ds.ground_truth).all():
             raise SchemaError(f"{data_dir}: {ds.split} split needs both classes")
-    if abs(cfg.labeled_ratio * len(train)
-           - int(np.sum(train.labels != UNLABELED))) > 1.0:
-        log.info("relabeling train split at ratio %g", cfg.labeled_ratio)
-        try:
-            out[0] = relabel(train, cfg.labeled_ratio,
-                             cfg.labeled_normal_fraction, cfg.seed)
-        except ConfigError as exc:
-            raise SchemaError(f"{data_dir}: train split: {exc}") from None
     return tuple(out)
+
+
+def as_configured(train: Dataset, cfg: GeneratorConfig, data_dir) -> Dataset:
+    """The train split of ``data_dir`` as ``cfg`` trains on it: relabeled at
+    ``cfg.labeled_ratio`` with ``cfg.seed`` if its labeled count is more
+    than one row off that ratio, else ``train`` itself."""
+    if abs(cfg.labeled_ratio * len(train)
+           - int(np.sum(train.labels != UNLABELED))) <= 1.0:
+        return train
+    log.info("relabeling train split at ratio %g", cfg.labeled_ratio)
+    try:
+        return relabel(train, cfg.labeled_ratio, cfg.labeled_normal_fraction,
+                       cfg.seed)
+    except ConfigError as exc:
+        raise SchemaError(f"{data_dir}: train split: {exc}") from None

@@ -11,11 +11,9 @@ scipy as the cross-check oracle.
 
 from __future__ import annotations
 
-import contextvars
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -72,8 +70,11 @@ def knn_score(queries, references, k: int, buffers=None) -> np.ndarray:
     squared distances: the bits of one unblocked call that roots them all,
     but for an ulp where duplicated references tie after the root. k above
     the reference count is clamped with a warning. Calls made one after
-    another may share one dict as ``buffers``.
+    another may share one dict as ``buffers``. The thread pool is imported
+    here, on first use: ``generate`` and ``compare`` never score kNN.
     """
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     references = np.atleast_2d(np.asarray(references, dtype=np.float64))
     if references.shape[0] == 0:

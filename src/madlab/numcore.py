@@ -43,19 +43,19 @@ def row_blocks(n: int, width: int = 1, step: int = 0) -> list[slice]:
     return [slice(*cut) for cut in zip(cuts, cuts[1:])]
 
 
-def init_params(widths, rng) -> list[np.ndarray]:
-    """Seeded uniform init: W ~ U(+-sqrt(6/(in+out))), b = 0.
+def layer_shapes(widths) -> list[tuple]:
+    """The parameter shapes [W0, b0, W1, b1, ...] of a net of ``widths``:
+    W (fan_in, fan_out) and b (fan_out,) per consecutive pair of widths."""
+    return [shape for fan_in, fan_out in zip(widths, widths[1:])
+            for shape in ((fan_in, fan_out), (fan_out,))]
 
-    Returns a flat list [W0, b0, W1, b1, ...], one (W, b) per consecutive
-    pair of ``widths``, aligned with ``Mlp.parameters()``.
-    """
+
+def init_params(widths, rng) -> list[np.ndarray]:
+    """Seeded uniform init, aligned with ``Mlp.parameters()``: each W ~
+    U(+-sqrt(6/(fan_in+fan_out))), each b = 0."""
     rng = np.random.default_rng(rng)
-    params: list[np.ndarray] = []
-    for fan_in, fan_out in zip(widths, widths[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        params.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        params.append(np.zeros(fan_out))
-    return params
+    return [rng.uniform(-(lim := np.sqrt(6.0 / sum(s))), lim, size=s)
+            if len(s) == 2 else np.zeros(s) for s in layer_shapes(widths)]
 
 
 class Arena(list):
@@ -88,9 +88,7 @@ class Mlp:
         self.widths = widths
         if params is None:
             params = init_params(widths, rng)
-        expected = [shape for fan_in, fan_out in zip(widths, widths[1:])
-                    for shape in ((fan_in, fan_out), (fan_out,))]
-        if [np.shape(p) for p in params] != expected:
+        if [np.shape(p) for p in params] != (expected := layer_shapes(widths)):
             raise ShapeError(f"parameter shapes {[np.shape(p) for p in params]} "
                              f"do not match the layers' {expected}")
         self._params = Arena(params)  # a copy: the caller's arrays stay apart

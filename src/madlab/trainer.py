@@ -31,7 +31,7 @@ from .errors import ConfigError, MadlabError, NumericsError, StateError
 from .evaluation import auc, knn_score, replicate_ci, usable_cores
 from .losses import info_nce_loss, mad_loss
 from .numcore import (ADAM, Arena, Mlp, OptimizerState, apply_lr_schedule,
-                      init_params, mlp_backward, optimizer_step)
+                      init_params, layer_shapes, mlp_backward, optimizer_step)
 from .spheres import CenterSet, anomaly_scores, assign_and_count, kmeans, prune
 from .spheres import nearest_live_center  # noqa: F401 -- a perfbench/tracer.py patch point
 
@@ -515,9 +515,9 @@ def load_checkpoint(path) -> TrainerState:
         raise StateError(f"{path}: {kind}{exc}") from exc
 
 
-def _fill(arena: Arena, z, name: str) -> Arena:
-    """``arena``, laid out by the config, overwritten by stored ``name``."""
-    vec = z[name]
+def _fill(widths, z, name: str) -> Arena:
+    """The parameter layout of a net of ``widths`` holding stored ``name``."""
+    arena, vec = Arena(np.zeros(shape) for shape in layer_shapes(widths)), z[name]
     if vec.shape != arena.flat.shape:
         raise StateError(f"{name} holds {vec.size} values, not {arena.flat.size}")
     if not np.isfinite(vec).all():
@@ -527,6 +527,8 @@ def _fill(arena: Arena, z, name: str) -> Arena:
 
 
 def _read_checkpoint(path) -> TrainerState:
+    """Each net is laid out by the config's widths and filled as stored, not
+    built: a drawn init would load ``numpy.random`` only to be overwritten."""
     # np.load closes a file it opened itself only when the zip reader succeeds
     with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
         meta = json.loads(bytes(z["meta_json"]).decode())
@@ -546,12 +548,12 @@ def _read_checkpoint(path) -> TrainerState:
         if type(meta["epochs"]) is not list or phase != "done" and not meta["opt"]:
             raise StateError(f"{phase} epoch {epoch} lacks its records or optimizer")
 
-        pretext = build_pretext_model(cfg)
-        _fill(pretext.net.parameters(), z, "pretext")
+        d = cfg.dims
+        pre_w, mad_w = [(d.input_dim, *d.body, w) for w in (d.proj_dim, d.mad_dim)]
+        pretext = EncoderModel(Mlp(pre_w, params=_fill(pre_w, z, "pretext")))
         mad = centers = opt = None
         if phase != "pretrain":
-            mad = transfer_weights(pretext, cfg)
-            _fill(mad.net.parameters(), z, "mad")
+            mad = EncoderModel(Mlp(mad_w, params=_fill(mad_w, z, "mad")))
             stored = z["centers"]  # checked before the set builds its terms
             if (stored.shape[1:] != (cfg.dims.mad_dim,)
                     or not np.isfinite(stored).all()):
@@ -564,8 +566,7 @@ def _read_checkpoint(path) -> TrainerState:
         if phase != "done":  # the config gives rule, lr and decay
             opt = OptimizerState(step_count=meta["opt"]["step_count"])
             if opt.step_count > 0:  # Adam made its moments on its first step
-                params = (mad or pretext).net.parameters()
-                opt.m = _fill(params.zeros_like(), z, "opt_m")
-                opt.v = _fill(params.zeros_like(), z, "opt_v")
+                opt.m = _fill((mad or pretext).net.widths, z, "opt_m")
+                opt.v = _fill((mad or pretext).net.widths, z, "opt_v")
 
     return TrainerState(cfg, phase, epoch, pretext, mad, opt, centers, meta["epochs"])

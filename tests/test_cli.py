@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import madlab.cli as cli_mod
 import madlab.config as config_mod
+import madlab.data as data_mod
 import madlab.trainer as trainer_mod
 from madlab.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                         EXIT_REPLICATES, EXIT_SCHEMA, main)
@@ -679,6 +680,26 @@ def test_train_labeled_ratio_sweep(tmp_path, data_dir):
     assert code == EXIT_OK
     assert (out / "labeled_0.05" / "metrics.json").exists()
     assert (out / "labeled_0.1" / "metrics.json").exists()
+
+
+def test_sweep_reads_its_splits_once_and_relabels_each_arm_from_disk(
+        tmp_path, data_dir, monkeypatch):
+    """A sweep parses each split once. Each arm relabels the on-disk train
+    labels, so the arm at the data's own ratio (0.1) trains on them: the
+    bytes of a plain run, not a relabel of the arm before it."""
+    read, load_csv = [], data_mod.load_csv
+    monkeypatch.setattr(data_mod, "load_csv", lambda path, split: (
+        read.append(split), load_csv(path, split))[1])
+    sweep, plain = tmp_path / "sweep", tmp_path / "plain"
+    assert main(["train", "--data", str(data_dir), "--out", str(sweep)]
+                + TOY_SETS + [a for r in ("0.025", "0.05", "0.1")
+                              for a in ("--labeled-ratio", r)]) == EXIT_OK
+    assert sorted(read) == ["test", "train", "val"]  # not once per arm
+    assert main(["train", "--data", str(data_dir), "--out", str(plain)]
+                + TOY_SETS) == EXIT_OK
+    want, got = _tree_bytes(plain), _tree_bytes(sweep / "labeled_0.1")
+    assert want.pop("run_info.json") and got.pop("run_info.json")
+    assert got == want
 
 
 def test_train_labeled_ratio_sweep_checks_every_ratio_first(tmp_path, data_dir,
@@ -1386,6 +1407,58 @@ def test_eval_reads_only_train_and_the_split_it_scores(eval_inputs, tmp_path):
         outputs.append([(case / "out" / name).read_bytes()
                         for name in ("scores.csv", "eval_metrics.json")])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("split", ["val", "test"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_header_only_split_exits_2_needing_both_classes(eval_inputs, tmp_path,
+                                                        command, split):
+    case = tmp_path
+    shutil.copytree(eval_inputs / "orig", case / "data")
+    (case / "data" / "checkpoint.npz").rename(case / "checkpoint.npz")
+    path = case / "data" / f"{split}.csv"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    if command == "eval":
+        code, err = _eval_exit(case, "--split", split)
+    else:
+        code, err = _main_exit(["train", "--data", str(case / "data"), "--out",
+                                str(case / "run")] + TOY_SETS)
+    assert code == EXIT_SCHEMA, err
+    assert err == f"error: {case / 'data'}: {split} split needs both classes\n"
+
+
+_LOADED_MODULES_SCRIPT = """
+import sys
+from madlab.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(name for name in ("concurrent.futures", "numpy.ma",
+                                      "numpy.random") if name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("generate", ["numpy.random"]),
+    ("eval_mad", ["concurrent.futures"]),
+    ("eval_pretext", ["concurrent.futures"])],
+    ids=["generate", "eval_mad", "eval_pretext"])
+def test_a_command_loads_only_the_modules_it_runs(eval_inputs, tmp_path,
+                                                  command, loaded):
+    """Of three lazily loaded modules, a fresh process loads only those its
+    command uses: eval neither ``numpy.random`` (the checkpoint reader draws
+    no init) nor ``numpy.ma`` (which ``np.unique`` loads), and generate
+    neither ``numpy.ma`` nor ``concurrent.futures`` (it scores no kNN)."""
+    if command == "generate":
+        argv = ["generate", "--out", str(tmp_path / "gen")] + SMALL_SETS
+    else:
+        argv = ["eval", "--checkpoint", str(eval_inputs / "orig" /
+                                            "checkpoint.npz"),
+                "--data", str(eval_inputs / "orig"), "--out",
+                str(tmp_path / "out"), "--split", "test", "--embedding",
+                command.removeprefix("eval_")]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES_SCRIPT, *argv],
+                          env=_child_env(1), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0", *loaded]
 
 
 def test_usage_error_exits_1():

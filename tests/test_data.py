@@ -10,8 +10,9 @@ import pytest
 
 import madlab.data as data
 from madlab.data import (ABNORMAL, NORMAL, UNLABELED, AugmentationConfig,
-                         GeneratorConfig, augment_pairs, generate_synthetic,
-                         load_csv, load_splits, relabel, save_csv, save_splits)
+                         GeneratorConfig, as_configured, augment_pairs,
+                         generate_synthetic, load_csv, load_splits, relabel,
+                         save_csv, save_splits)
 from madlab.errors import ConfigError, SchemaError
 
 from _oracles import csv_writer_split_bytes
@@ -182,15 +183,22 @@ def test_relabel_changes_ratio_deterministically():
 
 
 def test_load_splits_relabels_train_as_configured(tmp_path):
+    """``load_splits`` keeps the on-disk labels; ``as_configured`` relabels
+    a train split that is off the configured ratio, and keeps one that is
+    on it."""
     datasets = generate_synthetic(SMALL)
     save_splits(datasets, tmp_path)
-    train = load_splits(tmp_path, replace(SMALL, labeled_ratio=0.1, seed=5))[0]
+    on_disk = load_splits(tmp_path, SMALL)[0]
+    assert np.array_equal(on_disk.labels, datasets[0].labels)
+    assert as_configured(on_disk, SMALL, tmp_path) is on_disk
+    train = as_configured(on_disk, replace(SMALL, labeled_ratio=0.1, seed=5),
+                          tmp_path)
     assert np.array_equal(train.labels,
                           relabel(datasets[0], 0.1, 0.5, seed=5).labels)
     # 100 known-abnormal rows asked of a split that holds 10 abnormal ones
     with pytest.raises(SchemaError, match="train split: labeled counts"):
-        load_splits(tmp_path, replace(SMALL, labeled_ratio=0.5,
-                                      labeled_normal_fraction=0.0))
+        as_configured(on_disk, replace(SMALL, labeled_ratio=0.5,
+                                       labeled_normal_fraction=0.0), tmp_path)
 
 
 # --- CSV schema --------------------------------------------------------------------

@@ -633,6 +633,36 @@ def test_loaded_moments_are_views_of_one_vector(small_cfg, small_data,
         assert np.array_equal(saved.flat, loaded.flat)
 
 
+def _stored_members(path) -> dict:
+    with np.load(path, allow_pickle=False) as z:
+        return {name: z[name] for name in z.files}
+
+
+@pytest.mark.parametrize("stop", [("pretrain", 1), ("finetune", 1), None],
+                         ids=["pretrain_1", "finetune_1", "done"])
+def test_checkpoint_loads_without_drawing_an_init(small_cfg, small_data,
+                                                  tmp_path, monkeypatch, stop):
+    """The reader lays each net out from the config and fills it as stored;
+    with every init draw refused it loads a state that writes back the same
+    arrays."""
+    saved, _ = run_replicate(small_cfg, small_data, stop=stop)
+    save_checkpoint(tmp_path / "saved.npz", saved)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checkpoint reader drew an init")
+
+    with monkeypatch.context() as patch:
+        for owner in (numcore, trainer_mod):
+            patch.setattr(owner, "init_params", refuse)
+        patch.setattr(np.random, "default_rng", refuse)
+        back = load_checkpoint(tmp_path / "saved.npz")
+    save_checkpoint(tmp_path / "again.npz", back)
+    want = _stored_members(tmp_path / "saved.npz")
+    got = _stored_members(tmp_path / "again.npz")
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[name], want[name]) for name in want)
+
+
 def test_failed_save_keeps_previous_checkpoint(small_cfg, small_data,
                                                tmp_path, monkeypatch):
     first, _ = run_replicate(small_cfg, small_data, stop=("pretrain", 1))
