@@ -19,7 +19,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -267,20 +267,6 @@ def generate_synthetic(cfg: GeneratorConfig):
     return tuple(datasets)
 
 
-def relabel(train_ds: Dataset, labeled_ratio: float,
-            labeled_normal_fraction: float, seed) -> Dataset:
-    """Re-draw the labeled subset of a train split at a new ratio.
-
-    Generation-side operation (it reads ground truth, like the generator
-    does); used for labeled-ratio sweeps over a fixed on-disk dataset.
-    """
-    labels = _draw_labels(train_ds.ground_truth, labeled_ratio,
-                          labeled_normal_fraction,
-                          np.random.default_rng([seed, 301]))
-    return Dataset(train_ds.features, labels, train_ds.ground_truth,
-                   train_ds.mode_ids, train_ds.group_ids, train_ds.split)
-
-
 def augment_pairs(features: np.ndarray, cfg: AugmentationConfig, rng):
     """Vectorized pair augmentation for a whole batch: returns (A, B)."""
     n, d = features.shape
@@ -469,7 +455,8 @@ def as_configured(train: Dataset, cfg: GeneratorConfig, data_dir) -> Dataset:
         return train
     log.info("relabeling train split at ratio %g", cfg.labeled_ratio)
     try:
-        return relabel(train, cfg.labeled_ratio, cfg.labeled_normal_fraction,
-                       cfg.seed)
+        return replace(train, labels=_draw_labels(
+            train.ground_truth, cfg.labeled_ratio, cfg.labeled_normal_fraction,
+            np.random.default_rng([cfg.seed, 301])))
     except ConfigError as exc:
         raise SchemaError(f"{data_dir}: train split: {exc}") from None

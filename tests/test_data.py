@@ -11,7 +11,7 @@ import pytest
 import madlab.data as data
 from madlab.data import (ABNORMAL, NORMAL, UNLABELED, AugmentationConfig,
                          GeneratorConfig, as_configured, augment_pairs,
-                         generate_synthetic, load_csv, load_splits, relabel,
+                         generate_synthetic, load_csv, load_splits,
                          save_csv, save_splits)
 from madlab.errors import ConfigError, SchemaError
 
@@ -174,9 +174,12 @@ def test_augmentation_config_validation():
 # --- relabel ---------------------------------------------------------------------
 
 def test_relabel_changes_ratio_deterministically():
-    train, _, _ = generate_synthetic(replace(SMALL, contamination=0.25))
-    re1 = relabel(train, 0.2, 0.5, seed=1)
-    re2 = relabel(train, 0.2, 0.5, seed=1)
+    cfg = replace(SMALL, contamination=0.25)
+    train, _, _ = generate_synthetic(cfg)
+    arm = replace(cfg, labeled_ratio=0.2, labeled_normal_fraction=0.5, seed=1)
+    re1 = as_configured(train, arm, "data")
+    re2 = as_configured(train, arm, "data")
+    assert re1 is not train
     assert int(np.sum(re1.labels != UNLABELED)) == 40
     assert np.array_equal(re1.labels, re2.labels)
     assert np.array_equal(re1.features, train.features)
@@ -191,10 +194,11 @@ def test_load_splits_relabels_train_as_configured(tmp_path):
     on_disk = load_splits(tmp_path, SMALL)[0]
     assert np.array_equal(on_disk.labels, datasets[0].labels)
     assert as_configured(on_disk, SMALL, tmp_path) is on_disk
-    train = as_configured(on_disk, replace(SMALL, labeled_ratio=0.1, seed=5),
-                          tmp_path)
+    arm = replace(SMALL, labeled_ratio=0.1, seed=5)
+    train = as_configured(on_disk, arm, tmp_path)
     assert np.array_equal(train.labels,
-                          relabel(datasets[0], 0.1, 0.5, seed=5).labels)
+                          as_configured(datasets[0], arm, tmp_path).labels)
+    assert not np.array_equal(train.labels, on_disk.labels)
     # 100 known-abnormal rows asked of a split that holds 10 abnormal ones
     with pytest.raises(SchemaError, match="train split: labeled counts"):
         as_configured(on_disk, replace(SMALL, labeled_ratio=0.5,
